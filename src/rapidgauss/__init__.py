@@ -59,16 +59,7 @@ from .interpolation import (
     master_rhs,
     propagate,
 )
-from .linalg import (
-    expm1_div,
-    logm_div,
-    mat_exp,
-    mat_log_principal,
-    min_eig_hermitian,
-    tensor_product,
-    unvec,
-    vec,
-)
+from .linalg import expm1_div, mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import (
     AffineSymplectic,
     GaussianState,

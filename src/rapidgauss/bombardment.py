@@ -17,8 +17,7 @@ import numpy as np
 
 from .channels import channel_taylor
 from .errors import MalformedSeriesError
-from .interpolation import Generators, cp_differential_check
-from .linalg import tensor_product
+from .interpolation import Generators, _block_upper, cp_differential_check
 from .phasespace import symplectic_form
 
 PURIFY_TOL = 1e-12
@@ -86,26 +85,25 @@ def _log_series(t_series, order):
     return out
 
 
-def _log_div_series(t_series, order):
-    """Coefficients of Log(T)/(T - 1) = sum_m (-1)^m/(m+1) (T - 1)^m."""
-    n = t_series[0].shape[0]
-    shifted = [np.zeros((n, n))] + [np.asarray(m) for m in t_series[1:]]
-    out = [np.eye(n)] + [np.zeros((n, n))] * order
-    power = [np.eye(n)] + [np.zeros((n, n))] * order
-    for m in range(1, order + 1):
-        power = _series_product(power, shifted, order)
-        coeff = (-1) ** m / (m + 1)
-        out = [out[k] + coeff * power[k] for k in range(order + 1)]
-    return out
+def _inverse_series(t_series, order):
+    """Coefficients of T(dt)^-1 given T(dt) = 1 + sum_k dt^k T_k (the Neumann
+    series, order by order from T T^-1 = 1)."""
+    inv = [np.eye(t_series[0].shape[0])]
+    for k in range(1, order + 1):
+        inv.append(-sum(t_series[i] @ inv[k - i] for i in range(1, k + 1)))
+    return inv
 
 
 def series_from_channel_series(t_series, d_series, r_series, order=None):
     """Generator series from a channel series (T_k, d_k, R_k).
 
-    The channel series must start from the trivial channel (T_0 = 1,
-    d_0 = 0, R_0 = 0) and must carry one more order than requested, since
-    the k-th generator coefficient draws on the (k+1)-th channel one.
-    Orders up to 3 are supported.
+    Lifts the channel series to the series of [[T, d], [0, 1]] and of the
+    noise lift [[T^-1, T^-1 R], [0, T^T]], and reads the generators off the
+    logarithm series of each, as :func:`generators_from_channel` does for a
+    single dt.  The channel series must start from the trivial channel
+    (T_0 = 1, d_0 = 0, R_0 = 0) and must carry one more order than
+    requested, since the k-th generator coefficient draws on the (k+1)-th
+    channel one.  Orders up to 3 are supported.
     """
     t_series = [np.asarray(m, dtype=float) for m in t_series]
     d_series = [np.asarray(v, dtype=float) for v in d_series]
@@ -128,32 +126,22 @@ def series_from_channel_series(t_series, d_series, r_series, order=None):
     kc = order + 1
     omega = symplectic_form(n // 2)
 
-    log_t = _log_series(t_series, kc)
-    ldiv = _log_div_series(t_series, kc)
-    drift = [
-        sum(ldiv[i] @ d_series[k - i] for i in range(k + 1)) for k in range(kc + 1)
-    ]
+    # _log_series takes the order-0 terms to be the identity
+    t_inv = _inverse_series(t_series, kc)
+    t_inv_r = _series_product(t_inv, r_series, kc)
+    zero = np.zeros((1, 1))
+    log_affine = _log_series(
+        [_block_upper(t_series[k], d_series[k][:, None], zero) for k in range(kc + 1)], kc
+    )
+    log_noise = _log_series(
+        [_block_upper(t_inv[k], t_inv_r[k], t_series[k].T) for k in range(kc + 1)], kc
+    )
 
-    eye = np.eye(n)
-    big = [
-        sum(
-            (tensor_product(t_series[i], t_series[k - i]) for i in range(k + 1)),
-            start=np.zeros((n * n, n * n)),
-        )
-        for k in range(kc + 1)
-    ]
-    big[0] = np.eye(n * n)
-    ldiv_big = _log_div_series(big, kc)
-    r_vec = [m.reshape(-1) for m in r_series]
-    noise = [
-        sum(ldiv_big[i] @ r_vec[k - i] for i in range(k + 1)) for k in range(kc + 1)
-    ]
-
-    a_coeffs = [-omega @ log_t[k + 1] for k in range(order + 1)]
-    b_coeffs = [-omega @ drift[k + 1] for k in range(order + 1)]
+    a_coeffs = [-omega @ log_affine[k + 1][:n, :n] for k in range(order + 1)]
+    b_coeffs = [-omega @ log_affine[k + 1][:n, n] for k in range(order + 1)]
     c_coeffs = []
     for k in range(order + 1):
-        c = noise[k + 1].reshape(n, n)
+        c = log_noise[k + 1][:n, n:]
         c_coeffs.append((c + c.T) / 2)
     return GeneratorSeries(A=a_coeffs, b=b_coeffs, C=c_coeffs)
 

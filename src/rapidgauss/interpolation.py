@@ -7,8 +7,16 @@ time-independent generators (A, b, C) whose continuous flow
     dcov/dt   = (Omega A) cov + cov (Omega A)^T + C
 
 reproduces the discrete dynamics exactly at every stroboscopic time n*dt.
-The generators are built from the principal matrix logarithm of T (and of
-T tensor T for the noise part), so they stay finite as dt -> 0.
+
+Both directions go through two block upper-triangular lifts.  The mean
+update is the linear map [[T, d], [0, 1]] on (X, 1), and its generator is
+[[Omega A, Omega b], [0, 0]].  The covariance update lifts to the 4N x 4N
+noise lift [[T^-1, T^-1 R], [0, T^T]], whose generator is
+[[-Omega A, C], [0, (Omega A)^T]] (Van Loan, IEEE TAC 23(3):395, 1978).
+The generators are the principal logarithms of the lifts divided by dt, so
+they stay finite as dt -> 0 and exist whenever T has no eigenvalue on the
+closed negative real axis; propagation is the exponential of the same
+blocks.
 """
 
 from dataclasses import dataclass
@@ -17,16 +25,7 @@ import numpy as np
 
 from .channels import CpReport, GaussianChannel
 from .errors import DimensionMismatchError
-from .linalg import (
-    expm1_div,
-    logm_div,
-    mat_exp,
-    mat_log_principal,
-    min_eig_hermitian,
-    tensor_product,
-    unvec,
-    vec,
-)
+from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import _check_symmetric, _frozen_array, symplectic_form
 
 CP_TOL = 1e-9
@@ -67,55 +66,76 @@ class Generators:
         )
 
 
+def _block_upper(a, b, c):
+    """The block upper-triangular matrix [[a, b], [0, c]]."""
+    n, m = a.shape[0], c.shape[0]
+    out = np.zeros((n + m, n + m))
+    out[:n, :n] = a
+    out[:n, n:] = b
+    out[n:, n:] = c
+    return out
+
+
 def generators_from_channel(channel, dt):
     """Interpolation generators of a discrete channel applied every dt.
 
-    Omega A = Log(T)/dt, Omega b = [Log(T)/(T - 1)] d / dt and
-    C = unvec([Log(TxT)/(TxT - 1)] vec(R)) / dt, all on the principal branch.
+    Two principal logarithms, divided by dt, give the generators:
 
-    Raises BranchCutError when T (or T tensor T) has an eigenvalue on the
-    closed negative real axis, which signals that dt is too large, and
-    SingularMatrixError for singular T.
+        Log([[T, d], [0, 1]])           = dt [[Omega A, Omega b], [0, 0]]
+        Log([[T^-1, T^-1 R], [0, T^T]]) = dt [[-Omega A, C], [0, (Omega A)^T]]
+
+    The second is the noise lift, of size 4N: its exponential is the
+    covariance flow over one step (see :func:`propagate`).
+
+    Raises BranchCutError when T has an eigenvalue on the closed negative
+    real axis, which signals that dt is too large, and SingularMatrixError
+    for singular T.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t = channel.T
+    t, n = channel.T, channel.T.shape[0]
     omega = symplectic_form(channel.n_modes)
-    omega_a = mat_log_principal(t) / dt
-    omega_b = logm_div(t) @ channel.d / dt
-    big = tensor_product(t, t)
-    c = unvec(logm_div(big) @ vec(channel.R)) / dt
+    affine = mat_log_principal(_block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
+    t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
+    c = mat_log_principal(_block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
     # Omega^{-1} = -Omega
-    a = -omega @ omega_a
-    b = -omega @ omega_b
-    return Generators(A=a, b=b, C=(c + c.T) / 2)
+    return Generators(
+        A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
+    )
 
 
-def covariance_flow_generator(gen):
-    """Generator of the vectorized covariance flow, the Kronecker sum
-    (Omega A) x 1 + 1 x (Omega A)."""
-    omega = symplectic_form(gen.n_modes)
-    oa = omega @ gen.A
-    eye = np.eye(oa.shape[0])
-    return tensor_product(oa, eye) + tensor_product(eye, oa)
+# Largest ||Omega A||_1 * s allowed in one exponential of the noise lift.  Its
+# rounding error grows quickly with that norm, because the blocks exp(-M s)
+# and exp(M^T s) pull apart, so longer times are reached by doubling.
+LIFT_NORM_MAX = 1.0
 
 
 def propagate(gen, t):
     """Channel produced by running the master equation for time t >= 0.
 
-    T = exp(Omega A t), d = [(exp(Omega A t) - 1)/(Omega A)] Omega b, and the
-    noise block R solves the Lyapunov-type flow, evaluated through the
-    vectorized Kronecker-sum generator.
+    With M = Omega A, T(t) = exp(M t) and d(t) = [(exp(M t) - 1)/M] Omega b
+    come from the exponential of [[M, Omega b], [0, 0]] t.  The noise block
+    R(t), the integral of exp(M s) C exp(M^T s) over [0, t], comes from the
+    exponential E of the noise lift [[-M, C], [0, M^T]] s as
+    R(s) = E_22^T E_12, taken over a step s = t / 2^k short enough that
+    ||M||_1 s <= LIFT_NORM_MAX, then doubled k times through
+    R(2s) = T(s) R(s) T(s)^T + R(s).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    n = gen.A.shape[0]
     omega = symplectic_form(gen.n_modes)
-    oa = omega @ gen.A
-    t_mat = mat_exp(oa * t)
-    d = expm1_div(oa, t) @ (omega @ gen.b)
-    k = covariance_flow_generator(gen)
-    r = unvec(expm1_div(k, t) @ vec(gen.C))
-    return GaussianChannel(T=t_mat, d=d, R=(r + r.T) / 2)
+    m = omega @ gen.A
+    flow = mat_exp(_block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
+    norm = np.abs(m).sum(axis=0).max() * t
+    doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
+    lifted = mat_exp(_block_upper(-m, gen.C, m.T) * (t / 2**doublings))
+    step = lifted[n:, n:].T
+    r = step @ lifted[:n, n:]
+    for _ in range(doublings):
+        r = step @ r @ step.T + r
+        step = step @ step
+    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
 
 
 def cp_differential_check(gen, tol=CP_TOL):
@@ -144,21 +164,3 @@ def master_rhs(gen, state):
     dmean = omega @ (gen.A @ state.mean + gen.b)
     dcov = oa @ state.cov + state.cov @ oa.T + gen.C
     return dmean, dcov
-
-
-def b_from_affine_embedding(channel, dt):
-    """Cross-check route for the drift generator b.
-
-    Embeds the affine update into the linear map [[1, 0], [d, T]] on an
-    augmented vector, takes one principal logarithm, and reads b off the
-    lower-left block.  Kept separate from the production path so the two can
-    be tested against each other.
-    """
-    n = channel.T.shape[0]
-    phi = np.zeros((n + 1, n + 1))
-    phi[0, 0] = 1.0
-    phi[1:, 0] = channel.d
-    phi[1:, 1:] = channel.T
-    log_phi = mat_log_principal(phi)
-    omega = symplectic_form(channel.n_modes)
-    return -omega @ log_phi[1:, 0] / dt

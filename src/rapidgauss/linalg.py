@@ -1,9 +1,9 @@
 """Dense matrix kernels used throughout the package.
 
-Provides the matrix exponential, the principal matrix logarithm, the two
-divided-difference functions (exp(x*t) - 1)/x and log(x)/(x - 1), tensor
-products and row-stacking vectorization.  Everything is pure, operates on
-small dense arrays, and is safe to call concurrently.
+Provides the matrix exponential, the principal matrix logarithm, the
+divided-difference function (exp(x*t) - 1)/x and the smallest eigenvalue of
+a Hermitian matrix.  Everything is pure, operates on small dense arrays, and
+is safe to call concurrently.
 """
 
 import numpy as np
@@ -33,54 +33,9 @@ def _as_square(m, name="matrix"):
     return a
 
 
-def tensor_product(a, b):
-    """Tensor (Kronecker) product of two matrices."""
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    return np.kron(a, b)
-
-
-def vec(m):
-    """Row-stack a matrix into a vector: [[a, b], [c, d]] -> (a, b, c, d)."""
-    return np.asarray(m).reshape(-1).copy()
-
-
-def unvec(v, rows=None, cols=None):
-    """Inverse of :func:`vec`; restacks a vector into a rows x cols matrix."""
-    v = np.asarray(v).reshape(-1)
-    if rows is None and cols is None:
-        rows = int(round(np.sqrt(v.size)))
-        cols = rows
-    elif cols is None:
-        cols = v.size // rows
-    elif rows is None:
-        rows = v.size // cols
-    if rows * cols != v.size:
-        raise DimensionMismatchError(
-            f"cannot restack length-{v.size} vector into {rows}x{cols}"
-        )
-    return v.reshape(rows, cols).copy()
-
-
 def mat_exp(m):
     """Matrix exponential."""
     return scipy.linalg.expm(_as_square(m))
-
-
-def _checked_eig(a, context):
-    """Eigendecomposition plus the shared nonsingular/branch-cut checks."""
-    evals, vecs = np.linalg.eig(a)
-    mags = np.abs(evals)
-    scale = max(float(mags.max()), 1.0)
-    if float(mags.min()) <= 1e-14 * scale:
-        raise SingularMatrixError(f"{context}: input is singular to working precision")
-    on_cut = (evals.real < 0) & (np.abs(evals.imag) <= 1e-12 * np.maximum(mags, 1.0))
-    if np.any(on_cut):
-        raise BranchCutError(
-            f"{context}: eigenvalue on the closed negative real axis; "
-            "reduce the step duration and retry"
-        )
-    return evals.astype(complex), vecs
 
 
 def mat_log_principal(m):
@@ -93,7 +48,19 @@ def mat_log_principal(m):
     eigenvalue lies on the closed negative real axis.
     """
     a = _as_square(m)
-    evals, vecs = _checked_eig(a, "mat_log_principal")
+    evals, vecs = np.linalg.eig(a)
+    mags = np.abs(evals)
+    if float(mags.min()) <= 1e-14 * max(float(mags.max()), 1.0):
+        raise SingularMatrixError(
+            "mat_log_principal: input is singular to working precision"
+        )
+    on_cut = (evals.real < 0) & (np.abs(evals.imag) <= 1e-12 * np.maximum(mags, 1.0))
+    if np.any(on_cut):
+        raise BranchCutError(
+            "mat_log_principal: eigenvalue on the closed negative real axis; "
+            "reduce the step duration and retry"
+        )
+    evals = evals.astype(complex)
     if np.linalg.cond(vecs) <= EIG_COND_MAX:
         out = (vecs * np.log(evals)) @ np.linalg.inv(vecs)
     else:
@@ -116,50 +83,6 @@ def expm1_div(x, t):
     aug[:n, :n] = a
     aug[:n, n:] = np.eye(n)
     return scipy.linalg.expm(aug * t)[:n, n:]
-
-
-def _logm_div_series(e):
-    """Alternating series sum_m (-1)^m/(m+1) e^m; requires spectral radius < 1."""
-    n = e.shape[0]
-    acc = np.eye(n)
-    power = np.eye(n)
-    for m in range(1, 400):
-        power = power @ e
-        term = ((-1) ** m / (m + 1)) * power
-        acc = acc + term
-        if np.abs(term).max() <= 1e-17 * max(1.0, np.abs(acc).max()):
-            return acc
-    raise ArithmeticError("logm_div series did not converge in 400 terms")
-
-
-def logm_div(x):
-    """Evaluate Log(x)/(x - 1) on the principal branch; logm_div(1) = 1.
-
-    For x - 1 invertible this equals inv(x - 1) @ Log(x); in general it is the
-    convergent series sum_m (-1)^m/(m+1) (x - 1)^m.  Raises the same errors as
-    :func:`mat_log_principal`.
-    """
-    a = _as_square(x)
-    n = a.shape[0]
-    evals, vecs = _checked_eig(a, "logm_div")
-    if np.linalg.cond(vecs) <= EIG_COND_MAX:
-        shifted = evals - 1.0
-        phi = np.empty_like(evals)
-        far = np.abs(shifted) > 1e-4
-        phi[far] = np.log(evals[far]) / shifted[far]
-        s = shifted[~far]
-        phi[~far] = 1 - s / 2 + s**2 / 3 - s**3 / 4 + s**4 / 5
-        out = (vecs * phi) @ np.linalg.inv(vecs)
-        return np.ascontiguousarray(out.real) if np.isrealobj(a) else out
-    shifted = a - np.eye(n)
-    if np.linalg.norm(shifted, 2) <= 0.95:
-        return _logm_div_series(shifted)
-    # Last resort: Log([[x, 1], [0, 1]]) has logm_div(x) as top-right block.
-    aug = np.eye(2 * n, dtype=a.dtype)
-    aug[:n, :n] = a
-    aug[:n, n:] = np.eye(n)
-    out = scipy.linalg.logm(aug)[:n, n:]
-    return np.ascontiguousarray(out.real) if np.isrealobj(a) else out
 
 
 def min_eig_hermitian(m, hermitian_tol=DEFAULT_TOL):

@@ -293,4 +293,4 @@ def test_criterion_11_noise_flow_generator_decision():
         err = np.abs(got - expected).max()
         worst = max(worst, err)
         assert err <= 1e-8
-    _passed(11, f"Kronecker-sum noise flow matches quadrature, worst error {worst:.2e}")
+    _passed(11, f"lifted noise flow matches quadrature, worst error {worst:.2e}")

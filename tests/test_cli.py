@@ -92,6 +92,16 @@ def test_evolve_both_mode_stroboscopic_agreement(tmp_path):
     assert np.abs(data[:, diff_col]).max() <= 1e-8
 
 
+def test_evolve_both_mode_beyond_quarter_turn(tmp_path):
+    # E_S dt = 2 rotates T by more than pi/2 per step; the interpolation must
+    # still hit every stroboscopic point
+    cfg = _bath_cfg([[0.3, 0.0], [0.0, 0.0]], steps=20, dt=2.0, mode="both")
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    header, data = _read_csv(out)
+    assert np.abs(data[:, header.index("max_abs_diff")]).max() <= 1e-8
+
+
 def test_evolve_interpolated_grid(tmp_path):
     cfg = _bath_cfg([[0.3, 0.0], [0.0, 0.3]], steps=5, mode="interpolated", substeps=4)
     out = tmp_path / "traj.csv"

@@ -12,8 +12,6 @@ from rapidgauss.channels import (
 from rapidgauss.errors import BranchCutError
 from rapidgauss.interpolation import (
     Generators,
-    b_from_affine_embedding,
-    covariance_flow_generator,
     cp_differential_check,
     generators_from_channel,
     master_rhs,
@@ -28,7 +26,7 @@ from rapidgauss.phasespace import (
 )
 from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
 
-from helpers import central_difference, gauss_legendre_integral
+from helpers import central_difference, gauss_legendre_integral, logm_div_series
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -182,6 +180,28 @@ def test_stroboscopic_exactness(rng):
             assert np.abs(interp.R - target.R).max() < 1e-8
 
 
+def test_stroboscopic_exactness_beyond_quarter_turn(rng):
+    # T with an eigenvalue of |arg| in (pi/2, pi): Log(T x T) leaves the branch
+    # of Log(T) + Log(T), but the lifted generators stay exact
+    found = 0
+    while found < 12:
+        n_modes = 1 + found % 2
+        setup = random_joint_setup(
+            rng, n_sys=n_modes, n_anc=n_modes, dt=float(rng.uniform(1.0, 4.0))
+        )
+        channel = reduce_from_joint(setup)
+        angle = np.abs(np.angle(np.linalg.eigvals(channel.T))).max()
+        if not np.pi / 2 < angle < 0.98 * np.pi:
+            continue
+        found += 1
+        gens = generators_from_channel(channel, setup.dt)
+        for n in (1, 3, 7):
+            target = channel_power(channel, n)
+            interp = propagate(gens, n * setup.dt)
+            for got, want in ((interp.T, target.T), (interp.d, target.d), (interp.R, target.R)):
+                assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
 def test_generator_convergence_in_dt(rng):
     # generators at dt and dt/2 differ by O(dt)
     setup = random_joint_setup(rng, n_sys=1, n_anc=1, scale=0.6)
@@ -227,22 +247,15 @@ def test_noise_flow_matches_quadrature(rng):
         assert_allclose(got, expected, atol=1e-10)
 
 
-def test_covariance_flow_generator_is_kronecker_sum(rng):
-    gens = random_generators(rng, 1)
-    omega = symplectic_form(1)
-    drift = omega @ gens.A
-    eye = np.eye(2)
-    expected = np.kron(drift, eye) + np.kron(eye, drift)
-    assert_allclose(covariance_flow_generator(gens), expected)
-
-
 def test_drift_generator_cross_check_via_embedding(rng):
-    # production route (divided-difference kernel) vs augmented-log route
+    # production route (Log of the affine embedding) vs the divided-difference
+    # series: Omega b = [Log(T)/(T - 1)] d / dt
     for _ in range(10):
         setup = random_joint_setup(rng, dt=float(rng.uniform(0.03, 0.2)))
         channel = reduce_from_joint(setup)
         gens = generators_from_channel(channel, setup.dt)
-        alt = b_from_affine_embedding(channel, setup.dt)
+        omega = symplectic_form(channel.n_modes)
+        alt = -omega @ logm_div_series(channel.T) @ channel.d / setup.dt
         assert_allclose(gens.b, alt, atol=1e-9)
 
 

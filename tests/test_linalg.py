@@ -1,85 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from rapidgauss.errors import (
-    BranchCutError,
-    DimensionMismatchError,
-    NotHermitianError,
-    SingularMatrixError,
-)
-from rapidgauss.linalg import (
-    expm1_div,
-    logm_div,
-    mat_exp,
-    mat_log_principal,
-    min_eig_hermitian,
-    tensor_product,
-    unvec,
-    vec,
-)
+from rapidgauss.errors import BranchCutError, NotHermitianError, SingularMatrixError
+from rapidgauss.linalg import expm1_div, mat_exp, mat_log_principal, min_eig_hermitian
 
 from helpers import expm1_div_series, logm_div_series
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
-small_matrix = arrays(np.float64, (2, 2), elements=finite_floats)
-
-
-def test_tensor_product_identities():
-    assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    block = tensor_product(OMEGA2, np.eye(2))
-    expected = np.block(
-        [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
-    )
-    assert_allclose(block, expected)
-
-
-def test_tensor_product_elementwise(rng):
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2))
-    out = tensor_product(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert out[2 * i + k, 2 * j + l] == a[i, j] * b[k, l]
-
-
-def test_vec_row_stacking():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(vec(m), [1.0, 2.0, 3.0, 4.0])
-    assert_allclose(vec(np.zeros((3, 3))), np.zeros(9))
-
-
-def test_vec_of_outer_product_is_tensor(rng):
-    u = rng.normal(size=3)
-    v = rng.normal(size=3)
-    assert_allclose(vec(np.outer(u, v)), np.kron(u, v))
-
-
-@given(small_matrix)
-def test_unvec_round_trip(m):
-    assert_allclose(unvec(vec(m), 2, 2), m)
-
-
-def test_unvec_shape_errors():
-    with pytest.raises(DimensionMismatchError):
-        unvec(np.arange(5.0), 2, 2)
-    assert unvec(np.arange(6.0), rows=2).shape == (2, 3)
-
-
-@settings(max_examples=25)
-@given(small_matrix, small_matrix, small_matrix)
-def test_vec_identity(x, y, z):
-    lhs = vec(x @ y @ z.T)
-    rhs = tensor_product(x, z) @ vec(y)
-    scale = max(1.0, np.abs(lhs).max())
-    assert np.abs(lhs - rhs).max() <= 1e-13 * scale
 
 
 def test_mat_exp_zero_and_rotation():
@@ -155,6 +83,18 @@ def test_expm1_div_series_oracle_including_singular(rng):
         assert_allclose(got @ x, mat_exp(x * t) - np.eye(3), atol=1e-10)
 
 
+def logm_div(x):
+    """Log(x)/(x - 1), read off the principal Log of the lift [[x, 1], [0, 1]].
+
+    This is the block identity generators_from_channel uses for the drift:
+    the top-right block of Log([[T, d], [0, 1]]) is [Log(T)/(T - 1)] d.
+    """
+    n = x.shape[0]
+    eye = np.eye(n)
+    lift = np.block([[x, eye], [np.zeros((n, n)), eye]])
+    return mat_log_principal(lift)[:n, n:]
+
+
 def test_logm_div_identity_and_diagonal():
     assert_allclose(logm_div(np.eye(3)), np.eye(3), atol=1e-14)
     got = logm_div(np.diag([np.e, 1.0]))
@@ -180,9 +120,9 @@ def test_logm_div_defective_input():
 def test_tensor_log_identity(rng):
     for _ in range(5):
         t = np.eye(3) + rng.uniform(-0.15, 0.15, (3, 3))
-        lhs = mat_log_principal(tensor_product(t, t))
+        lhs = mat_log_principal(np.kron(t, t))
         log_t = mat_log_principal(t)
-        rhs = tensor_product(log_t, np.eye(3)) + tensor_product(np.eye(3), log_t)
+        rhs = np.kron(log_t, np.eye(3)) + np.kron(np.eye(3), log_t)
         assert_allclose(lhs, rhs, atol=1e-10)
 
 
