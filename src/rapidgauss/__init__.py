@@ -55,6 +55,7 @@ from .errors import (
 from .interpolation import (
     Generators,
     cp_differential_check,
+    flow_states,
     generators_from_channel,
     master_rhs,
     propagate,

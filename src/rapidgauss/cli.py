@@ -13,6 +13,7 @@ logarithm), 3 invariant violations.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .bombardment import closed_form_series, generator_series_from_joint, truncated_cp_check
-from .channels import JointSetup, apply, reduce_from_joint, trajectory
+from .channels import JointSetup, reduce_from_joint, trajectory
 from .classifier import allowed_types, table_availability
 from .errors import (
     BranchCutError,
@@ -32,7 +33,8 @@ from .errors import (
     NotHermitianError,
     SingularMatrixError,
 )
-from .interpolation import generators_from_channel, propagate
+# propagate is imported, not called: bench/test_bench.py expects the binding
+from .interpolation import flow_states, generators_from_channel, propagate  # noqa: F401
 from .phasespace import GaussianState, validate_state
 from .sampling import random_joint_setup
 from .thermalization import (
@@ -63,12 +65,19 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _write_atomic(path, text):
+def _csv_line(values):
+    return ",".join(_fmt(v) for v in values)
+
+
+def _write_atomic(path, lines):
+    """Write lines to path as they are produced, through a temporary file
+    that replaces path only once every line is written."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rapidgauss-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -186,62 +195,59 @@ def _check_final(state):
         raise InvariantViolation(f"evolved state invalid: {check.message}")
 
 
+def _at_least(key, value, low):
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}")
+    return value
+
+
 def cmd_evolve(cfg, out_path):
     setup, kind = _joint_from_config(cfg)
-    steps = int(_require(cfg, "steps"))
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    steps = _at_least("steps", int(_require(cfg, "steps")), 1)
     mode = cfg.get("mode", "discrete")
-    substeps = int(cfg.get("substeps", 10))
+    if mode not in ("discrete", "interpolated", "both"):
+        raise ConfigError(f"unknown mode '{mode}'")
+    if mode == "interpolated":
+        substeps = _at_least("substeps", int(cfg.get("substeps", 10)), 1)
     dt = setup.dt
     state0 = _initial_state(cfg, setup.n_sys)
     channel = reduce_from_joint(setup)
     cols = _state_columns(kind, setup.n_sys)
 
-    rows = []
-    if mode == "discrete":
-        header = ["t"] + cols
-        states = trajectory(channel, state0, steps)
-        for n, state in enumerate(states):
-            rows.append([n * dt] + _state_values(kind, state))
-        _check_final(states[-1])
-    elif mode == "interpolated":
-        header = ["t"] + cols
-        gens = generators_from_channel(channel, dt)
-        grid = [k * dt / substeps for k in range(steps * substeps + 1)]
-        last = None
-        for t in grid:
-            last = apply(propagate(gens, t), state0)
-            rows.append([t] + _state_values(kind, last))
-        _check_final(last)
-    elif mode == "both":
-        header = (
-            ["t"]
-            + [f"{c}_discrete" for c in cols]
-            + [f"{c}_interpolated" for c in cols]
-            + ["max_abs_diff"]
-        )
-        gens = generators_from_channel(channel, dt)
-        states = trajectory(channel, state0, steps)
-        for n, disc in enumerate(states):
-            interp = apply(propagate(gens, n * dt), state0)
-            diff = max(
-                np.abs(disc.mean - interp.mean).max(),
-                np.abs(disc.cov - interp.cov).max(),
+    def lines():
+        if mode == "both":
+            yield ",".join(
+                ["t"]
+                + [f"{c}_discrete" for c in cols]
+                + [f"{c}_interpolated" for c in cols]
+                + ["max_abs_diff"]
             )
-            rows.append(
-                [n * dt]
-                + _state_values(kind, disc)
-                + _state_values(kind, interp)
-                + [diff]
-            )
-        _check_final(states[-1])
-    else:
-        raise ConfigError(f"unknown mode '{mode}'")
+        else:
+            yield ",".join(["t"] + cols)
+        if mode == "discrete":
+            for n, state in enumerate(trajectory(channel, state0, steps)):
+                yield _csv_line([n * dt] + _state_values(kind, state))
+        elif mode == "interpolated":
+            gens = generators_from_channel(channel, dt)
+            grid = [k * dt / substeps for k in range(steps * substeps + 1)]
+            for t, state in zip(grid, flow_states(gens, state0, grid)):
+                yield _csv_line([t] + _state_values(kind, state))
+        else:
+            # the interpolated column comes from the generators alone
+            gens = generators_from_channel(channel, dt)
+            states = trajectory(channel, state0, steps)
+            times = [n * dt for n in range(steps + 1)]
+            for t, state, interp in zip(times, states, flow_states(gens, state0, times)):
+                diff = max(
+                    np.abs(state.mean - interp.mean).max(),
+                    np.abs(state.cov - interp.cov).max(),
+                )
+                yield _csv_line(
+                    [t] + _state_values(kind, state) + _state_values(kind, interp) + [diff]
+                )
+        _check_final(state)
 
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_atomic(out_path, "\n".join(lines) + "\n")
+    _write_atomic(out_path, lines())
     return EXIT_OK
 
 
@@ -251,8 +257,8 @@ def cmd_thermalize(cfg, out_path):
         raise ConfigError("thermalize requires an oscillator_bath setup")
     dt = float(_require(cfg, "dt"))
     bath = _bath_from_config(setup_cfg, dt)
-    steps = int(_require(cfg, "steps"))
-    max_rows = int(cfg.get("max_rows", 1001))
+    steps = _at_least("steps", int(_require(cfg, "steps")), 0)
+    max_rows = _at_least("max_rows", int(cfg.get("max_rows", 1001)), 1)
     state0 = _initial_state(cfg, 1)
 
     report = analyze(bath)
@@ -261,12 +267,12 @@ def cmd_thermalize(cfg, out_path):
     times = [int(n) * dt for n in indices]
     rows = simulate_first_order(bath, state0.cov, times)
 
-    lines = [",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])]
-    for t, coeffs, pur in rows:
-        lines.append(
-            ",".join(_fmt(v) for v in [t, coeffs.nu, coeffs.s_cross, coeffs.s_plus, pur])
-        )
-    _write_atomic(out_path, "\n".join(lines) + "\n")
+    header = ",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])
+    body = (
+        _csv_line([t, coeffs.nu, coeffs.s_cross, coeffs.s_plus, pur])
+        for t, coeffs, pur in rows
+    )
+    _write_atomic(out_path, itertools.chain([header], body))
     payload = dict(report.to_dict(), final_nu_S=rows[-1][1].nu, t_final=rows[-1][0])
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
@@ -353,19 +359,21 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="rapidgauss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in [
-        ("evolve", True),
-        ("thermalize", True),
-        ("check-cp", False),
-        ("classify", False),
-        ("series", False),
+    for name, needs_out, takes_order, takes_seed in [
+        ("evolve", True, False, False),
+        ("thermalize", True, False, False),
+        ("check-cp", False, True, True),
+        ("classify", False, True, False),
+        ("series", False, True, False),
     ]:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         if needs_out:
             cmd.add_argument("--out", required=True, help="output CSV path")
-        cmd.add_argument("--order", type=int, default=None, help="series order")
-        cmd.add_argument("--seed", type=int, default=None, help="sweep seed")
+        if takes_order:
+            cmd.add_argument("--order", type=int, default=None, help="series order")
+        if takes_seed:
+            cmd.add_argument("--seed", type=int, default=None, help="sweep seed")
     return parser
 
 
@@ -377,13 +385,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         cfg = _load_config(args.config)
-        order = args.order if args.order is not None else int(cfg.get("order", 2))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "evolve":
             return cmd_evolve(cfg, args.out)
         if args.command == "thermalize":
             return cmd_thermalize(cfg, args.out)
+        order = args.order if args.order is not None else int(cfg.get("order", 2))
         if args.command == "check-cp":
+            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
             return cmd_check_cp(cfg, order, seed)
         if args.command == "classify":
             return cmd_classify(cfg, order)

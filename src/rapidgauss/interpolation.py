@@ -17,13 +17,18 @@ The generators are the principal logarithms of the lifts divided by dt, so
 they stay finite as dt -> 0 and exist whenever T has no eigenvalue on the
 closed negative real axis; propagation is the exponential of the same
 blocks.
+
+The generators are constant, so the flow is a semigroup: the channel over
+t + s is the channel over s composed with the channel over t.  Trajectories
+(:func:`flow_states`) therefore step from one requested time to the next
+with the channel of the gap between them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CpReport, GaussianChannel
+from .channels import CpReport, GaussianChannel, apply
 from .errors import DimensionMismatchError
 from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import _check_symmetric, _frozen_array, symplectic_form
@@ -136,6 +141,31 @@ def propagate(gen, t):
         r = step @ r @ step.T + r
         step = step @ step
     return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
+
+
+def flow_states(gen, state, times):
+    """Yield the states of the master-equation flow from `state` at `times`.
+
+    The times are nondecreasing and measured from the moment `state` holds.
+    The state at times[k] is the channel over the gap times[k] - times[k-1]
+    applied to the state at times[k-1], the first gap running from 0.  Each
+    distinct float gap is propagated once, so an evenly spaced grid of any
+    length costs about a dozen exponentials instead of one per time.
+
+    Raises ValueError when the times decrease; the error surfaces when the
+    iteration reaches the offending time.
+    """
+    channels = {}
+    previous = 0.0
+    for k, t in enumerate(times):
+        if k and t < previous:
+            raise ValueError("times must be nondecreasing")
+        gap = t - previous
+        if gap not in channels:
+            channels[gap] = propagate(gen, gap)
+        state = apply(channels[gap], state)
+        previous = t
+        yield state
 
 
 def cp_differential_check(gen, tol=CP_TOL):

@@ -243,6 +243,18 @@ def test_exit_code_branch_cut(tmp_path, capsys):
     assert "reduce the step duration" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
+    # rows are streamed to a temporary file; a run that fails after the
+    # header is written must neither leave it behind nor create the output
+    cfg = _free_joint_cfg(mode="interpolated")
+    cfg["setup"]["F_S"] = [[1.0, 0.0], [0.0, 1.0]]
+    cfg["dt"] = float(np.pi)
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    capsys.readouterr()
+
+
 def test_exit_code_invalid_initial_state(tmp_path, capsys):
     cfg = _bath_cfg([[0.1, 0.0], [0.0, 0.1]], steps=5)
     cfg["initial_state"] = {"mean": [0.0, 0.0], "cov": [[0.2, 0.0], [0.0, 0.2]]}
@@ -250,3 +262,36 @@ def test_exit_code_invalid_initial_state(tmp_path, capsys):
     code = main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 3
     assert "invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("evolve", {"mode": "interpolated", "substeps": 0}),
+        ("evolve", {"mode": "interpolated", "substeps": -1}),
+        ("thermalize", {"max_rows": 0}),
+        ("thermalize", {"steps": -1}),
+    ],
+)
+def test_exit_code_bad_grid_settings(tmp_path, capsys, command, extra):
+    cfg = dict(_bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5), **extra)
+    out = tmp_path / "t.csv"
+    code = main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_order_and_seed_only_where_they_mean_something(tmp_path, capsys):
+    cfg = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5)
+    path = _write_config(tmp_path, cfg)
+    out = str(tmp_path / "t.csv")
+    assert main(["evolve", "--config", path, "--out", out, "--order", "2"]) == 1
+    assert main(["thermalize", "--config", path, "--out", out, "--seed", "3"]) == 1
+    assert main(["classify", "--config", path, "--seed", "3"]) == 1
+    # evolve and thermalize no longer read the series knobs from the config
+    noisy = _write_config(tmp_path, dict(cfg, order="x", seed="y"), name="noisy.json")
+    assert main(["evolve", "--config", noisy, "--out", out]) == 0
+    assert main(["thermalize", "--config", noisy, "--out", out]) == 0
+    capsys.readouterr()

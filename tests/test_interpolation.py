@@ -1,18 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.channels import (
     GaussianChannel,
+    JointSetup,
+    apply,
     channel_power,
     identity_channel,
     is_cptp,
     reduce_from_joint,
 )
+from rapidgauss.cli import main
 from rapidgauss.errors import BranchCutError
 from rapidgauss.interpolation import (
     Generators,
     cp_differential_check,
+    flow_states,
     generators_from_channel,
     master_rhs,
     propagate,
@@ -25,6 +31,7 @@ from rapidgauss.phasespace import (
     symplectic_form,
 )
 from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
+from rapidgauss.thermalization import OscillatorBathSetup, first_order_generators
 
 from helpers import central_difference, gauss_legendre_integral, logm_div_series
 
@@ -273,3 +280,92 @@ def test_generators_json_round_trip(rng):
     assert_allclose(again.A, gens.A)
     assert_allclose(again.b, gens.b)
     assert_allclose(again.C, gens.C)
+
+
+def _damped_one_mode():
+    bath = OscillatorBathSetup(
+        E_S=1.3, E_A=0.8, nu_A=2.0, G=np.array([[0.3, 0.1], [-0.1, 0.2]]), dt=0.05
+    )
+    return first_order_generators(bath)
+
+
+def _heating_one_mode():
+    # det G = 0: no fixed point, the covariance grows without bound
+    bath = OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=3.0, G=np.diag([0.1, 0.0]), dt=0.05)
+    return first_order_generators(bath)
+
+
+def _damped_two_mode():
+    f_s = np.array(
+        [[1.1, 0.2, 0.1, 0.0], [0.2, 0.9, 0.0, 0.1], [0.1, 0.0, 1.4, 0.3], [0.0, 0.1, 0.3, 1.2]]
+    )
+    setup = JointSetup(
+        F_S=f_s,
+        F_A=np.eye(4),
+        G=0.6 * np.eye(4),
+        alpha_S=np.array([0.3, -0.1, 0.2, 0.0]),
+        sigma_A0=2.0 * np.eye(4),
+        dt=0.05,
+    )
+    return generators_from_channel(reduce_from_joint(setup), setup.dt)
+
+
+FLOW_GRIDS = {
+    "uniform": [k * 0.05 / 10 for k in range(401)],
+    "thermalize": list(np.unique(np.linspace(0, 4000, 401).round()) * 0.05),
+    "repeated": [0.0, 0.0, 0.1, 0.1, 0.1, 0.35, 0.35, 1.0, 1.0],
+    "heating_horizons": [0.0, 1e3, 1e4, 1e5],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FLOW_GRIDS))
+@pytest.mark.parametrize("make_gen", [_damped_one_mode, _heating_one_mode, _damped_two_mode])
+def test_flow_states_match_propagation_from_the_start(grid, make_gen):
+    gen = make_gen()
+    n = 2 * gen.n_modes
+    state0 = GaussianState(mean=np.linspace(-0.5, 0.5, n), cov=1.5 * np.eye(n))
+    times = FLOW_GRIDS[grid]
+    states = list(flow_states(gen, state0, times))
+    assert len(states) == len(times)
+    for t, state in zip(times, states):
+        direct = apply(propagate(gen, t), state0)
+        for got, want in ((state.mean, direct.mean), (state.cov, direct.cov)):
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def test_flow_states_reject_decreasing_times():
+    state0 = GaussianState(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(ValueError, match="times must be nondecreasing"):
+        list(flow_states(_damped_one_mode(), state0, [0.0, 1.0, 0.5]))
+
+
+def _distinct_gaps(times):
+    return len({t - s for s, t in zip([0.0] + list(times), times)})
+
+
+def test_cli_trajectories_propagate_once_per_distinct_gap(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(gen, t):
+        calls.append(t)
+        return propagate(gen, t)
+
+    monkeypatch.setattr("rapidgauss.interpolation.propagate", counting)
+    dt = 0.37
+    setup = {"kind": "oscillator_bath", "E_S": 1.2, "E_A": 1.0, "nu_A": 2.0,
+             "G": {"rwa": {"g1": 0.3, "gw": 0.1}}}
+    runs = [
+        ("evolve", {"steps": 40, "substeps": 10, "mode": "interpolated"},
+         [k * dt / 10 for k in range(401)]),
+        ("thermalize", {"steps": 4000, "max_rows": 401},
+         [int(n) * dt for n in np.unique(np.linspace(0, 4000, 401).round().astype(int))]),
+    ]
+    for command, extra, grid in runs:
+        calls.clear()
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dict({"setup": setup, "dt": dt}, **extra)))
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert len(grid) == 401
+        assert 0 < len(calls) <= _distinct_gaps(grid) <= 16
+    capsys.readouterr()
