@@ -24,6 +24,7 @@ from .channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_sequence,
     channel_power,
     channel_taylor,
     compose,
@@ -56,6 +57,7 @@ from .interpolation import (
     Generators,
     cp_differential_check,
     flow_states,
+    gap_channels,
     generators_from_channel,
     master_rhs,
     propagate,

@@ -77,12 +77,59 @@ def identity_channel(n_modes):
 
 
 def apply(channel, state):
-    """Apply a channel to a state."""
+    """Apply a channel to a state.
+
+    The result is a GaussianState, so it is checked like any other: finite
+    entries and a symmetric covariance.  To push a state through many
+    channels, :func:`apply_sequence` does the same arithmetic on stacked
+    arrays and checks once for the whole run.
+    """
     if channel.T.shape[0] != state.mean.size:
         raise DimensionMismatchError("channel and state dimensions differ")
     mean = channel.T @ state.mean + channel.d
     cov = channel.T @ state.cov @ channel.T.T + channel.R
     return GaussianState(mean=mean, cov=(cov + cov.T) / 2)
+
+
+def apply_sequence(channels, mean, cov):
+    """Moments after applying each of the channels in turn to (mean, cov).
+
+    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels: row k holds
+    the state after channels[0], ..., channels[k].  Each step is the update
+    of :func:`apply`, T mean + d and T cov T^T + R symmetrised, with the
+    same arithmetic, so the rows equal a loop of :func:`apply` bit for bit.
+    The start is taken as given.  Dimensions are checked once on entry and
+    finiteness once over the result; no state is built or validated per
+    step.
+
+    Raises DimensionMismatchError when a channel does not fit the start and
+    ValueError("state has non-finite entries") when the moments overflow.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    n = mean.shape[0]
+    if cov.shape != (n, n) or any(ch.T.shape[0] != n for ch in channels):
+        raise DimensionMismatchError("channel and state dimensions differ")
+    means = np.empty((len(channels), n))
+    covs = np.empty((len(channels), n, n))
+    parts = {id(ch): (ch.T, ch.T.T, ch.d, ch.R) for ch in channels}
+    tc, c = np.empty((n, n)), np.empty((n, n))
+    c_t, add = c.T, np.add
+    # overflow is reported below, once, as a non-finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ch, m, s in zip(channels, means, covs):
+            t, t_t, d, r = parts[id(ch)]
+            t.dot(mean, m)
+            add(m, d, m)
+            t.dot(cov, tc)
+            tc.dot(t_t, c)
+            add(c, r, c)
+            add(c, c_t, s)
+            s /= 2
+            mean, cov = m, s
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ValueError("state has non-finite entries")
+    return means, covs
 
 
 def is_cptp(channel, tol=CPTP_TOL):
@@ -124,11 +171,13 @@ def channel_power(channel, n):
 
 
 def trajectory(channel, state, steps):
-    """States after 0..steps repeated applications of the channel."""
-    out = [state]
-    for _ in range(steps):
-        out.append(apply(channel, out[-1]))
-    return out
+    """States after 0..steps repeated applications of the channel.
+
+    The steps run in :func:`apply_sequence`; each returned state is then
+    built, and so checked, as a GaussianState.
+    """
+    means, covs = apply_sequence([channel] * steps, state.mean, state.cov)
+    return [state] + [GaussianState(mean=m, cov=c) for m, c in zip(means, covs)]
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,17 @@ blocks.
 The generators are constant, so the flow is a semigroup: the channel over
 t + s is the channel over s composed with the channel over t.  Trajectories
 (:func:`flow_states`) therefore step from one requested time to the next
-with the channel of the gap between them.
+with the channel of the gap between them (:func:`gap_channels`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CpReport, GaussianChannel, apply
+from .channels import CpReport, GaussianChannel, apply_sequence
 from .errors import DimensionMismatchError
 from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
-from .phasespace import _check_symmetric, _frozen_array, symplectic_form
+from .phasespace import GaussianState, _check_symmetric, _frozen_array, symplectic_form
 
 CP_TOL = 1e-9
 
@@ -143,29 +143,44 @@ def propagate(gen, t):
     return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
 
 
-def flow_states(gen, state, times):
-    """Yield the states of the master-equation flow from `state` at `times`.
+def gap_channels(gen, times):
+    """Channels of the master-equation flow over the gaps between `times`.
 
-    The times are nondecreasing and measured from the moment `state` holds.
-    The state at times[k] is the channel over the gap times[k] - times[k-1]
-    applied to the state at times[k-1], the first gap running from 0.  Each
+    The times are nondecreasing and measured from 0, so entry k is the
+    channel over times[k] - times[k-1], the first gap running from 0.  Each
     distinct float gap is propagated once, so an evenly spaced grid of any
     length costs about a dozen exponentials instead of one per time.
 
-    Raises ValueError when the times decrease; the error surfaces when the
-    iteration reaches the offending time.
+    Raises ValueError when the times decrease.
     """
-    channels = {}
+    cache = {}
+    out = []
     previous = 0.0
     for k, t in enumerate(times):
         if k and t < previous:
             raise ValueError("times must be nondecreasing")
         gap = t - previous
-        if gap not in channels:
-            channels[gap] = propagate(gen, gap)
-        state = apply(channels[gap], state)
+        if gap not in cache:
+            cache[gap] = propagate(gen, gap)
+        out.append(cache[gap])
         previous = t
-        yield state
+    return out
+
+
+def flow_states(gen, state, times):
+    """Yield the states of the master-equation flow from `state` at `times`.
+
+    The times are nondecreasing and measured from the moment `state` holds.
+    The state at times[k] is the channel over the gap times[k] - times[k-1]
+    applied to the state at times[k-1] (:func:`gap_channels`).  The steps
+    run on stacked arrays in :func:`rapidgauss.channels.apply_sequence`;
+    each yielded state is then built, and so checked, as a GaussianState.
+
+    Raises ValueError when the times decrease, as soon as iteration starts.
+    """
+    means, covs = apply_sequence(gap_channels(gen, times), state.mean, state.cov)
+    for mean, cov in zip(means, covs):
+        yield GaussianState(mean=mean, cov=cov)
 
 
 def cp_differential_check(gen, tol=CP_TOL):

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bombardment import closed_form_series
-from .channels import JointSetup, reduce_from_joint
+from .channels import JointSetup, apply_sequence, reduce_from_joint
 from .errors import DimensionMismatchError, InvalidSetupError
 # propagate is imported, not called: bench/test_bench.py expects the binding
-from .interpolation import flow_states, propagate  # noqa: F401
+from .interpolation import gap_channels, propagate  # noqa: F401
 from .phasespace import GaussianState, _frozen_array, beta_from_nu
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -68,14 +68,18 @@ class CovCoefficients:
 
 
 def decompose_cov(sigma):
-    """Unique coefficients of a symmetric 2x2 matrix over {1, X, Z}."""
+    """Unique coefficients of a symmetric 2x2 matrix over {1, X, Z}.
+
+    A stack (..., 2, 2) of matrices gives each coefficient as an array over
+    the stack, with the same arithmetic per matrix.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2, 2):
+    if sigma.shape[-2:] != (2, 2):
         raise DimensionMismatchError("expected a 2x2 covariance")
     return CovCoefficients(
-        nu=0.5 * (sigma[0, 0] + sigma[1, 1]),
-        s_cross=0.5 * (sigma[0, 1] + sigma[1, 0]),
-        s_plus=0.5 * (sigma[0, 0] - sigma[1, 1]),
+        nu=0.5 * (sigma[..., 0, 0] + sigma[..., 1, 1]),
+        s_cross=0.5 * (sigma[..., 0, 1] + sigma[..., 1, 0]),
+        s_plus=0.5 * (sigma[..., 0, 0] - sigma[..., 1, 1]),
     )
 
 
@@ -193,16 +197,19 @@ def simulate_first_order(setup, sigma0, times):
 
     The flow is linear with constant generators, so it is stepped from each
     time to the next with the exact channel of the gap (no stepping error;
-    see :func:`rapidgauss.interpolation.flow_states`).  Returns a list of
+    see :func:`rapidgauss.interpolation.gap_channels`).  `sigma0` is checked
+    once, as the covariance of a GaussianState; the steps run on stacked
+    arrays (:func:`rapidgauss.channels.apply_sequence`).  Returns a list of
     (t, CovCoefficients, purity) tuples.
     """
     gens = first_order_generators(setup)
     sigma0 = np.asarray(sigma0, dtype=float)
     start = GaussianState(mean=np.zeros(sigma0.shape[0]), cov=sigma0)
     times = [float(t) for t in times]
+    _, covs = apply_sequence(gap_channels(gens, times), start.mean, start.cov)
     return [
-        (t, decompose_cov(state.cov), 1.0 / float(np.linalg.det(state.cov)))
-        for t, state in zip(times, flow_states(gens, start, times))
+        (t, decompose_cov(cov), 1.0 / float(np.linalg.det(cov)))
+        for t, cov in zip(times, covs)
     ]
 
 

@@ -6,6 +6,7 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_sequence,
     channel_power,
     channel_taylor,
     compose,
@@ -28,6 +29,7 @@ from rapidgauss.phasespace import (
     validate_state,
 )
 from rapidgauss.sampling import random_joint_setup, random_state_cov, random_symplectic
+from rapidgauss.thermalization import OscillatorBathSetup, to_joint_setup
 
 
 def test_apply_identity_and_constant():
@@ -233,6 +235,55 @@ def test_trajectory_length(rng):
     )
     states = trajectory(channel, state, 7)
     assert len(states) == 8
+
+
+def _damped_one_mode_channel():
+    bath = OscillatorBathSetup(
+        E_S=1.3, E_A=0.8, nu_A=2.0, G=np.array([[0.3, 0.1], [-0.1, 0.2]]), dt=0.05
+    )
+    return reduce_from_joint(to_joint_setup(bath))
+
+
+def _two_mode_channel():
+    setup = JointSetup(
+        F_S=np.array(
+            [[1.1, 0.2, 0.1, 0.0], [0.2, 0.9, 0.0, 0.1], [0.1, 0.0, 1.4, 0.3], [0.0, 0.1, 0.3, 1.2]]
+        ),
+        F_A=np.eye(4),
+        G=0.6 * np.eye(4),
+        alpha_S=np.array([0.3, -0.1, 0.2, 0.0]),
+        sigma_A0=2.0 * np.eye(4),
+        dt=0.05,
+    )
+    return reduce_from_joint(setup)
+
+
+@pytest.mark.parametrize("make_channel", [_damped_one_mode_channel, _two_mode_channel])
+def test_trajectory_equals_a_loop_of_apply(make_channel):
+    # the stacked-array steps keep apply's arithmetic, so they agree bit for bit
+    channel = make_channel()
+    n = channel.T.shape[0]
+    state = GaussianState(mean=np.linspace(-0.5, 0.5, n), cov=1.5 * np.eye(n))
+    states = trajectory(channel, state, 300)
+    assert len(states) == 301
+    reference = state
+    for got in states[1:]:
+        reference = apply(channel, reference)
+        assert np.array_equal(got.mean, reference.mean)
+        assert np.array_equal(got.cov, reference.cov)
+
+
+def test_apply_sequence_checks_dimensions_and_finiteness():
+    state = GaussianState(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        apply_sequence([identity_channel(1), identity_channel(2)], state.mean, state.cov)
+    means, covs = apply_sequence([], state.mean, state.cov)
+    assert means.shape == (0, 2) and covs.shape == (0, 2, 2)
+    # a hyperbolic step grows the covariance by e^6 per step, past the
+    # float range within 120 steps
+    stretch = GaussianChannel(T=np.diag([np.e**3, np.e**-3]), d=np.zeros(2), R=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="state has non-finite entries"):
+        apply_sequence([stretch] * 200, state.mean, state.cov)
 
 
 def test_joint_setup_validation():

@@ -295,3 +295,82 @@ def test_order_and_seed_only_where_they_mean_something(tmp_path, capsys):
     assert main(["evolve", "--config", noisy, "--out", out]) == 0
     assert main(["thermalize", "--config", noisy, "--out", out]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "interpolated", "both"])
+def test_overflowing_trajectory_exits_with_no_output(tmp_path, capsys, mode):
+    # F_S = diag(3, -3) is a squeezing Hamiltonian: the covariance grows by
+    # e^6 per unit step and leaves the float range long before step 400
+    cfg = _free_joint_cfg(steps=400, mode=mode)
+    cfg["setup"].update(F_S=[[3.0, 0.0], [0.0, -3.0]], G=[[0.0, 0.0], [0.0, 0.0]])
+    cfg["dt"] = 1.0
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "state has non-finite entries" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("evolve", {"steps": 2.7}),
+        ("evolve", {"steps": True}),
+        ("evolve", {"steps": "3"}),
+        ("evolve", {"mode": "interpolated", "substeps": 1.9}),
+        ("evolve", {"mode": "interpolated", "substeps": True}),
+        ("thermalize", {"steps": 2.5}),
+        ("thermalize", {"steps": True}),
+        ("thermalize", {"max_rows": 3.5}),
+        ("thermalize", {"max_rows": True}),
+    ],
+)
+def test_fractional_or_boolean_counts_are_rejected(tmp_path, capsys, command, extra):
+    cfg = dict(_bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5), **extra)
+    out = tmp_path / "t.csv"
+    assert main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -3])
+def test_sweep_count_must_be_a_positive_integer(tmp_path, capsys, count):
+    cfg = {"dt": 0.1, "sweep": {"count": count}}
+    assert main(["check-cp", "--config", _write_config(tmp_path, cfg), "--order", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error")
+
+
+def test_integral_float_counts_are_accepted(tmp_path, capsys):
+    cfg = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=4.0, mode="interpolated", substeps=2.0)
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert _read_csv(out)[1].shape[0] == 9
+    sweep = {"dt": 0.01, "sweep": {"count": 2.0}}
+    assert main(["check-cp", "--config", _write_config(tmp_path, sweep, name="s.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("evolve", {"mode": "discrete"}),
+        ("evolve", {"mode": "interpolated", "substeps": 3}),
+        ("evolve", {"mode": "both"}),
+        ("thermalize", {"max_rows": 40}),
+    ],
+)
+def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, capsys, command, extra):
+    # rows are stepped and formatted a block at a time; block boundaries,
+    # including one inside the first block's pairing in mode both, must not show
+    cfg = dict(_bath_cfg([[0.3, 0.1], [-0.1, 0.2]], steps=40), **extra)
+    path = _write_config(tmp_path, cfg)
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert main([command, "--config", path, "--out", str(whole)]) == 0
+    monkeypatch.setattr("rapidgauss.cli.BLOCK_ROWS", 7)
+    assert main([command, "--config", path, "--out", str(blocked)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert whole.read_bytes() == blocked.read_bytes()
+    if command == "thermalize":
+        assert out[0] == out[1]

@@ -333,6 +333,22 @@ def test_flow_states_match_propagation_from_the_start(grid, make_gen):
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("grid", ["uniform", "thermalize"])
+@pytest.mark.parametrize("make_gen", [_damped_one_mode, _damped_two_mode])
+def test_flow_states_equal_a_loop_of_apply(grid, make_gen):
+    # the stacked-array steps keep apply's arithmetic, so they agree bit for bit
+    gen = make_gen()
+    n = 2 * gen.n_modes
+    state = GaussianState(mean=np.linspace(-0.5, 0.5, n), cov=1.5 * np.eye(n))
+    times = FLOW_GRIDS[grid]
+    previous = 0.0
+    for t, got in zip(times, flow_states(gen, state, times)):
+        state = apply(propagate(gen, t - previous), state)
+        previous = t
+        assert np.array_equal(got.mean, state.mean)
+        assert np.array_equal(got.cov, state.cov)
+
+
 def test_flow_states_reject_decreasing_times():
     state0 = GaussianState(mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(ValueError, match="times must be nondecreasing"):

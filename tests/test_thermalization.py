@@ -221,3 +221,14 @@ def test_report_json():
     obj = report.to_dict()
     assert obj["has_fixed_point"] is True
     assert obj["nu_infinity"] == pytest.approx(3.0)
+
+
+def test_decompose_cov_of_a_stack_matches_each_matrix(rng):
+    stack = rng.normal(size=(5, 2, 2))
+    stack = stack + np.swapaxes(stack, 1, 2)
+    coeffs = decompose_cov(stack)
+    for k, sigma in enumerate(stack):
+        single = decompose_cov(sigma)
+        assert (coeffs.nu[k], coeffs.s_cross[k], coeffs.s_plus[k]) == (
+            single.nu, single.s_cross, single.s_plus,
+        )
