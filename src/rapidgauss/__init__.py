@@ -62,7 +62,7 @@ from .interpolation import (
     master_rhs,
     propagate,
 )
-from .linalg import expm1_div, mat_exp, mat_log_principal, min_eig_hermitian
+from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import (
     AffineSymplectic,
     GaussianState,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .channels import channel_taylor
 from .errors import MalformedSeriesError
-from .interpolation import Generators, _block_upper, cp_differential_check
+from .interpolation import Generators, cp_differential_check
+from .linalg import block_upper
 from .phasespace import symplectic_form
 
 PURIFY_TOL = 1e-12
@@ -131,10 +132,10 @@ def series_from_channel_series(t_series, d_series, r_series, order=None):
     t_inv_r = _series_product(t_inv, r_series, kc)
     zero = np.zeros((1, 1))
     log_affine = _log_series(
-        [_block_upper(t_series[k], d_series[k][:, None], zero) for k in range(kc + 1)], kc
+        [block_upper(t_series[k], d_series[k][:, None], zero) for k in range(kc + 1)], kc
     )
     log_noise = _log_series(
-        [_block_upper(t_inv[k], t_inv_r[k], t_series[k].T) for k in range(kc + 1)], kc
+        [block_upper(t_inv[k], t_inv_r[k], t_series[k].T) for k in range(kc + 1)], kc
     )
 
     a_coeffs = [-omega @ log_affine[k + 1][:n, :n] for k in range(order + 1)]

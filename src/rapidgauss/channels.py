@@ -16,11 +16,13 @@ from .errors import (
     InvalidSetupError,
     InvalidStateError,
 )
-from .linalg import expm1_div, mat_exp, min_eig_hermitian
+from .linalg import min_eig_hermitian
 from .phasespace import (
     GaussianState,
+    QuadraticHamiltonian,
     _check_symmetric,
     _frozen_array,
+    hamiltonian_flow,
     symplectic_form,
     validate_state,
 )
@@ -237,37 +239,32 @@ class JointSetup:
     def n_anc(self):
         return self.F_A.shape[0] // 2
 
-    def joint_generator(self):
-        """Omega_SA F_SA, the phase-space generator of the joint flow."""
-        ds, da = self.F_S.shape[0], self.F_A.shape[0]
-        f_sa = np.block([[self.F_S, self.G], [self.G.T, self.F_A]])
-        omega_sa = np.zeros((ds + da, ds + da))
-        omega_sa[:ds, :ds] = symplectic_form(self.n_sys)
-        omega_sa[ds:, ds:] = symplectic_form(self.n_anc)
-        return omega_sa @ f_sa, omega_sa
-
-    def _affine_source(self, omega_sa):
-        return omega_sa @ np.concatenate([self.alpha_S, self.alpha_A])
+    @property
+    def hamiltonian(self):
+        """The joint QuadraticHamiltonian: F_SA = [[F_S, G], [G^T, F_A]] and
+        alpha_SA = (alpha_S, alpha_A)."""
+        return QuadraticHamiltonian(
+            F=np.block([[self.F_S, self.G], [self.G.T, self.F_A]]),
+            alpha=np.concatenate([self.alpha_S, self.alpha_A]),
+        )
 
 
 def reduce_from_joint(setup, dt=None):
     """Channel on the system alone from one joint evolution of duration dt.
 
-    Evolves the joint phase space by exp(Omega_SA F_SA dt), splits the result
-    into system/ancilla blocks M_SS, M_SA and the system part of the affine
-    shift, and returns T = M_SS, d = M_SA X_A0 + d_S,
-    R = M_SA sigma_A0 M_SA^T.  The output is CPTP whenever the ancilla state
-    is valid.
+    Takes the joint flow X -> M X + shift of the setup's Hamiltonian over dt
+    (:func:`rapidgauss.phasespace.hamiltonian_flow`, one exponential of the
+    affine lift), splits M into system/ancilla blocks M_SS, M_SA, and
+    returns T = M_SS, d = M_SA X_A0 + shift_S, R = M_SA sigma_A0 M_SA^T.
+    The output is CPTP whenever the ancilla state is valid.
     """
     if dt is None:
         dt = setup.dt
     ds = 2 * setup.n_sys
-    gen, omega_sa = setup.joint_generator()
-    flow = mat_exp(gen * dt)
-    shift = expm1_div(gen, dt) @ setup._affine_source(omega_sa)
-    m_ss = flow[:ds, :ds]
-    m_sa = flow[:ds, ds:]
-    d = m_sa @ setup.X_A0 + shift[:ds]
+    flow = hamiltonian_flow(setup.hamiltonian, dt)
+    m_ss = flow.S[:ds, :ds]
+    m_sa = flow.S[:ds, ds:]
+    d = m_sa @ setup.X_A0 + flow.d[:ds]
     r = m_sa @ setup.sigma_A0 @ m_sa.T
     return GaussianChannel(T=m_ss, d=d, R=(r + r.T) / 2)
 
@@ -275,28 +272,22 @@ def reduce_from_joint(setup, dt=None):
 def channel_taylor(setup, order):
     """Taylor coefficients in dt of the reduced channel about dt = 0.
 
-    Returns three lists (T_k, d_k, R_k) for k = 0..order, computed from the
-    exact power series of the joint exponential; no numerical
-    differentiation is involved.  T_0 = 1, d_0 = 0, R_0 = 0 always.
+    Returns three lists (T_k, d_k, R_k) for k = 0..order, read off the terms
+    L^k / k! of the exponential series of the joint affine lift L
+    (QuadraticHamiltonian.affine_generator); no numerical differentiation
+    is involved.  T_0 = 1, d_0 = 0, R_0 = 0 always.
     """
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
     ds = 2 * setup.n_sys
-    gen, omega_sa = setup.joint_generator()
-    source = setup._affine_source(omega_sa)
-
-    powers = [np.eye(gen.shape[0])]
-    for _ in range(order):
-        powers.append(powers[-1] @ gen)
-    factorial = [1.0]
+    lift = setup.hamiltonian.affine_generator()
+    terms = [np.eye(lift.shape[0])]
     for k in range(1, order + 1):
-        factorial.append(factorial[-1] * k)
+        terms.append(terms[-1] @ lift / k)
 
-    t_list = [powers[k][:ds, :ds] / factorial[k] for k in range(order + 1)]
-    m_sa = [powers[k][:ds, ds:] / factorial[k] for k in range(order + 1)]
-    d_list = [np.zeros(ds)]
-    for k in range(1, order + 1):
-        d_list.append(powers[k - 1][:ds, :] @ source / factorial[k] + m_sa[k] @ setup.X_A0)
+    t_list = [term[:ds, :ds] for term in terms]
+    m_sa = [term[:ds, ds:-1] for term in terms]
+    d_list = [term[:ds, -1] + m @ setup.X_A0 for term, m in zip(terms, m_sa)]
     r_list = [np.zeros((ds, ds))]
     for k in range(1, order + 1):
         acc = np.zeros((ds, ds))

@@ -13,7 +13,6 @@ logarithm), 3 invariant violations.
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ import tempfile
 import numpy as np
 
 from .bombardment import closed_form_series, generator_series_from_joint, truncated_cp_check
-from .channels import JointSetup, apply_sequence, reduce_from_joint
+from .channels import JointSetup, apply_sequence, identity_channel, reduce_from_joint
 from .classifier import allowed_types, table_availability
 from .errors import (
     BranchCutError,
@@ -181,26 +180,22 @@ def _columns(kind, means, covs):
     return np.column_stack([means, covs[:, rows, cols]])
 
 
-def _stepped(channels, mean, cov):
-    """Blocks (means, covs) of at most BLOCK_ROWS states, after each of the
-    channels in turn."""
-    for start in range(0, len(channels), BLOCK_ROWS):
-        means, covs = apply_sequence(channels[start : start + BLOCK_ROWS], mean, cov)
-        mean, cov = means[-1], covs[-1]
-        yield means, covs
+def _csv_rows(kind, times, mean, cov, trajectories):
+    """CSV lines, one per time: t, then the state columns of each trajectory,
+    and max_abs_diff between them when there are two.
 
-
-def _csv_rows(kind, times, blocks):
-    """CSV lines, one per time: t, then the state columns of each trajectory
-    in a block, and max_abs_diff between them when there are two.
-
-    Each block is a tuple of (means, covs), one per trajectory, over the
-    same rows.  Returns the last (mean, cov) of the first trajectory.
+    Each trajectory is a list of channels, one per row, applied in turn to
+    the start (mean, cov); all of them are stepped BLOCK_ROWS rows at a time.
+    Returns the last (mean, cov) of the first trajectory.
     """
-    row = 0
-    for block in blocks:
-        size = len(block[0][0])
-        parts = [np.array(times[row : row + size])[:, None]]
+    ends = [(mean, cov)] * len(trajectories)
+    for row in range(0, len(times), BLOCK_ROWS):
+        block = [
+            apply_sequence(channels[row : row + BLOCK_ROWS], *end)
+            for channels, end in zip(trajectories, ends)
+        ]
+        ends = [(means[-1], covs[-1]) for means, covs in block]
+        parts = [np.array(times[row : row + BLOCK_ROWS])[:, None]]
         parts += [_columns(kind, means, covs) for means, covs in block]
         if len(block) == 2:
             (means, covs), (other_means, other_covs) = block
@@ -213,9 +208,7 @@ def _csv_rows(kind, times, blocks):
         template = ",".join(["%.17g"] * table.shape[1])
         for values in table.tolist():
             yield template % tuple(values)
-        row += size
-    means, covs = block[0]
-    return means[-1], covs[-1]
+    return ends[0]
 
 
 def _check_final(mean, cov):
@@ -261,27 +254,13 @@ def cmd_evolve(cfg, out_path):
             )
         else:
             yield ",".join(["t"] + cols)
-        start = (mean0[None], cov0[None])
-        if mode == "discrete":
-            blocks = itertools.chain(
-                [(start,)], zip(_stepped([channel] * steps, mean0, cov0))
-            )
-        else:
+        trajectories = []
+        if mode != "interpolated":
+            trajectories.append([identity_channel(setup.n_sys)] + [channel] * steps)
+        if mode != "discrete":
             # the interpolated column comes from the generators alone
-            gaps = gap_channels(generators_from_channel(channel, dt), times)
-            if mode == "interpolated":
-                blocks = zip(_stepped(gaps, mean0, cov0))
-            else:
-                # row 0 pairs the start with the flow's first, zero-gap step
-                means, covs = apply_sequence(gaps[:1], mean0, cov0)
-                blocks = itertools.chain(
-                    [(start, (means, covs))],
-                    zip(
-                        _stepped([channel] * steps, mean0, cov0),
-                        _stepped(gaps[1:], means[0], covs[0]),
-                    ),
-                )
-        _check_final(*(yield from _csv_rows(kind, times, blocks)))
+            trajectories.append(gap_channels(generators_from_channel(channel, dt), times))
+        _check_final(*(yield from _csv_rows(kind, times, mean0, cov0, trajectories)))
 
     _write_atomic(out_path, lines())
     return EXIT_OK
@@ -306,8 +285,8 @@ def cmd_thermalize(cfg, out_path):
 
     def lines():
         yield ",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])
-        blocks = zip(_stepped(gaps, np.zeros(2), state0.cov))
-        final.append((yield from _csv_rows("oscillator_bath", times, blocks)))
+        rows = _csv_rows("oscillator_bath", times, np.zeros(2), state0.cov, [gaps])
+        final.append((yield from rows))
 
     _write_atomic(out_path, lines())
     _, cov = final[0]
@@ -334,6 +313,8 @@ def cmd_check_cp(cfg, order, seed):
             orders.append({"order": k, "margin": res.margin, "cp": res.ok})
         print(json.dumps({"dt": dt, "orders": orders}, sort_keys=True))
         return EXIT_OK
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"sweep must be an object, got {sweep!r}")
     count = _count("count", sweep.get("count", 100), 1)
     scale = float(sweep.get("scale", 0.4))
     rng = np.random.default_rng(seed)
@@ -427,9 +408,9 @@ def main(argv=None):
             return cmd_evolve(cfg, args.out)
         if args.command == "thermalize":
             return cmd_thermalize(cfg, args.out)
-        order = args.order if args.order is not None else int(cfg.get("order", 2))
+        order = args.order if args.order is not None else _count("order", cfg.get("order", 2), 0)
         if args.command == "check-cp":
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+            seed = args.seed if args.seed is not None else _count("seed", cfg.get("seed", 0), 0)
             return cmd_check_cp(cfg, order, seed)
         if args.command == "classify":
             return cmd_classify(cfg, order)

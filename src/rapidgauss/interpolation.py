@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import CpReport, GaussianChannel, apply_sequence
 from .errors import DimensionMismatchError
-from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
+from .linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import GaussianState, _check_symmetric, _frozen_array, symplectic_form
 
 CP_TOL = 1e-9
@@ -71,16 +71,6 @@ class Generators:
         )
 
 
-def _block_upper(a, b, c):
-    """The block upper-triangular matrix [[a, b], [0, c]]."""
-    n, m = a.shape[0], c.shape[0]
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = a
-    out[:n, n:] = b
-    out[n:, n:] = c
-    return out
-
-
 def generators_from_channel(channel, dt):
     """Interpolation generators of a discrete channel applied every dt.
 
@@ -100,9 +90,9 @@ def generators_from_channel(channel, dt):
         raise ValueError("dt must be positive")
     t, n = channel.T, channel.T.shape[0]
     omega = symplectic_form(channel.n_modes)
-    affine = mat_log_principal(_block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
+    affine = mat_log_principal(block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
     t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
-    c = mat_log_principal(_block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
+    c = mat_log_principal(block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
     # Omega^{-1} = -Omega
     return Generators(
         A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
@@ -131,10 +121,10 @@ def propagate(gen, t):
     n = gen.A.shape[0]
     omega = symplectic_form(gen.n_modes)
     m = omega @ gen.A
-    flow = mat_exp(_block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
+    flow = mat_exp(block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
     norm = np.abs(m).sum(axis=0).max() * t
     doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
-    lifted = mat_exp(_block_upper(-m, gen.C, m.T) * (t / 2**doublings))
+    lifted = mat_exp(block_upper(-m, gen.C, m.T) * (t / 2**doublings))
     step = lifted[n:, n:].T
     r = step @ lifted[:n, n:]
     for _ in range(doublings):

@@ -1,9 +1,9 @@
 """Dense matrix kernels used throughout the package.
 
-Provides the matrix exponential, the principal matrix logarithm, the
-divided-difference function (exp(x*t) - 1)/x and the smallest eigenvalue of
-a Hermitian matrix.  Everything is pure, operates on small dense arrays, and
-is safe to call concurrently.
+Provides the matrix exponential, the principal matrix logarithm, the block
+upper-triangular lift [[a, b], [0, c]] that both are taken of, and the
+smallest eigenvalue of a Hermitian matrix.  Everything is pure, operates on
+small dense arrays, and is safe to call concurrently.
 """
 
 import numpy as np
@@ -70,19 +70,20 @@ def mat_log_principal(m):
     return out
 
 
-def expm1_div(x, t):
-    """Evaluate (exp(x*t) - 1)/x, which is entire in x and valid for singular x.
+def block_upper(a, b, c):
+    """The block upper-triangular lift [[a, b], [0, c]].
 
-    Equals the series sum_m t^(m+1)/(m+1)! x^m.  Computed exactly through the
-    exponential of the block matrix [[x, 1], [0, 0]], whose top-right block is
-    the integral of exp(x*s) over [0, t].
+    The top-right block of exp([[a, b], [0, c]] t) is the integral of
+    exp(a s) b exp(c (t - s)) over [0, t] (Van Loan, IEEE TAC 23(3):395,
+    1978).  With c = 0 and b one column, it is the shift of the affine flow
+    dX/dt = a X + b over time t.
     """
-    a = _as_square(x)
-    n = a.shape[0]
-    aug = np.zeros((2 * n, 2 * n), dtype=a.dtype)
-    aug[:n, :n] = a
-    aug[:n, n:] = np.eye(n)
-    return scipy.linalg.expm(aug * t)[:n, n:]
+    n, m = a.shape[0], c.shape[0]
+    out = np.zeros((n + m, n + m))
+    out[:n, :n] = a
+    out[:n, n:] = b
+    out[n:, n:] = c
+    return out
 
 
 def min_eig_hermitian(m, hermitian_tol=DEFAULT_TOL):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
-from .linalg import expm1_div, mat_exp, min_eig_hermitian
+from .linalg import block_upper, mat_exp, min_eig_hermitian
 
 # min eigenvalue of (cov + i Omega) may dip this far below zero, relative to
 # max(1, |cov|), before a state is called invalid; absorbs roundoff
@@ -100,6 +100,12 @@ class QuadraticHamiltonian:
     @property
     def n_modes(self):
         return self.F.shape[0] // 2
+
+    def affine_generator(self):
+        """The affine lift [[Omega F, Omega alpha], [0, 0]], generator of the
+        flow on (X, 1)."""
+        omega = symplectic_form(self.n_modes)
+        return block_upper(omega @ self.F, (omega @ self.alpha)[:, None], np.zeros((1, 1)))
 
 
 @dataclass(frozen=True)
@@ -193,15 +199,14 @@ def beta_from_nu(nu, energy):
 def hamiltonian_flow(hamiltonian, t):
     """Symplectic-affine map generated by a quadratic Hamiltonian over time t.
 
-    S = exp(Omega F t) and d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha,
-    the latter evaluated through the divided-difference kernel so that
-    singular Omega F (free or partial Hamiltonians) needs no special casing.
+    One exponential of the affine lift (QuadraticHamiltonian.affine_generator)
+    times t gives S = exp(Omega F t) as its top-left block and
+    d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last column, with
+    no special casing of singular Omega F (free or partial Hamiltonians).
     """
-    omega = symplectic_form(hamiltonian.n_modes)
-    gen = omega @ hamiltonian.F
-    s = mat_exp(gen * t)
-    d = expm1_div(gen, t) @ (omega @ hamiltonian.alpha)
-    return AffineSymplectic(S=s, d=d)
+    n = hamiltonian.F.shape[0]
+    flow = mat_exp(hamiltonian.affine_generator() * t)
+    return AffineSymplectic(S=flow[:n, :n], d=flow[:n, n])
 
 
 def apply_affine(state, transform):

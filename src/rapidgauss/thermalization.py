@@ -17,6 +17,7 @@ approximation keeps.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .bombardment import closed_form_series
 from .channels import JointSetup, apply_sequence, reduce_from_joint
@@ -223,7 +224,5 @@ def discrete_asymptote(setup):
     t = channel.T
     if np.abs(np.linalg.eigvals(t)).max() >= 1.0:
         return None
-    n = t.shape[0]
-    lhs = np.eye(n * n) - np.kron(t, t)
-    sig = np.linalg.solve(lhs, channel.R.reshape(-1)).reshape(n, n)
+    sig = scipy.linalg.solve_discrete_lyapunov(t, channel.R)
     return (sig + sig.T) / 2

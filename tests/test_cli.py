@@ -342,6 +342,38 @@ def test_sweep_count_must_be_a_positive_integer(tmp_path, capsys, count):
     assert captured.err.startswith("configuration error")
 
 
+@pytest.mark.parametrize("sweep", [5, [1]])
+def test_sweep_must_be_an_object(tmp_path, capsys, sweep):
+    cfg = {"dt": 0.1, "sweep": sweep}
+    assert main(["check-cp", "--config", _write_config(tmp_path, cfg), "--order", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error")
+    assert "sweep" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("check-cp", {"order": 2.7}),
+        ("check-cp", {"order": True}),
+        ("check-cp", {"seed": 1.9}),
+        ("check-cp", {"seed": True}),
+        ("classify", {"order": 2.7}),
+        ("classify", {"order": True}),
+        ("series", {"order": 2.7}),
+        ("series", {"order": True}),
+    ],
+)
+def test_fractional_or_boolean_order_and_seed_are_rejected(tmp_path, capsys, command, extra):
+    cfg = dict(_bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, dt=0.01), **extra)
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error")
+    assert next(iter(extra)) in captured.err
+
+
 def test_integral_float_counts_are_accepted(tmp_path, capsys):
     cfg = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=4.0, mode="interpolated", substeps=2.0)
     out = tmp_path / "t.csv"

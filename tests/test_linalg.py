@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.errors import BranchCutError, NotHermitianError, SingularMatrixError
-from rapidgauss.linalg import expm1_div, mat_exp, mat_log_principal, min_eig_hermitian
+from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
 
 from helpers import expm1_div_series, logm_div_series
 
@@ -54,6 +54,17 @@ def test_exp_log_round_trip(rng):
 def test_mat_log_defective_input():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert_allclose(mat_log_principal(jordan), [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
+
+
+def expm1_div(x, t):
+    """(exp(x*t) - 1)/x, read off the exponential of the lift [[x, 1], [0, 0]].
+
+    This is the block identity the affine flows rely on: the top-right block
+    of exp([[Omega F, Omega alpha], [0, 0]] t) is [(exp(Omega F t) - 1)/(Omega F)]
+    Omega alpha.
+    """
+    n = x.shape[0]
+    return mat_exp(block_upper(x, np.eye(n), np.zeros((n, n))) * t)[:n, n:]
 
 
 def test_expm1_div_zero_matrix():
