@@ -49,6 +49,7 @@ from .errors import (
     InvalidSetupError,
     InvalidStateError,
     MalformedSeriesError,
+    NonFiniteStateError,
     NotHermitianError,
     RapidGaussError,
     SingularMatrixError,

@@ -74,15 +74,26 @@ def _series_product(first, second, order):
 
 
 def _log_series(t_series, order):
-    """Coefficients of Log(T(dt)) given T(dt) = 1 + sum_k dt^k T_k."""
+    """Coefficients of Log(T(dt)) given T(dt) = 1 + sum_k dt^k T_k.
+
+    Log T = sum_m (-1)^(m+1) X^m / m with X = T - 1.  X has no dt^0 term, so
+    X^m has no terms below dt^m: only its coefficients k >= m are built, the
+    k-th from the products X^(m-1)[i] @ X[k-i] with i >= m-1.  The products
+    skipped are exact zeros, so skipping them changes no bit of the result.
+    """
     n = t_series[0].shape[0]
-    shifted = [np.zeros((n, n))] + [np.asarray(m) for m in t_series[1:]]
+    shifted = [None] + [np.asarray(m) for m in t_series[1:]]
     out = [np.zeros((n, n)) for _ in range(order + 1)]
-    power = [np.eye(n)] + [np.zeros((n, n))] * order
+    power = shifted  # X^1; power[k] is read only for k >= m
     for m in range(1, order + 1):
-        power = _series_product(power, shifted, order)
+        if m > 1:
+            power = [None] * m + [
+                sum(power[i] @ shifted[k - i] for i in range(m - 1, k))
+                for k in range(m, order + 1)
+            ]
         coeff = (-1) ** (m + 1) / m
-        out = [out[k] + coeff * power[k] for k in range(order + 1)]
+        for k in range(m, order + 1):
+            out[k] = out[k] + coeff * power[k]
     return out
 
 

@@ -15,6 +15,7 @@ from .errors import (
     InvalidAncillaStateError,
     InvalidSetupError,
     InvalidStateError,
+    NonFiniteStateError,
 )
 from .linalg import min_eig_hermitian
 from .phasespace import (
@@ -105,7 +106,8 @@ def apply_sequence(channels, mean, cov):
     step.
 
     Raises DimensionMismatchError when a channel does not fit the start and
-    ValueError("state has non-finite entries") when the moments overflow.
+    NonFiniteStateError("state has non-finite entries") when the moments
+    overflow.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -130,7 +132,7 @@ def apply_sequence(channels, mean, cov):
             s /= 2
             mean, cov = m, s
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise ValueError("state has non-finite entries")
+        raise NonFiniteStateError("state has non-finite entries")
     return means, covs
 
 

@@ -21,11 +21,14 @@ from .errors import DimensionMismatchError
 from .interpolation import Generators
 
 _BASIS_NAMES = ("id", "omega", "x", "z")
-_BASIS = (
-    np.eye(2),
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
+# basis[k] is the k-th 2x2 basis matrix; every entry is 0 or +-1
+_BASIS = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ]
 )
 
 DYNAMICS_TYPES = (
@@ -88,30 +91,23 @@ class BlockDecomposition:
 
     def reconstruct(self):
         nb = self.coefficients.shape[0]
-        out = np.zeros((2 * nb, 2 * nb))
-        for i in range(nb):
-            for j in range(nb):
-                for c, basis in zip(self.coefficients[i, j], _BASIS):
-                    out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] += c * basis
-        return out
+        return np.einsum("ijk,kab->iajb", self.coefficients, _BASIS).reshape(2 * nb, 2 * nb)
 
 
 def block_decompose(m):
     """Exact expansion of each 2x2 block over the orthogonal basis.
 
     The basis is orthogonal under (1/2) Tr(P^T Q), so coefficients are plain
-    trace projections and the round trip is exact.
+    trace projections and the round trip is exact.  All blocks are projected
+    by one einsum over m viewed as (block row, row, block column, column);
+    the basis entries are 0 and +-1, so each coefficient is exactly
+    (1/2)(m_ab +- m_cd).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
         raise DimensionMismatchError("expected a square matrix of even dimension")
     nb = m.shape[0] // 2
-    coeffs = np.zeros((nb, nb, 4))
-    for i in range(nb):
-        for j in range(nb):
-            block = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            for k, basis in enumerate(_BASIS):
-                coeffs[i, j, k] = 0.5 * float(np.trace(basis.T @ block))
+    coeffs = 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BASIS)
     return BlockDecomposition(coefficients=coeffs)
 
 
@@ -147,47 +143,33 @@ def classify(gen, eps=1e-10):
     """
     a, b, c = np.asarray(gen.A), np.asarray(gen.b), np.asarray(gen.C)
     scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max(), 0.0)
-    flags = {name: False for name in DYNAMICS_TYPES}
     if scale == 0.0:
-        return DynamicsReport(flags=flags)
+        return DynamicsReport(flags=dict.fromkeys(DYNAMICS_TYPES, False))
     thr = eps * scale
 
-    sym = block_decompose((a + a.T) / 2).coefficients
-    anti = block_decompose((a - a.T) / 2).coefficients
-    noise = block_decompose((c + c.T) / 2).coefficients
-    nb = sym.shape[0]
-    for i in range(nb):
-        c_id, c_om, c_x, c_z = sym[i, i]
-        if abs(c_id) > thr:
-            flags["single_mode_rotation"] = True
-        if abs(c_x) > thr or abs(c_z) > thr:
-            flags["single_mode_squeezing"] = True
-        if abs(anti[i, i, 1]) > thr:
-            flags["amplification_relaxation"] = True
-        n_id, n_om, n_x, n_z = noise[i, i]
-        if abs(n_id) > thr:
-            flags["thermal_noise"] = True
-        if abs(n_x) > thr or abs(n_z) > thr:
-            flags["single_mode_squeezed_noise"] = True
-    for i in range(nb):
-        for j in range(nb):
-            if i == j:
-                continue
-            s_id, s_om, s_x, s_z = sym[i, j]
-            if abs(s_id) > thr or abs(s_om) > thr:
-                flags["multi_mode_rotation"] = True
-            if abs(s_x) > thr or abs(s_z) > thr:
-                flags["multi_mode_squeezing"] = True
-            a_id, a_om, a_x, a_z = anti[i, j]
-            if abs(a_id) > thr or abs(a_om) > thr:
-                flags["multi_mode_counter_rotation"] = True
-            if abs(a_x) > thr or abs(a_z) > thr:
-                flags["multi_mode_counter_squeezing"] = True
-            if np.abs(noise[i, j]).max() > thr:
-                flags["multi_mode_noise"] = True
-    if np.abs(b).max() > thr:
-        flags["displacement"] = True
-    return DynamicsReport(flags=flags)
+    # per block and basis element: is the coefficient above the threshold?
+    sym = np.abs(block_decompose((a + a.T) / 2).coefficients) > thr
+    anti = np.abs(block_decompose((a - a.T) / 2).coefficients) > thr
+    noise = np.abs(block_decompose((c + c.T) / 2).coefficients) > thr
+    eye = np.eye(sym.shape[0], dtype=bool)
+    # basis order: id, omega, x, z; diagonal blocks act on one mode, the
+    # off-diagonal ones couple two
+    sym_d, anti_d, noise_d = sym[eye], anti[eye], noise[eye]
+    sym_o, anti_o, noise_o = sym[~eye], anti[~eye], noise[~eye]
+    flags = dict(
+        single_mode_rotation=sym_d[:, 0].any(),
+        single_mode_squeezing=sym_d[:, 2:].any(),
+        amplification_relaxation=anti_d[:, 1].any(),
+        thermal_noise=noise_d[:, 0].any(),
+        single_mode_squeezed_noise=noise_d[:, 2:].any(),
+        multi_mode_rotation=sym_o[:, :2].any(),
+        multi_mode_squeezing=sym_o[:, 2:].any(),
+        multi_mode_counter_rotation=anti_o[:, :2].any(),
+        multi_mode_counter_squeezing=anti_o[:, 2:].any(),
+        multi_mode_noise=noise_o.any(),
+        displacement=np.abs(b).max() > thr,
+    )
+    return DynamicsReport(flags={name: bool(flag) for name, flag in flags.items()})
 
 
 def table_availability(series, order, eps=1e-10):

@@ -9,7 +9,7 @@ reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 1 usage or config errors, 2 numerical precondition
 failures (for example a step duration too large for the principal-branch
-logarithm), 3 invariant violations.
+logarithm, or a trajectory that overflows), 3 invariant violations.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .errors import (
     InvalidSetupError,
     InvalidStateError,
     MalformedSeriesError,
+    NonFiniteStateError,
     NotHermitianError,
     SingularMatrixError,
 )
@@ -84,11 +85,12 @@ def _write_atomic(path, lines):
 def _load_config(path):
     try:
         with open(path) as handle:
-            return json.load(handle)
+            cfg = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _object("config", cfg)
 
 
 def _require(cfg, key):
@@ -97,41 +99,76 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _object(key, value):
+    """A config value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _number(key, value):
+    """A finite real number from the config: a JSON number or a numeric string."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number!r}")
+    return number
+
+
+def _array(key, value):
+    """A real array from the config: nested JSON lists of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an array of numbers, got {value!r}") from None
+
+
+def _dt(cfg):
+    dt = _number("dt", _require(cfg, "dt"))
+    if dt <= 0:
+        raise ConfigError(f"dt must be positive, got {dt!r}")
+    return dt
+
+
 def _coupling_from_config(obj):
     if isinstance(obj, list):
-        return np.asarray(obj, dtype=float)
+        return _array("G", obj)
     if isinstance(obj, dict) and "rwa" in obj:
-        params = obj["rwa"]
-        return rwa_coupling(float(params["g1"]), float(params["gw"]))
+        params = _object("rwa", obj["rwa"])
+        return rwa_coupling(_number("g1", params["g1"]), _number("gw", params["gw"]))
     if isinstance(obj, dict) and "ladder" in obj:
-        params = obj["ladder"]
-        as_complex = lambda c: complex(float(c["re"]), float(c["im"]))
-        return ladder_coupling(as_complex(params["g"]), as_complex(params["h"]))
+        params = _object("ladder", obj["ladder"])
+
+        def as_complex(key):
+            c = _object(key, params[key])
+            return complex(_number("re", c["re"]), _number("im", c["im"]))
+
+        return ladder_coupling(as_complex("g"), as_complex("h"))
     raise ConfigError("coupling must be a matrix or an {rwa|ladder: ...} object")
 
 
 def _bath_from_config(setup_cfg, dt):
     return OscillatorBathSetup(
-        E_S=float(_require(setup_cfg, "E_S")),
-        E_A=float(_require(setup_cfg, "E_A")),
-        nu_A=float(_require(setup_cfg, "nu_A")),
+        E_S=_number("E_S", _require(setup_cfg, "E_S")),
+        E_A=_number("E_A", _require(setup_cfg, "E_A")),
+        nu_A=_number("nu_A", _require(setup_cfg, "nu_A")),
         G=_coupling_from_config(_require(setup_cfg, "G")),
         dt=dt,
     )
 
 
 def _joint_from_config(cfg):
-    setup_cfg = _require(cfg, "setup")
-    dt = float(_require(cfg, "dt"))
+    setup_cfg = _object("setup", _require(cfg, "setup"))
+    dt = _dt(cfg)
     kind = setup_cfg.get("kind", "joint")
     if kind == "oscillator_bath":
         return to_joint_setup(_bath_from_config(setup_cfg, dt)), kind
     if kind != "joint":
         raise ConfigError(f"unknown setup kind '{kind}'")
-    arr = lambda key: np.asarray(_require(setup_cfg, key), dtype=float)
-    opt = lambda key: (
-        np.asarray(setup_cfg[key], dtype=float) if key in setup_cfg else None
-    )
+    arr = lambda key: _array(key, _require(setup_cfg, key))
+    opt = lambda key: _array(key, setup_cfg[key]) if key in setup_cfg else None
     return (
         JointSetup(
             F_S=arr("F_S"),
@@ -149,7 +186,11 @@ def _joint_from_config(cfg):
 
 def _initial_state(cfg, n_modes):
     if "initial_state" in cfg:
-        state = GaussianState.from_dict(cfg["initial_state"])
+        state = _object("initial_state", cfg["initial_state"])
+        state = GaussianState(
+            mean=_array("mean", _require(state, "mean")),
+            cov=_array("cov", _require(state, "cov")),
+        )
         if state.n_modes != n_modes:
             raise ConfigError("initial_state does not match the system size")
     else:
@@ -267,10 +308,10 @@ def cmd_evolve(cfg, out_path):
 
 
 def cmd_thermalize(cfg, out_path):
-    setup_cfg = _require(cfg, "setup")
+    setup_cfg = _object("setup", _require(cfg, "setup"))
     if setup_cfg.get("kind") != "oscillator_bath":
         raise ConfigError("thermalize requires an oscillator_bath setup")
-    dt = float(_require(cfg, "dt"))
+    dt = _dt(cfg)
     bath = _bath_from_config(setup_cfg, dt)
     steps = _count("steps", _require(cfg, "steps"), 0)
     max_rows = _count("max_rows", cfg.get("max_rows", 1001), 1)
@@ -302,7 +343,7 @@ def _series_for(setup, order):
 
 
 def cmd_check_cp(cfg, order, seed):
-    dt = float(_require(cfg, "dt"))
+    dt = _dt(cfg)
     sweep = cfg.get("sweep")
     if sweep is None:
         setup, _ = _joint_from_config(cfg)
@@ -313,10 +354,9 @@ def cmd_check_cp(cfg, order, seed):
             orders.append({"order": k, "margin": res.margin, "cp": res.ok})
         print(json.dumps({"dt": dt, "orders": orders}, sort_keys=True))
         return EXIT_OK
-    if not isinstance(sweep, dict):
-        raise ConfigError(f"sweep must be an object, got {sweep!r}")
+    sweep = _object("sweep", sweep)
     count = _count("count", sweep.get("count", 100), 1)
-    scale = float(sweep.get("scale", 0.4))
+    scale = _number("scale", sweep.get("scale", 0.4))
     rng = np.random.default_rng(seed)
     mins = [np.inf] * (order + 1)
     for _ in range(count):
@@ -415,7 +455,7 @@ def main(argv=None):
         if args.command == "classify":
             return cmd_classify(cfg, order)
         return cmd_series(cfg, order)
-    except (BranchCutError, SingularMatrixError) as exc:
+    except (BranchCutError, NonFiniteStateError, SingularMatrixError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (InvariantViolation, InvalidStateError, NotHermitianError) as exc:

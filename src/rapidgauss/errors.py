@@ -26,6 +26,12 @@ class NotHermitianError(RapidGaussError, ValueError):
     """Input to a Hermitian-only routine is not Hermitian within tolerance."""
 
 
+class NonFiniteStateError(RapidGaussError, ValueError):
+    """Propagated moments overflowed the float range: the state has
+    non-finite entries.
+    """
+
+
 class InvalidStateError(RapidGaussError):
     """A covariance matrix violates the uncertainty bound."""
 

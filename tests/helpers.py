@@ -59,3 +59,81 @@ def fit_power_series(values, steps, order):
     flat = stacked.reshape(len(steps), -1)
     coeffs = np.linalg.solve(vander, flat)
     return [coeffs[k].reshape(stacked.shape[1:]) for k in range(order + 1)]
+
+
+# 2x2 block basis {1, omega, X, Z} of the classifier, spelled out here
+_BLOCK_BASIS = (
+    np.eye(2),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
+
+_SINGLE_MODE = {
+    "single_mode_rotation": ("sym", (0,)),
+    "single_mode_squeezing": ("sym", (2, 3)),
+    "amplification_relaxation": ("anti", (1,)),
+    "thermal_noise": ("noise", (0,)),
+    "single_mode_squeezed_noise": ("noise", (2, 3)),
+}
+_MULTI_MODE = {
+    "multi_mode_rotation": ("sym", (0, 1)),
+    "multi_mode_squeezing": ("sym", (2, 3)),
+    "multi_mode_counter_rotation": ("anti", (0, 1)),
+    "multi_mode_counter_squeezing": ("anti", (2, 3)),
+    "multi_mode_noise": ("noise", (0, 1, 2, 3)),
+}
+
+
+def block_trace_projection(m):
+    """Coefficients (nb, nb, 4) of every 2x2 block of m over the block basis,
+    one trace projection (1/2) Tr(P^T block) per block and basis element."""
+    m = np.asarray(m, dtype=float)
+    nb = m.shape[0] // 2
+    coeffs = np.zeros((nb, nb, 4))
+    for i in range(nb):
+        for j in range(nb):
+            block = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+            for k, basis in enumerate(_BLOCK_BASIS):
+                coeffs[i, j, k] = 0.5 * float(np.trace(basis.T @ block))
+    return coeffs
+
+
+def classify_flags_loop(a, b, c, eps=1e-10):
+    """Dynamics-type flags of generators (A, b, C), block by block: a type is
+    present when one of its coefficients, on a diagonal block for the
+    single-mode types and an off-diagonal one for the multi-mode types,
+    exceeds eps times the largest generator entry."""
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    thr = eps * max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max())
+    parts = {
+        "sym": block_trace_projection((a + a.T) / 2),
+        "anti": block_trace_projection((a - a.T) / 2),
+        "noise": block_trace_projection((c + c.T) / 2),
+    }
+    nb = a.shape[0] // 2
+    flags = {name: False for name in list(_SINGLE_MODE) + list(_MULTI_MODE)}
+    flags["displacement"] = bool(thr > 0 and np.abs(b).max() > thr)
+    for i in range(nb):
+        for j in range(nb):
+            for name, (part, ks) in (_SINGLE_MODE if i == j else _MULTI_MODE).items():
+                for k in ks:
+                    if thr > 0 and abs(parts[part][i, j, k]) > thr:
+                        flags[name] = True
+    return flags
+
+
+def log_series_cauchy(t_series, order):
+    """Coefficients of Log(1 + X) for X = T - 1 = sum_{k>=1} dt^k T_k: every
+    power X^m as the full Cauchy product of X^(m-1) and X, through `order`."""
+    n = t_series[0].shape[0]
+    shifted = [np.zeros((n, n))] + [np.asarray(m) for m in t_series[1:]]
+    out = [np.zeros((n, n)) for _ in range(order + 1)]
+    power = [np.eye(n)] + [np.zeros((n, n))] * order
+    for m in range(1, order + 1):
+        power = [
+            sum(power[i] @ shifted[k - i] for i in range(k + 1)) for k in range(order + 1)
+        ]
+        coeff = (-1) ** (m + 1) / m
+        out = [out[k] + coeff * power[k] for k in range(order + 1)]
+    return out

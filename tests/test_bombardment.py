@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.bombardment import (
+    _log_series,
     can_purify,
     closed_form_series,
     first_order_purify,
@@ -18,7 +19,7 @@ from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import to_joint_setup, OscillatorBathSetup
 
-from helpers import fit_power_series
+from helpers import fit_power_series, log_series_cauchy
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -73,6 +74,21 @@ def test_series_order_cap():
         series_from_channel_series(t, d, r, order=4)
     with pytest.raises(MalformedSeriesError):
         series_from_channel_series(t[:3], d[:3], r[:3], order=2)
+
+
+def test_log_series_equals_full_cauchy_products_bit_for_bit(rng):
+    # X = T - 1 has no dt^0 term, so X^m starts at dt^m; the products below
+    # that order are exact zeros, and skipping them must change no bit
+    for order in range(5):
+        for n in (1, 3, 5):
+            for _ in range(4):
+                t_series = [np.eye(n)] + [
+                    rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3) for _ in range(order)
+                ]
+                got = _log_series(t_series, order)
+                want = log_series_cauchy(t_series, order)
+                assert len(got) == order + 1
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_cross_route_equality(rng):

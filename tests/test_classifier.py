@@ -15,6 +15,8 @@ from rapidgauss.interpolation import Generators
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import OscillatorBathSetup, to_joint_setup
 
+from helpers import block_trace_projection, classify_flags_loop
+
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -26,10 +28,19 @@ def test_block_decompose_basis_elements():
 
 
 def test_block_decompose_round_trip(rng):
-    for _ in range(20):
-        m = rng.uniform(-3, 3, (6, 6))
-        dec = block_decompose(m)
-        assert_allclose(dec.reconstruct(), m, atol=1e-14)
+    for n in range(1, 13):
+        for _ in range(5):
+            m = rng.uniform(-3, 3, (2 * n, 2 * n))
+            dec = block_decompose(m)
+            assert dec.coefficients.shape == (n, n, 4)
+            assert_allclose(dec.reconstruct(), m, atol=1e-14)
+
+
+def test_block_decompose_equals_trace_projection_bit_for_bit(rng):
+    for n in range(1, 13):
+        m = rng.normal(size=(2 * n, 2 * n)) * 10.0 ** rng.uniform(-8, 8, (2 * n, 2 * n))
+        for mat in (m, (m + m.T) / 2, (m - m.T) / 2):
+            assert np.array_equal(block_decompose(mat).coefficients, block_trace_projection(mat))
 
 
 def test_block_decompose_rejects_odd_dimension():
@@ -106,6 +117,36 @@ def test_threshold_is_relative():
     report = classify(_gen(a=a), eps=1e-10)
     # the omega admixture sits below eps * scale and must not raise a flag
     assert report.present == {"single_mode_rotation"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_matches_block_loop_at_the_threshold(n):
+    # b sets the generator scale to 1, so the threshold is eps; each planted
+    # entry moves one or two block coefficients to just above or just below it
+    eps = 1e-10
+    dim = 2 * n
+    b = np.zeros(dim)
+    b[0] = 1.0
+    seen = set()
+    for r in range(dim):
+        for c in range(dim):
+            for size in (2 * eps, 4 * eps):
+                for factor in (1 + 1e-6, 1 - 1e-6):
+                    a = np.zeros((dim, dim))
+                    a[r, c] = size * factor
+                    noise = np.zeros((dim, dim))
+                    noise[r, c] = noise[c, r] = size * factor
+                    for gen in (_gen(a=a, b=b, n=dim), _gen(c=noise, b=b, n=dim)):
+                        flags = classify(gen, eps=eps).to_dict()
+                        assert flags == classify_flags_loop(gen.A, gen.b, gen.C, eps=eps)
+                        seen.add(frozenset(name for name in flags if flags[name]))
+    # the planted entries both raise and miss flags
+    assert frozenset({"displacement"}) in seen and len(seen) > 2
+    a = np.zeros((dim, dim))
+    a[0, 0] = 2 * eps * (1 + 1e-6)
+    assert classify(_gen(a=a, b=b, n=dim), eps=eps)["single_mode_rotation"]
+    a[0, 0] = 2 * eps * (1 - 1e-6)
+    assert not classify(_gen(a=a, b=b, n=dim), eps=eps)["single_mode_rotation"]
 
 
 def test_table_availability_zeroth_order_free_only():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_overflowing_trajectory_exits_with_no_output(tmp_path, capsys, mode):
     cfg["setup"].update(F_S=[[3.0, 0.0], [0.0, -3.0]], G=[[0.0, 0.0], [0.0, 0.0]])
     cfg["dt"] = 1.0
     out = tmp_path / "t.csv"
-    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert "state has non-finite entries" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
@@ -330,6 +331,48 @@ def test_fractional_or_boolean_counts_are_rejected(tmp_path, capsys, command, ex
     assert main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _malformed_configs():
+    good = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5, dt=0.01)
+    for command in ("evolve", "thermalize", "check-cp", "classify", "series"):
+        yield command, "setup-list", dict(good, setup=[1])
+        yield command, "top-level-list", [1, 2]
+        yield command, "dt-infinity", dict(good, dt=float("inf"))
+        yield command, "dt-nan", dict(good, dt=float("nan"))
+        yield command, "dt-list", dict(good, dt=[0.01])
+        yield command, "energy-list", dict(good, setup=dict(good["setup"], E_S=[1.0]))
+        yield command, "rwa-list", dict(good, setup=dict(good["setup"], G={"rwa": [0.1]}))
+        yield command, "energy-nan", dict(good, setup=dict(good["setup"], E_S=float("nan")))
+        yield command, "nu-infinity", dict(good, setup=dict(good["setup"], nu_A=float("inf")))
+    for command in ("evolve", "thermalize"):
+        yield command, "initial-state-string", dict(good, initial_state="x")
+        yield command, "mean-object", dict(good, initial_state={"mean": {}, "cov": [[1, 0], [0, 1]]})
+    joint = _free_joint_cfg(steps=5)
+    for command in ("evolve", "check-cp", "classify", "series"):
+        yield command, "matrix-object", dict(joint, setup=dict(joint["setup"], F_S={"a": 1}))
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        pytest.param(command, cfg, id=f"{command}-{name}")
+        for command, name, cfg in _malformed_configs()
+    ],
+)
+def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, cfg):
+    out = tmp_path / "t.csv"
+    argv = [command, "--config", _write_config(tmp_path, cfg)]
+    if command in ("evolve", "thermalize"):
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
     assert not out.exists()
 
 
