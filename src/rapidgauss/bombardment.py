@@ -3,7 +3,7 @@
 For a bombardment setup the reduced channel is analytic in dt, and the
 interpolation generators inherit a series A = A_0 + dt A_1 + ..., with
 closed forms for the first three orders and a mechanical construction
-(composition of the logarithm series with the channel series) for the rest.
+(the logarithm series of the lifted channel series) at any order.
 The even-order A coefficients are symmetric (unitary effects), the odd ones
 antisymmetric (non-unitary effects).
 
@@ -17,8 +17,7 @@ import numpy as np
 
 from .channels import channel_taylor
 from .errors import MalformedSeriesError
-from .interpolation import Generators, cp_differential_check
-from .linalg import block_upper
+from .interpolation import Generators, channel_lift, cp_differential_check, read_generators
 from .phasespace import symplectic_form
 
 PURIFY_TOL = 1e-12
@@ -39,11 +38,7 @@ class GeneratorSeries:
         object.__setattr__(self, "C", freeze(self.C))
         if not len(self.A) == len(self.b) == len(self.C) or not self.A:
             raise MalformedSeriesError("A, b, C must have one entry per order")
-        for m in self.A:
-            m.setflags(write=False)
-        for m in self.b:
-            m.setflags(write=False)
-        for m in self.C:
+        for m in self.A + self.b + self.C:
             m.setflags(write=False)
 
     @property
@@ -64,13 +59,6 @@ class GeneratorSeries:
             {"k": k, "A": self.A[k].tolist(), "b": self.b[k].tolist(), "C": self.C[k].tolist()}
             for k in range(self.order + 1)
         ]
-
-
-def _series_product(first, second, order):
-    """Cauchy product of two matrix power series, truncated at `order`."""
-    return [
-        sum(first[i] @ second[k - i] for i in range(k + 1)) for k in range(order + 1)
-    ]
 
 
 def _log_series(t_series, order):
@@ -99,72 +87,56 @@ def _log_series(t_series, order):
 
 def _inverse_series(t_series, order):
     """Coefficients of T(dt)^-1 given T(dt) = 1 + sum_k dt^k T_k (the Neumann
-    series, order by order from T T^-1 = 1)."""
+    series, order by order from T T^-1 = 1).  T_0 is taken as exactly 1, so
+    the k-th coefficient is -T_k - sum_{0<i<k} T_i inv_{k-i}."""
     inv = [np.eye(t_series[0].shape[0])]
     for k in range(1, order + 1):
-        inv.append(-sum(t_series[i] @ inv[k - i] for i in range(1, k + 1)))
+        inv.append(-t_series[k] - sum(t_series[i] @ inv[k - i] for i in range(1, k)))
     return inv
 
 
 def series_from_channel_series(t_series, d_series, r_series, order=None):
     """Generator series from a channel series (T_k, d_k, R_k).
 
-    Lifts the channel series to the series of [[T, d], [0, 1]] and of the
-    noise lift [[T^-1, T^-1 R], [0, T^T]], and reads the generators off the
-    logarithm series of each, as :func:`generators_from_channel` does for a
-    single dt.  The channel series must start from the trivial channel
-    (T_0 = 1, d_0 = 0, R_0 = 0) and must carry one more order than
+    Lifts the channel series to the series of the channel lift
+    [[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]] and reads the
+    generators off its logarithm series, as :func:`generators_from_channel`
+    does for a single dt.  The channel series must start from the trivial
+    channel (T_0 = 1, d_0 = 0, R_0 = 0) and must carry one more order than
     requested, since the k-th generator coefficient draws on the (k+1)-th
-    channel one.  Orders up to 3 are supported.
+    channel one.  Once checked, the order-0 terms are taken as exactly
+    trivial: no product with T_0, d_0 or R_0 is formed.  Any order >= 0 is
+    supported.
     """
-    t_series = [np.asarray(m, dtype=float) for m in t_series]
-    d_series = [np.asarray(v, dtype=float) for v in d_series]
-    r_series = [np.asarray(m, dtype=float) for m in r_series]
+    t_series, d_series, r_series = (
+        [np.asarray(m, dtype=float) for m in series] for series in (t_series, d_series, r_series)
+    )
     n = t_series[0].shape[0]
-    if (
-        np.abs(t_series[0] - np.eye(n)).max() > 1e-12
-        or np.abs(d_series[0]).max() > 1e-12
-        or np.abs(r_series[0]).max() > 1e-12
-    ):
+    if max(np.abs(m).max() for m in (t_series[0] - np.eye(n), d_series[0], r_series[0])) > 1e-12:
         raise MalformedSeriesError("channel series must start from the trivial channel")
     if order is None:
         order = len(t_series) - 2
-    if order > 3:
-        raise ValueError("generator series is supported up to order 3")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if min(len(t_series), len(d_series), len(r_series)) < order + 2:
         raise MalformedSeriesError(
             f"order-{order} generators need channel coefficients through order {order + 1}"
         )
     kc = order + 1
-    omega = symplectic_form(n // 2)
-
-    # _log_series takes the order-0 terms to be the identity
     t_inv = _inverse_series(t_series, kc)
-    t_inv_r = _series_product(t_inv, r_series, kc)
-    zero = np.zeros((1, 1))
-    log_affine = _log_series(
-        [block_upper(t_series[k], d_series[k][:, None], zero) for k in range(kc + 1)], kc
-    )
-    log_noise = _log_series(
-        [block_upper(t_inv[k], t_inv_r[k], t_series[k].T) for k in range(kc + 1)], kc
-    )
-
-    a_coeffs = [-omega @ log_affine[k + 1][:n, :n] for k in range(order + 1)]
-    b_coeffs = [-omega @ log_affine[k + 1][:n, n] for k in range(order + 1)]
-    c_coeffs = []
-    for k in range(order + 1):
-        c = log_noise[k + 1][:n, n:]
-        c_coeffs.append((c + c.T) / 2)
-    return GeneratorSeries(A=a_coeffs, b=b_coeffs, C=c_coeffs)
+    rd = [np.column_stack([r, -d]) for r, d in zip(r_series, d_series)]
+    tops = [np.column_stack([t_inv[k], rd[k] + sum(t_inv[i] @ rd[k - i] for i in range(1, k))])
+            for k in range(1, kc + 1)]
+    lifted = [np.eye(2 * n + 1)] + [channel_lift(top, t, 0.0) for top, t in zip(tops, t_series[1:])]
+    log = _log_series(lifted, kc)
+    return GeneratorSeries(*read_generators(np.array(log[1:])))
 
 
 def generator_series_from_joint(setup, order):
     """Generator series of a bombardment setup through the mechanical route
-    (exact channel Taylor coefficients fed into the logarithm series)."""
-    if order > 3:
-        raise ValueError("generator series is supported up to order 3")
-    t_series, d_series, r_series = channel_taylor(setup, order + 1)
-    return series_from_channel_series(t_series, d_series, r_series, order)
+    (exact channel Taylor coefficients fed into the logarithm series), at
+    any order >= 0."""
+    return series_from_channel_series(*channel_taylor(setup, order + 1), order)
 
 
 def closed_form_series(setup, order=2):

@@ -97,10 +97,11 @@ def apply(channel, state):
 def apply_sequence(channels, mean, cov):
     """Moments after applying each of the channels in turn to (mean, cov).
 
-    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels: row k holds
-    the state after channels[0], ..., channels[k].  Each step is the update
-    of :func:`apply`, T mean + d and T cov T^T + R symmetrised, with the
-    same arithmetic, so the rows equal a loop of :func:`apply` bit for bit.
+    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels, taken from
+    any iterable: row k holds the state after channels[0], ..., channels[k].
+    Each step is the update of :func:`apply`, T mean + d and T cov T^T + R
+    symmetrised, with the same arithmetic, so the rows equal a loop of
+    :func:`apply` bit for bit.
     The start is taken as given.  Dimensions are checked once on entry and
     finiteness once over the result; no state is built or validated per
     step.
@@ -109,6 +110,7 @@ def apply_sequence(channels, mean, cov):
     NonFiniteStateError("state has non-finite entries") when the moments
     overflow.
     """
+    channels = list(channels)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
@@ -279,8 +281,8 @@ def channel_taylor(setup, order):
     (QuadraticHamiltonian.affine_generator); no numerical differentiation
     is involved.  T_0 = 1, d_0 = 0, R_0 = 0 always.
     """
-    if not 0 <= order <= 4:
-        raise ValueError("order must be between 0 and 4")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     ds = 2 * setup.n_sys
     lift = setup.hamiltonian.affine_generator()
     terms = [np.eye(lift.shape[0])]

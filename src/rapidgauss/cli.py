@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -225,18 +226,21 @@ def _csv_rows(kind, times, mean, cov, trajectories):
     """CSV lines, one per time: t, then the state columns of each trajectory,
     and max_abs_diff between them when there are two.
 
-    Each trajectory is a list of channels, one per row, applied in turn to
-    the start (mean, cov); all of them are stepped BLOCK_ROWS rows at a time.
+    Each trajectory is an iterable of channels, one per row, applied in turn
+    to the start (mean, cov).  The times and the channels are read, stepped
+    and formatted BLOCK_ROWS rows at a time, so they may stream in.
     Returns the last (mean, cov) of the first trajectory.
     """
+    times = iter(times)
+    trajectories = [iter(channels) for channels in trajectories]
     ends = [(mean, cov)] * len(trajectories)
-    for row in range(0, len(times), BLOCK_ROWS):
+    while block_times := list(islice(times, BLOCK_ROWS)):
         block = [
-            apply_sequence(channels[row : row + BLOCK_ROWS], *end)
+            apply_sequence(islice(channels, len(block_times)), *end)
             for channels, end in zip(trajectories, ends)
         ]
         ends = [(means[-1], covs[-1]) for means, covs in block]
-        parts = [np.array(times[row : row + BLOCK_ROWS])[:, None]]
+        parts = [np.array(block_times)[:, None]]
         parts += [_columns(kind, means, covs) for means, covs in block]
         if len(block) == 2:
             (means, covs), (other_means, other_covs) = block
@@ -275,11 +279,9 @@ def cmd_evolve(cfg, out_path):
     if mode not in ("discrete", "interpolated", "both"):
         raise ConfigError(f"unknown mode '{mode}'")
     dt = setup.dt
-    if mode == "interpolated":
-        substeps = _count("substeps", cfg.get("substeps", 10), 1)
-        times = [k * dt / substeps for k in range(steps * substeps + 1)]
-    else:
-        times = [n * dt for n in range(steps + 1)]
+    substeps = _count("substeps", cfg.get("substeps", 10), 1) if mode == "interpolated" else 1
+    # each pass over the grid makes its times afresh, so none is stored
+    times = lambda: (k * dt / substeps for k in range(steps * substeps + 1))
     state0 = _initial_state(cfg, setup.n_sys)
     channel = reduce_from_joint(setup)
     cols = _state_columns(kind, setup.n_sys)
@@ -297,11 +299,11 @@ def cmd_evolve(cfg, out_path):
             yield ",".join(["t"] + cols)
         trajectories = []
         if mode != "interpolated":
-            trajectories.append([identity_channel(setup.n_sys)] + [channel] * steps)
+            trajectories.append(chain([identity_channel(setup.n_sys)], repeat(channel, steps)))
         if mode != "discrete":
             # the interpolated column comes from the generators alone
-            trajectories.append(gap_channels(generators_from_channel(channel, dt), times))
-        _check_final(*(yield from _csv_rows(kind, times, mean0, cov0, trajectories)))
+            trajectories.append(gap_channels(generators_from_channel(channel, dt), times()))
+        _check_final(*(yield from _csv_rows(kind, times(), mean0, cov0, trajectories)))
 
     _write_atomic(out_path, lines())
     return EXIT_OK

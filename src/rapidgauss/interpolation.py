@@ -8,15 +8,16 @@ time-independent generators (A, b, C) whose continuous flow
 
 reproduces the discrete dynamics exactly at every stroboscopic time n*dt.
 
-Both directions go through two block upper-triangular lifts.  The mean
-update is the linear map [[T, d], [0, 1]] on (X, 1), and its generator is
-[[Omega A, Omega b], [0, 0]].  The covariance update lifts to the 4N x 4N
-noise lift [[T^-1, T^-1 R], [0, T^T]], whose generator is
-[[-Omega A, C], [0, (Omega A)^T]] (Van Loan, IEEE TAC 23(3):395, 1978).
-The generators are the principal logarithms of the lifts divided by dt, so
-they stay finite as dt -> 0 and exist whenever T has no eigenvalue on the
-closed negative real axis; propagation is the exponential of the same
-blocks.
+Both directions go through one block upper-triangular lift of size 4N + 1,
+
+    L = [[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]].
+
+In the block order (1, 3, 2) it is led by [[T^-1, -T^-1 d], [0, 1]], the
+inverse of the mean update on (X, 1), so with M = Omega A the principal
+logarithm is Log L = dt [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] (Van
+Loan, IEEE TAC 23(3):395, 1978).  It gives all three generators, which stay
+finite as dt -> 0 and exist whenever T has no eigenvalue on the closed
+negative real axis; propagation is one exponential of the same block.
 
 The generators are constant, so the flow is a semigroup: the channel over
 t + s is the channel over s composed with the channel over t.  Trajectories
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CpReport, GaussianChannel, apply_sequence
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SingularMatrixError
 from .linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import GaussianState, _check_symmetric, _frozen_array, symplectic_form
 
@@ -71,16 +72,35 @@ class Generators:
         )
 
 
+def channel_lift(top, forward, corner):
+    """The lift [[top], [0, forward^T, 0], [0, 0, corner]] of size 4N + 1.
+
+    A channel lifts with top = T^-1 [1, R, -d], forward = T and corner = 1;
+    its generators with top = [-M, C, -Omega b], forward = M and corner = 0.
+    """
+    n = forward.shape[0]
+    tail = block_upper(forward.T, np.zeros((n, 1)), np.full((1, 1), corner))
+    return block_upper(top[:, :n], top[:, n:], tail)
+
+
+def read_generators(log_lift):
+    """(A, b, C) from the logarithm of a channel lift over one unit of time:
+    A = Omega Log_11, b = Omega Log_13 and C = sym(Log_12), as
+    Omega^-1 = -Omega.  A stack of logarithms gives stacks of generators."""
+    n = log_lift.shape[-1] // 2
+    omega = symplectic_form(n // 2)
+    c = log_lift[..., :n, n:-1]
+    a, b = omega @ log_lift[..., :n, :n], log_lift[..., :n, -1] @ -omega
+    return a, b, (c + c.swapaxes(-1, -2)) / 2
+
+
 def generators_from_channel(channel, dt):
     """Interpolation generators of a discrete channel applied every dt.
 
-    Two principal logarithms, divided by dt, give the generators:
+    One solve gives T^-1 [1, R, -d], and one principal logarithm of the
+    channel lift (:func:`channel_lift`), divided by dt, gives the generators:
 
-        Log([[T, d], [0, 1]])           = dt [[Omega A, Omega b], [0, 0]]
-        Log([[T^-1, T^-1 R], [0, T^T]]) = dt [[-Omega A, C], [0, (Omega A)^T]]
-
-    The second is the noise lift, of size 4N: its exponential is the
-    covariance flow over one step (see :func:`propagate`).
+        Log L = dt [[-Omega A, C, -Omega b], [0, (Omega A)^T, 0], [0, 0, 0]]
 
     Raises BranchCutError when T has an eigenvalue on the closed negative
     real axis, which signals that dt is too large, and SingularMatrixError
@@ -89,17 +109,17 @@ def generators_from_channel(channel, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     t, n = channel.T, channel.T.shape[0]
-    omega = symplectic_form(channel.n_modes)
-    affine = mat_log_principal(block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
-    t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
-    c = mat_log_principal(block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
-    # Omega^{-1} = -Omega
-    return Generators(
-        A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
-    )
+    try:
+        t_inv = np.linalg.solve(t, np.column_stack([np.eye(n), channel.R, -channel.d]))
+    except np.linalg.LinAlgError:
+        t_inv = None
+    if t_inv is None or not np.isfinite(t_inv).all():  # a subnormal pivot gives inf
+        raise SingularMatrixError("generators_from_channel: T is singular")
+    log = mat_log_principal(channel_lift(t_inv, t, 1.0))
+    return Generators(*read_generators(log / dt))
 
 
-# Largest ||Omega A||_1 * s allowed in one exponential of the noise lift.  Its
+# Largest ||Omega A||_1 * s allowed in one exponential of the lift.  Its
 # rounding error grows quickly with that norm, because the blocks exp(-M s)
 # and exp(M^T s) pull apart, so longer times are reached by doubling.
 LIFT_NORM_MAX = 1.0
@@ -108,43 +128,44 @@ LIFT_NORM_MAX = 1.0
 def propagate(gen, t):
     """Channel produced by running the master equation for time t >= 0.
 
-    With M = Omega A, T(t) = exp(M t) and d(t) = [(exp(M t) - 1)/M] Omega b
-    come from the exponential of [[M, Omega b], [0, 0]] t.  The noise block
-    R(t), the integral of exp(M s) C exp(M^T s) over [0, t], comes from the
-    exponential E of the noise lift [[-M, C], [0, M^T]] s as
-    R(s) = E_22^T E_12, taken over a step s = t / 2^k short enough that
-    ||M||_1 s <= LIFT_NORM_MAX, then doubled k times through
-    R(2s) = T(s) R(s) T(s)^T + R(s).
+    With M = Omega A, the exponential E of the generator lift
+    [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
+    s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  The
+    step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; the
+    channel is then doubled k times through T(2s) = T(s)^2,
+    d(2s) = T(s) d(s) + d(s) and R(2s) = T(s) R(s) T(s)^T + R(s).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = gen.A.shape[0]
     omega = symplectic_form(gen.n_modes)
     m = omega @ gen.A
-    flow = mat_exp(block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
     norm = np.abs(m).sum(axis=0).max() * t
     doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
-    lifted = mat_exp(block_upper(-m, gen.C, m.T) * (t / 2**doublings))
-    step = lifted[n:, n:].T
-    r = step @ lifted[:n, n:]
+    top = np.column_stack([-m, gen.C, -omega @ gen.b])
+    lifted = mat_exp(channel_lift(top, m, 0.0) * (t / 2**doublings))
+    step = lifted[n:-1, n:-1].T
+    r = step @ lifted[:n, n:-1]
+    d = -step @ lifted[:n, -1]
     for _ in range(doublings):
         r = step @ r @ step.T + r
+        d = step @ d + d
         step = step @ step
-    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
+    return GaussianChannel(T=step, d=d, R=(r + r.T) / 2)
 
 
 def gap_channels(gen, times):
-    """Channels of the master-equation flow over the gaps between `times`.
+    """Yield the channels of the master-equation flow over the gaps between
+    `times`, reading the times one at a time.
 
     The times are nondecreasing and measured from 0, so entry k is the
     channel over times[k] - times[k-1], the first gap running from 0.  Each
     distinct float gap is propagated once, so an evenly spaced grid of any
     length costs about a dozen exponentials instead of one per time.
 
-    Raises ValueError when the times decrease.
+    Raises ValueError on reaching a time that decreases.
     """
     cache = {}
-    out = []
     previous = 0.0
     for k, t in enumerate(times):
         if k and t < previous:
@@ -152,9 +173,8 @@ def gap_channels(gen, times):
         gap = t - previous
         if gap not in cache:
             cache[gap] = propagate(gen, gap)
-        out.append(cache[gap])
+        yield cache[gap]
         previous = t
-    return out
 
 
 def flow_states(gen, state, times):

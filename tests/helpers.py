@@ -2,6 +2,11 @@
 
 import numpy as np
 
+from rapidgauss.channels import GaussianChannel
+from rapidgauss.interpolation import LIFT_NORM_MAX, Generators
+from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal
+from rapidgauss.phasespace import symplectic_form
+
 
 def expm1_div_series(x, t, terms=60):
     """Truncated series sum_m t^(m+1)/(m+1)! x^m."""
@@ -137,3 +142,36 @@ def log_series_cauchy(t_series, order):
         coeff = (-1) ** (m + 1) / m
         out = [out[k] + coeff * power[k] for k in range(order + 1)]
     return out
+
+
+def two_lift_generators(channel, dt):
+    """Generators of a channel from two lifts: A and b from the principal Log
+    of the affine lift [[T, d], [0, 1]], C from that of the noise lift
+    [[T^-1, T^-1 R], [0, T^T]]."""
+    t, n = channel.T, channel.T.shape[0]
+    omega = symplectic_form(channel.n_modes)
+    affine = mat_log_principal(block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
+    t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
+    c = mat_log_principal(block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
+    return Generators(
+        A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
+    )
+
+
+def two_lift_propagate(gen, t):
+    """Channel of the master-equation flow over t from two exponentials: T
+    and d from the affine lift [[M, Omega b], [0, 0]] t in one step, R from
+    the noise lift [[-M, C], [0, M^T]] over t / 2^k, doubled k times."""
+    n = gen.A.shape[0]
+    omega = symplectic_form(gen.n_modes)
+    m = omega @ gen.A
+    flow = mat_exp(block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
+    norm = np.abs(m).sum(axis=0).max() * t
+    doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
+    lifted = mat_exp(block_upper(-m, gen.C, m.T) * (t / 2**doublings))
+    step = lifted[n:, n:].T
+    r = step @ lifted[:n, n:]
+    for _ in range(doublings):
+        r = step @ r @ step.T + r
+        step = step @ step
+    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)

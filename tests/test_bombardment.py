@@ -13,6 +13,7 @@ from rapidgauss.bombardment import (
     truncated_cp_check,
 )
 from rapidgauss.channels import JointSetup, channel_taylor, reduce_from_joint
+from rapidgauss.classifier import allowed_types, table_availability
 from rapidgauss.errors import MalformedSeriesError
 from rapidgauss.interpolation import generators_from_channel
 from rapidgauss.phasespace import symplectic_form
@@ -69,11 +70,14 @@ def test_series_rejects_malformed_leading_term():
 
 
 def test_series_order_cap():
+    # no order is capped from above; a negative order and a channel series
+    # too short for the order asked are still refused
     t, d, r = _zero_series(2, 5)
-    with pytest.raises(ValueError):
-        series_from_channel_series(t, d, r, order=4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_from_channel_series(t, d, r, order=-1)
     with pytest.raises(MalformedSeriesError):
         series_from_channel_series(t[:3], d[:3], r[:3], order=2)
+    assert series_from_channel_series(t, d, r, order=4).order == 4
 
 
 def test_log_series_equals_full_cauchy_products_bit_for_bit(rng):
@@ -89,6 +93,52 @@ def test_log_series_equals_full_cauchy_products_bit_for_bit(rng):
                 want = log_series_cauchy(t_series, order)
                 assert len(got) == order + 1
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_series_truncation_error_falls_like_dt_to_the_order_plus_one(rng, order):
+    # halving dt divides the error of the order-k partial sum in A by 2^(k+1)
+    for _ in range(3):
+        setup = random_joint_setup(rng, n_sys=2, n_anc=2)
+        series = generator_series_from_joint(setup, 8)
+        errors = []
+        for dt in (0.4, 0.2):
+            exact = generators_from_channel(reduce_from_joint(setup, dt=dt), dt)
+            errors.append(np.abs(series.truncate(order, dt).A - exact.A).max())
+        assert abs(np.log2(errors[0] / errors[1]) - (order + 1)) < 0.5
+
+
+def test_series_parity_through_order_8(rng):
+    # even orders of A are symmetric (unitary), odd ones antisymmetric
+    for _ in range(10):
+        series = generator_series_from_joint(random_joint_setup(rng), 8)
+        for k, a in enumerate(series.A):
+            sign = 1 if k % 2 == 0 else -1
+            assert np.abs(a - sign * a.T).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_series_availability_through_order_8(rng):
+    # every order drives only the dynamics types the table allows it
+    for _ in range(50):
+        series = generator_series_from_joint(random_joint_setup(rng), 8)
+        for k in range(9):
+            assert table_availability(series, k).present <= allowed_types(k)
+
+
+def test_series_is_one_log_series_of_one_lift(rng, monkeypatch):
+    import rapidgauss.bombardment as bombardment
+
+    shapes = []
+
+    def counting(t_series, order):
+        shapes.append(t_series[1].shape)
+        return _log_series(t_series, order)
+
+    monkeypatch.setattr(bombardment, "_log_series", counting)
+    setup = random_joint_setup(rng, n_sys=3, n_anc=2)
+    series = generator_series_from_joint(setup, 5)
+    assert series.order == 5
+    assert shapes == [(13, 13)]
 
 
 def test_cross_route_equality(rng):
@@ -264,8 +314,8 @@ def test_closed_form_order_cap(rng):
     setup = random_joint_setup(rng)
     with pytest.raises(ValueError):
         closed_form_series(setup, 3)
-    with pytest.raises(ValueError):
-        generator_series_from_joint(setup, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        generator_series_from_joint(setup, -1)
 
 
 def test_series_json_shape(rng):

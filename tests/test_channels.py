@@ -198,7 +198,7 @@ def test_channel_taylor_structure(rng):
     assert_allclose(t_list[1], omega_s @ setup.F_S, atol=1e-14)
     assert_allclose(r_list[1], np.zeros_like(r_list[1]), atol=1e-16)
     with pytest.raises(ValueError):
-        channel_taylor(setup, 5)
+        channel_taylor(setup, -1)
 
 
 @pytest.mark.parametrize(

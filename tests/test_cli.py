@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -211,6 +213,15 @@ def test_series_command_matches_library(tmp_path, capsys):
     )
 
 
+def test_series_command_at_any_order(tmp_path, capsys):
+    # past order 2 the series comes from the logarithm series of the lift
+    cfg = _bath_cfg([[0.2, 0.0], [0.0, 0.1]], dt=0.05)
+    assert main(["series", "--config", _write_config(tmp_path, cfg), "--order", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["route"] == "log_series"
+    assert [c["k"] for c in report["coefficients"]] == list(range(7))
+
+
 def test_evolve_deterministic_output(tmp_path):
     cfg = _bath_cfg([[0.3, 0.1], [-0.1, 0.2]], steps=50)
     path = _write_config(tmp_path, cfg)
@@ -242,6 +253,16 @@ def test_exit_code_branch_cut(tmp_path, capsys):
     code = main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     assert "reduce the step duration" in capsys.readouterr().err
+
+
+def test_exit_code_near_full_swap(tmp_path, capsys):
+    # g1 = pi/2 at dt = 1 swaps system and ancilla in one collision: T is
+    # singular to working precision, so no generator exists
+    cfg = _bath_cfg({"rwa": {"g1": np.pi / 2, "gw": 0.0}}, steps=5, dt=1.0, mode="both")
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "numerical precondition failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
@@ -449,3 +470,28 @@ def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, capsys, co
     assert whole.read_bytes() == blocked.read_bytes()
     if command == "thermalize":
         assert out[0] == out[1]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"steps": 200_000, "mode": "discrete"},
+        {"steps": 20_000, "substeps": 10, "mode": "interpolated"},
+    ],
+)
+def test_evolve_streams_its_time_grid(tmp_path, monkeypatch, extra):
+    # the times and the channels are made block by block, so the memory
+    # used before the first rows does not grow with the number of steps
+    head = []
+    monkeypatch.setattr(
+        "rapidgauss.cli._write_atomic", lambda path, lines: head.extend(islice(lines, 3))
+    )
+    path = _write_config(tmp_path, _bath_cfg([[0.3, 0.1], [-0.1, 0.2]], **extra))
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(head) == 3
+    assert peak < 2 * 2**20

@@ -14,7 +14,7 @@ from rapidgauss.channels import (
     reduce_from_joint,
 )
 from rapidgauss.cli import main
-from rapidgauss.errors import BranchCutError
+from rapidgauss.errors import BranchCutError, SingularMatrixError
 from rapidgauss.interpolation import (
     Generators,
     cp_differential_check,
@@ -33,7 +33,13 @@ from rapidgauss.phasespace import (
 from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
 from rapidgauss.thermalization import OscillatorBathSetup, first_order_generators
 
-from helpers import central_difference, gauss_legendre_integral, logm_div_series
+from helpers import (
+    central_difference,
+    gauss_legendre_integral,
+    logm_div_series,
+    two_lift_generators,
+    two_lift_propagate,
+)
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -272,6 +278,91 @@ def test_branch_cut_surfaces_for_large_steps():
     channel = _flow_channel(ham, np.pi)
     with pytest.raises(BranchCutError):
         generators_from_channel(channel, np.pi)
+
+
+def test_singular_transfer_matrix_raises():
+    # T^-1 enters the lift, so a singular T has no generators; a subnormal
+    # pivot inverts to inf and counts as singular too
+    for tiny in (0.0, 1e-310):
+        channel = GaussianChannel(T=np.diag([1.0, tiny]), d=np.zeros(2), R=np.eye(2))
+        with pytest.raises(SingularMatrixError):
+            generators_from_channel(channel, 1.0)
+
+
+def _oracle_channels(rng, plain=24, wide=8):
+    """(channel, dt) of random setups with 1-4 system and 1-4 ancilla modes:
+    `plain` draws whose T has every eigenvalue within a quarter turn,
+    `wide` with the largest |arg mu| in (pi/2, 0.98 pi)."""
+    found = {False: [], True: []}
+    while len(found[False]) < plain or len(found[True]) < wide:
+        n_sys, n_anc = (int(k) for k in rng.integers(1, 5, 2))
+        dt = float(rng.uniform(0.02, 4.0))
+        setup = random_joint_setup(rng, n_sys=n_sys, n_anc=n_anc, dt=dt)
+        channel = reduce_from_joint(setup)
+        angle = np.abs(np.angle(np.linalg.eigvals(channel.T))).max()
+        if angle < 0.98 * np.pi:
+            found[angle > np.pi / 2].append((channel, dt))
+    return found[False][:plain] + found[True][:wide]
+
+
+def _assert_entrywise_close(got, want, rtol=1e-10):
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+
+def test_generators_match_the_two_lift_oracle(rng):
+    for channel, dt in _oracle_channels(rng):
+        got, want = generators_from_channel(channel, dt), two_lift_generators(channel, dt)
+        for g, w in ((got.A, want.A), (got.b, want.b), (got.C, want.C)):
+            _assert_entrywise_close(g, w)
+
+
+def _damped_modes(rng, n_modes):
+    # exchange couplings with a thermal ancilla relax every mode
+    setup = JointSetup(
+        F_S=np.eye(2 * n_modes) + 0.3 * random_state_cov(rng, n_modes),
+        F_A=np.eye(2 * n_modes),
+        G=0.5 * np.eye(2 * n_modes),
+        alpha_S=rng.uniform(-1, 1, 2 * n_modes),
+        sigma_A0=random_state_cov(rng, n_modes),
+        dt=0.1,
+    )
+    channel = reduce_from_joint(setup)
+    assert np.abs(np.linalg.eigvals(channel.T)).max() < 1
+    return generators_from_channel(channel, setup.dt)
+
+
+def test_propagate_matches_the_two_lift_oracle(rng):
+    # the same generators through one exponential or two: at a few
+    # collisions for random setups, and out to t = 1e4 for relaxing ones
+    runs = [(two_lift_generators(ch, dt), (0.0, dt, 7 * dt)) for ch, dt in _oracle_channels(rng)]
+    long_times = (0.37, 10.0, 1e2, 1e3, 1e4)
+    runs += [(_damped_modes(rng, n), long_times) for n in (1, 2, 3, 4)]
+    runs += [(_damped_one_mode(), long_times), (_heating_one_mode(), long_times)]
+    for gen, times in runs:
+        for t in times:
+            got, want = propagate(gen, t), two_lift_propagate(gen, t)
+            for g, w in ((got.T, want.T), (got.d, want.d), (got.R, want.R)):
+                _assert_entrywise_close(g, w)
+
+
+def test_one_log_and_one_exponential_of_one_lift(rng, monkeypatch):
+    import rapidgauss.interpolation as interpolation
+
+    calls = []
+    for name in ("mat_log_principal", "mat_exp"):
+
+        def counting(m, name=name, kernel=getattr(interpolation, name)):
+            calls.append((name, m.shape))
+            return kernel(m)
+
+        monkeypatch.setattr(interpolation, name, counting)
+    setup = random_joint_setup(rng, n_sys=3, n_anc=2, dt=0.3)
+    gen = generators_from_channel(reduce_from_joint(setup), setup.dt)
+    assert calls == [("mat_log_principal", (13, 13))]
+    for t in (0.0, 0.3, 30.0):  # 30 takes doublings
+        calls.clear()
+        propagate(gen, t)
+        assert calls == [("mat_exp", (13, 13))]
 
 
 def test_generators_json_round_trip(rng):
