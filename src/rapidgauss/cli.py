@@ -13,6 +13,7 @@ logarithm, or a trajectory that overflows), 3 invariant violations.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,8 +281,8 @@ def cmd_evolve(cfg, out_path):
         raise ConfigError(f"unknown mode '{mode}'")
     dt = setup.dt
     substeps = _count("substeps", cfg.get("substeps", 10), 1) if mode == "interpolated" else 1
-    # each pass over the grid makes its times afresh, so none is stored
-    times = lambda: (k * dt / substeps for k in range(steps * substeps + 1))
+    marks = range(steps * substeps + 1)
+    times = (k * dt / substeps for k in marks)
     state0 = _initial_state(cfg, setup.n_sys)
     channel = reduce_from_joint(setup)
     cols = _state_columns(kind, setup.n_sys)
@@ -302,8 +303,9 @@ def cmd_evolve(cfg, out_path):
             trajectories.append(chain([identity_channel(setup.n_sys)], repeat(channel, steps)))
         if mode != "discrete":
             # the interpolated column comes from the generators alone
-            trajectories.append(gap_channels(generators_from_channel(channel, dt), times()))
-        _check_final(*(yield from _csv_rows(kind, times(), mean0, cov0, trajectories)))
+            gen = generators_from_channel(channel, dt)
+            trajectories.append(gap_channels(gen, marks, unit=dt / substeps))
+        _check_final(*(yield from _csv_rows(kind, times, mean0, cov0, trajectories)))
 
     _write_atomic(out_path, lines())
     return EXIT_OK
@@ -321,9 +323,9 @@ def cmd_thermalize(cfg, out_path):
 
     report = analyze(bath)
     count = min(steps + 1, max_rows)
-    indices = np.unique(np.linspace(0, steps, count).round().astype(int))
-    times = [int(n) * dt for n in indices]
-    gaps = gap_channels(first_order_generators(bath), times)
+    indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
+    times = [n * dt for n in indices]
+    gaps = gap_channels(first_order_generators(bath), indices, unit=dt)
     final = []
 
     def lines():
@@ -417,7 +419,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs more than a short job."""
     parser = _Parser(prog="rapidgauss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_out, takes_order, takes_seed in [

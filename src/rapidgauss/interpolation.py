@@ -22,7 +22,8 @@ negative real axis; propagation is one exponential of the same block.
 The generators are constant, so the flow is a semigroup: the channel over
 t + s is the channel over s composed with the channel over t.  Trajectories
 (:func:`flow_states`) therefore step from one requested time to the next
-with the channel of the gap between them (:func:`gap_channels`).
+with the channel of the gap between them (:func:`gap_channels`); on an
+evenly spaced grid every step is carried by one and the same channel.
 """
 
 from dataclasses import dataclass
@@ -154,37 +155,41 @@ def propagate(gen, t):
     return GaussianChannel(T=step, d=d, R=(r + r.T) / 2)
 
 
-def gap_channels(gen, times):
+def gap_channels(gen, marks, unit=1.0):
     """Yield the channels of the master-equation flow over the gaps between
-    `times`, reading the times one at a time.
+    the times `marks[k] * unit`, reading the marks one at a time.
 
-    The times are nondecreasing and measured from 0, so entry k is the
-    channel over times[k] - times[k-1], the first gap running from 0.  Each
-    distinct float gap is propagated once, so an evenly spaced grid of any
-    length costs about a dozen exponentials instead of one per time.
+    The marks are nondecreasing and measured from 0, so entry k is the
+    channel over (marks[k] - marks[k-1]) * unit, the first gap running from
+    0.  Each distinct mark difference is propagated once.  On a grid of
+    integer marks, such as the row indices of an evenly spaced trajectory,
+    that is one exponential per distinct step count, however long the grid;
+    float times with unit 1 give one exponential per distinct float gap.
 
-    Raises ValueError on reaching a time that decreases.
+    Raises ValueError on reaching a mark that decreases.
     """
     cache = {}
-    previous = 0.0
-    for k, t in enumerate(times):
-        if k and t < previous:
+    previous = 0
+    for k, mark in enumerate(marks):
+        if k and mark < previous:
             raise ValueError("times must be nondecreasing")
-        gap = t - previous
+        gap = mark - previous
         if gap not in cache:
-            cache[gap] = propagate(gen, gap)
+            cache[gap] = propagate(gen, gap * unit)
         yield cache[gap]
-        previous = t
+        previous = mark
 
 
 def flow_states(gen, state, times):
     """Yield the states of the master-equation flow from `state` at `times`.
 
     The times are nondecreasing and measured from the moment `state` holds.
-    The state at times[k] is the channel over the gap times[k] - times[k-1]
-    applied to the state at times[k-1] (:func:`gap_channels`).  The steps
-    run on stacked arrays in :func:`rapidgauss.channels.apply_sequence`;
-    each yielded state is then built, and so checked, as a GaussianState.
+    The state at times[k] is the channel over the float gap
+    times[k] - times[k-1] applied to the state at times[k-1]
+    (:func:`gap_channels` with unit 1), so each distinct float gap costs one
+    exponential.  The steps run on stacked arrays in
+    :func:`rapidgauss.channels.apply_sequence`; each yielded state is then
+    built, and so checked, as a GaussianState.
 
     Raises ValueError when the times decrease, as soon as iteration starts.
     """

@@ -30,6 +30,7 @@ _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
+# Relative tolerance of Tr(G^T G) = 2 det(G), the saturation condition.
 SATURATION_TOL = 1e-12
 
 
@@ -132,16 +133,17 @@ def analyze(setup):
 
     A fixed point exists iff det(G) > 0; it sits at nu_tilde with approach
     rate dt*det(G).  Cooling saturates (nu_infinity = nu_A) exactly when
-    Tr(G^T G) = 2 det(G).  The passivity flag records whether
-    beta_S(inf) E_S <= beta_A E_A, which the bound nu_tilde >= nu_A
-    guarantees whenever the fixed point exists.
+    Tr(G^T G) = 2 det(G), tested to SATURATION_TOL relative to Tr(G^T G)
+    so that the flag does not depend on the scale of G.  The passivity flag
+    records whether beta_S(inf) E_S <= beta_A E_A, which the bound
+    nu_tilde >= nu_A guarantees whenever the fixed point exists.
     """
     g = setup.G
     det_g = float(np.linalg.det(g))
     gram_trace = float(np.trace(g.T @ g))
     has_fp = det_g > 0
     nu_tilde = gram_trace / (2.0 * det_g) * setup.nu_A if has_fp else None
-    saturated = abs(gram_trace - 2.0 * det_g) <= SATURATION_TOL
+    saturated = abs(gram_trace - 2.0 * det_g) <= SATURATION_TOL * gram_trace
     passivity = None
     if has_fp:
         beta_sys = beta_from_nu(nu_tilde, setup.E_S) * setup.E_S
@@ -197,10 +199,13 @@ def simulate_first_order(setup, sigma0, times):
     nondecreasing times.
 
     The flow is linear with constant generators, so it is stepped from each
-    time to the next with the exact channel of the gap (no stepping error;
-    see :func:`rapidgauss.interpolation.gap_channels`).  `sigma0` is checked
-    once, as the covariance of a GaussianState; the steps run on stacked
-    arrays (:func:`rapidgauss.channels.apply_sequence`).  Returns a list of
+    time to the next with the exact channel of the gap (no stepping error),
+    one exponential per distinct float gap (see
+    :func:`rapidgauss.interpolation.gap_channels`; the CLI passes it integer
+    collision counts with unit dt instead, for one exponential per step
+    count).  `sigma0` is checked once, as the covariance of a GaussianState;
+    the steps run on stacked arrays
+    (:func:`rapidgauss.channels.apply_sequence`).  Returns a list of
     (t, CovCoefficients, purity) tuples.
     """
     gens = first_order_generators(setup)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rapidgauss import cli
 from rapidgauss.cli import main
 from rapidgauss.phasespace import (
     GaussianState,
@@ -241,6 +242,31 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", "x.csv"]) == 1
     assert main(["bogus-command"]) == 1
     capsys.readouterr()
+
+
+def test_argument_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    # one parser and its five subcommand parsers, for any number of calls
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    path = _write_config(tmp_path, _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=3))
+    for name in ("a.csv", "b.csv"):
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / name)]) == 0
+    assert len(built) <= 6
+    assert main(["--help"]) == 0
+    assert main(["bogus-command"]) == 1
+    help_text, usage_error = capsys.readouterr()
+    assert help_text.startswith("usage: rapidgauss [-h]") and "positional arguments" in help_text
+    assert "rapidgauss: error: argument command: invalid choice: 'bogus-command'" in usage_error
+    assert main(["--help"]) == 0
+    assert main(["bogus-command"]) == 1
+    assert tuple(capsys.readouterr()) == (help_text, usage_error)
+    assert len(built) <= 6
 
 
 def test_exit_code_branch_cut(tmp_path, capsys):

@@ -8,6 +8,7 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_sequence,
     channel_power,
     identity_channel,
     is_cptp,
@@ -31,7 +32,13 @@ from rapidgauss.phasespace import (
     symplectic_form,
 )
 from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
-from rapidgauss.thermalization import OscillatorBathSetup, first_order_generators
+from rapidgauss.thermalization import (
+    OscillatorBathSetup,
+    decompose_cov,
+    first_order_generators,
+    rwa_coupling,
+    to_joint_setup,
+)
 
 from helpers import (
     central_difference,
@@ -475,4 +482,73 @@ def test_cli_trajectories_propagate_once_per_distinct_gap(tmp_path, monkeypatch,
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
         assert len(grid) == 401
         assert 0 < len(calls) <= _distinct_gaps(grid) <= 16
+    capsys.readouterr()
+
+
+_CLI_BATH = {"kind": "oscillator_bath", "E_S": 1.2, "E_A": 1.0, "nu_A": 2.0,
+             "G": {"rwa": {"g1": 0.3, "gw": 0.1}}}
+
+
+def test_cli_trajectories_propagate_once_per_step_size(tmp_path, monkeypatch, capsys):
+    # on an evenly spaced grid every row is carried by the one-step channel,
+    # so a run needs the channels over no time and over one step
+    calls = []
+
+    def counting(gen, t):
+        calls.append(t)
+        return propagate(gen, t)
+
+    monkeypatch.setattr("rapidgauss.interpolation.propagate", counting)
+    runs = [
+        ("evolve", {"steps": 40, "substeps": 10, "mode": "interpolated"}),
+        ("evolve", {"steps": 400, "mode": "both"}),
+        ("thermalize", {"steps": 4000, "max_rows": 401}),
+    ]
+    for command, extra in runs:
+        calls.clear()
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dict({"setup": _CLI_BATH, "dt": 0.37}, **extra)))
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert 0 < len(calls) <= 2
+    capsys.readouterr()
+
+
+def _bath_rows(gen, step, count):
+    # CSV state columns of the flow from the vacuum, one step channel per row
+    channels = [propagate(gen, 0.0)] + [propagate(gen, step)] * (count - 1)
+    _, covs = apply_sequence(channels, np.zeros(2), np.eye(2))
+    coeffs = decompose_cov(covs)
+    return np.column_stack([coeffs.nu, coeffs.s_cross, coeffs.s_plus, 1.0 / np.linalg.det(covs)])
+
+
+def _read_rows(path):
+    # 17 significant digits read back to the same doubles
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in line.split(",")] for line in lines])
+
+
+def test_cli_trajectory_rows_are_the_one_step_channel_repeated(tmp_path, capsys):
+    # more rows than cli.BLOCK_ROWS, so the rows cross block boundaries
+    dt, steps, substeps = 0.37, 30, 7
+    bath = OscillatorBathSetup(E_S=1.2, E_A=1.0, nu_A=2.0, G=rwa_coupling(0.3, 0.1), dt=dt)
+
+    cfg = tmp_path / "evolve.json"
+    cfg.write_text(json.dumps({"setup": _CLI_BATH, "dt": dt, "steps": steps,
+                               "mode": "interpolated", "substeps": substeps}))
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    gen = generators_from_channel(reduce_from_joint(to_joint_setup(bath)), dt)
+    count = steps * substeps + 1
+    assert rows[:, 0].tolist() == [k * dt / substeps for k in range(count)]
+    assert np.array_equal(rows[:, 1:], _bath_rows(gen, dt / substeps, count))
+
+    cfg = tmp_path / "thermalize.json"
+    cfg.write_text(json.dumps({"setup": _CLI_BATH, "dt": dt, "steps": 4000, "max_rows": 401}))
+    out = tmp_path / "thermalize.csv"
+    assert main(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert rows[:, 0].tolist() == [int(n) * dt for n in range(0, 4001, 10)]
+    assert np.array_equal(rows[:, 1:], _bath_rows(first_order_generators(bath), 10 * dt, 401))
     capsys.readouterr()

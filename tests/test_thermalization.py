@@ -106,6 +106,21 @@ def test_analyze_effective_temperature():
     assert report.passivity_ok
 
 
+@pytest.mark.parametrize("g1,gw", [(300.0, 100.0), (123.4, 56.7)])
+def test_strong_exchange_coupling_saturates(g1, gw):
+    # Tr(G^T G) = 2 det G holds to rounding relative to |G|^2, at any scale
+    report = analyze(_bath(rwa_coupling(g1, gw), nu_A=2.0))
+    assert report.nu_tilde == pytest.approx(2.0, rel=1e-12)
+    assert report.cooling_saturated
+
+
+def test_weak_squeezing_coupling_does_not_saturate():
+    # |G|^2 ~ 1e-14 sits below any absolute tolerance, yet nu_tilde = 5/3 nu_A
+    report = analyze(_bath(ladder_coupling(1e-7, 5e-8), nu_A=2.0))
+    assert report.nu_tilde == pytest.approx(10.0 / 3.0, rel=1e-9)
+    assert not report.cooling_saturated
+
+
 def test_rwa_coupling_form(rng):
     assert_allclose(rwa_coupling(0.7, 0.0), 0.7 * np.eye(2))
     assert_allclose(rwa_coupling(0.0, 0.7), 0.7 * OMEGA2)
