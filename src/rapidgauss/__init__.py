@@ -28,6 +28,7 @@ from .channels import (
     channel_power,
     channel_taylor,
     compose,
+    hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
@@ -65,13 +66,9 @@ from .interpolation import (
 )
 from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import (
-    AffineSymplectic,
     GaussianState,
     QuadraticHamiltonian,
-    apply_affine,
     beta_from_nu,
-    compose_affine,
-    hamiltonian_flow,
     nu_from_beta,
     purity,
     symplectic_form,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channel_taylor
+from .channels import CP_TOL, channel_taylor
 from .errors import MalformedSeriesError
 from .interpolation import Generators, channel_lift, cp_differential_check, read_generators
 from .phasespace import symplectic_form
@@ -186,7 +186,7 @@ def closed_form_series(setup, order=2):
     return GeneratorSeries(A=a_coeffs, b=b_coeffs, C=c_coeffs)
 
 
-def truncated_cp_check(series, order, dt, tol=1e-9):
+def truncated_cp_check(series, order, dt, tol=CP_TOL):
     """Differential CP test on the series truncated at `order` and evaluated
     at step duration dt."""
     return cp_differential_check(series.truncate(order, dt), tol=tol)

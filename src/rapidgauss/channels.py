@@ -17,18 +17,18 @@ from .errors import (
     InvalidStateError,
     NonFiniteStateError,
 )
-from .linalg import min_eig_hermitian
+from .linalg import mat_exp, min_eig_hermitian
 from .phasespace import (
     GaussianState,
     QuadraticHamiltonian,
     _check_symmetric,
     _frozen_array,
-    hamiltonian_flow,
     symplectic_form,
     validate_state,
 )
 
-CPTP_TOL = 1e-9
+# how far below zero every positivity margin (channel or generator) may dip
+CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def apply_sequence(channels, mean, cov):
     return means, covs
 
 
-def is_cptp(channel, tol=CPTP_TOL):
+def is_cptp(channel, tol=CP_TOL):
     """Complete-positivity test: R - i(T Omega T^T - Omega) >= 0.
 
     Returns the smallest eigenvalue of that Hermitian matrix as the margin;
@@ -163,16 +163,17 @@ def compose(second, first):
 
 
 def channel_power(channel, n):
-    """n-fold composition of a channel with itself, by binary exponentiation."""
+    """n-fold composition of a channel with itself, by binary exponentiation;
+    the channel is squared only while bits of n remain."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     result = identity_channel(channel.n_modes)
-    base = channel
     while n:
         if n & 1:
-            result = compose(base, result)
-        base = compose(base, base)
+            result = compose(channel, result)
         n >>= 1
+        if n:
+            channel = compose(channel, channel)
     return result
 
 
@@ -253,21 +254,34 @@ class JointSetup:
         )
 
 
+def hamiltonian_flow(hamiltonian, t):
+    """Noiseless channel (R = 0) of a quadratic Hamiltonian over time t.
+
+    One exponential of the affine lift (QuadraticHamiltonian.affine_generator)
+    times t gives the symplectic T = exp(Omega F t) as its top-left block and
+    d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last column, with
+    no special casing of singular Omega F (free or partial Hamiltonians).
+    """
+    n = hamiltonian.F.shape[0]
+    flow = mat_exp(hamiltonian.affine_generator() * t)
+    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=np.zeros((n, n)))
+
+
 def reduce_from_joint(setup, dt=None):
     """Channel on the system alone from one joint evolution of duration dt.
 
     Takes the joint flow X -> M X + shift of the setup's Hamiltonian over dt
-    (:func:`rapidgauss.phasespace.hamiltonian_flow`, one exponential of the
-    affine lift), splits M into system/ancilla blocks M_SS, M_SA, and
-    returns T = M_SS, d = M_SA X_A0 + shift_S, R = M_SA sigma_A0 M_SA^T.
-    The output is CPTP whenever the ancilla state is valid.
+    (:func:`hamiltonian_flow`, M = flow.T), splits M into system/ancilla
+    blocks M_SS, M_SA, and returns T = M_SS, d = M_SA X_A0 + shift_S,
+    R = M_SA sigma_A0 M_SA^T.  The output is CPTP whenever the ancilla state
+    is valid.
     """
     if dt is None:
         dt = setup.dt
     ds = 2 * setup.n_sys
     flow = hamiltonian_flow(setup.hamiltonian, dt)
-    m_ss = flow.S[:ds, :ds]
-    m_sa = flow.S[:ds, ds:]
+    m_ss = flow.T[:ds, :ds]
+    m_sa = flow.T[:ds, ds:]
     d = m_sa @ setup.X_A0 + flow.d[:ds]
     r = m_sa @ setup.sigma_A0 @ m_sa.T
     return GaussianChannel(T=m_ss, d=d, R=(r + r.T) / 2)

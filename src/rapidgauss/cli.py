@@ -23,7 +23,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .bombardment import closed_form_series, generator_series_from_joint, truncated_cp_check
-from .channels import JointSetup, apply_sequence, identity_channel, reduce_from_joint
+from .channels import CP_TOL, JointSetup, apply_sequence, identity_channel, reduce_from_joint
 from .classifier import allowed_types, table_availability
 from .errors import (
     BranchCutError,
@@ -69,15 +69,19 @@ class InvariantViolation(Exception):
 
 
 def _write_atomic(path, lines):
-    """Write lines to path as they are produced, through a temporary file
-    that replaces path only once every line is written."""
+    """Write the lines of a generator to path as they are produced, through a
+    temporary file that replaces path once all are written; return its value."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rapidgauss-")
     try:
         with os.fdopen(fd, "w") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+            try:
+                while True:
+                    handle.write(next(lines) + "\n")
+            except StopIteration as stop:
+                result = stop.value
         os.replace(tmp, path)
+        return result
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -258,9 +262,11 @@ def _csv_rows(kind, times, mean, cov, trajectories):
 
 
 def _check_final(mean, cov):
-    check = validate_state(GaussianState(mean=mean, cov=cov))
+    state = GaussianState(mean=mean, cov=cov)
+    check = validate_state(state)
     if not check.ok:
         raise InvariantViolation(f"evolved state invalid: {check.message}")
+    return state
 
 
 def _count(key, value, low):
@@ -326,16 +332,14 @@ def cmd_thermalize(cfg, out_path):
     indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
     times = [n * dt for n in indices]
     gaps = gap_channels(first_order_generators(bath), indices, unit=dt)
-    final = []
 
     def lines():
         yield ",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])
         rows = _csv_rows("oscillator_bath", times, np.zeros(2), state0.cov, [gaps])
-        final.append((yield from rows))
+        return _check_final(*(yield from rows))
 
-    _write_atomic(out_path, lines())
-    _, cov = final[0]
-    payload = dict(report.to_dict(), final_nu_S=decompose_cov(cov).nu, t_final=times[-1])
+    final = _write_atomic(out_path, lines())
+    payload = dict(report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=times[-1])
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -369,7 +373,7 @@ def cmd_check_cp(cfg, order, seed):
         for k in range(order + 1):
             mins[k] = min(mins[k], truncated_cp_check(series, k, dt).margin)
     orders = [
-        {"order": k, "min_margin": mins[k], "all_cp": bool(mins[k] >= -1e-9)}
+        {"order": k, "min_margin": mins[k], "all_cp": bool(mins[k] >= -CP_TOL)}
         for k in range(order + 1)
     ]
     print(

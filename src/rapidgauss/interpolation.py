@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CpReport, GaussianChannel, apply_sequence
+from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, compose
 from .errors import DimensionMismatchError, SingularMatrixError
 from .linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
 from .phasespace import GaussianState, _check_symmetric, _frozen_array, symplectic_form
-
-CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,8 @@ def propagate(gen, t):
     [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
     s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  The
     step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; the
-    channel is then doubled k times through T(2s) = T(s)^2,
-    d(2s) = T(s) d(s) + d(s) and R(2s) = T(s) R(s) T(s)^T + R(s).
+    channel over s is then doubled k times by composing it with itself
+    (:func:`rapidgauss.channels.compose`), as the flow is a semigroup.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -147,12 +145,10 @@ def propagate(gen, t):
     lifted = mat_exp(channel_lift(top, m, 0.0) * (t / 2**doublings))
     step = lifted[n:-1, n:-1].T
     r = step @ lifted[:n, n:-1]
-    d = -step @ lifted[:n, -1]
+    channel = GaussianChannel(T=step, d=-step @ lifted[:n, -1], R=(r + r.T) / 2)
     for _ in range(doublings):
-        r = step @ r @ step.T + r
-        d = step @ d + d
-        step = step @ step
-    return GaussianChannel(T=step, d=d, R=(r + r.T) / 2)
+        channel = compose(channel, channel)
+    return channel
 
 
 def gap_channels(gen, marks, unit=1.0):

@@ -1,9 +1,11 @@
-"""Gaussian states on phase space and their unitary (symplectic-affine) flow.
+"""Gaussian states on phase space and the quadratic Hamiltonians that move them.
 
 A state of N modes is a mean vector of length 2N and a real symmetric 2N x 2N
 covariance matrix, in the quadrature ordering (q1, p1, ..., qN, pN) with
 dimensionless units in which [q, p] = i.  Valid states satisfy the
-uncertainty bound: cov + i*Omega is positive semi-definite.
+uncertainty bound: cov + i*Omega is positive semi-definite.  The flow of a
+quadratic Hamiltonian over a time t is the noiseless Gaussian channel
+:func:`rapidgauss.channels.hamiltonian_flow`.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
-from .linalg import block_upper, mat_exp, min_eig_hermitian
+from .linalg import block_upper, min_eig_hermitian
 
 # min eigenvalue of (cov + i Omega) may dip this far below zero, relative to
 # max(1, |cov|), before a state is called invalid; absorbs roundoff
@@ -109,36 +111,6 @@ class QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
-class AffineSymplectic:
-    """Phase-space map X -> S X + d with S preserving the symplectic form."""
-
-    S: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        _frozen_array(self, "S", self.S)
-        _frozen_array(self, "d", self.d)
-        if self.S.ndim != 2 or self.S.shape[0] != self.S.shape[1]:
-            raise DimensionMismatchError("S must be square")
-        n = self.S.shape[0]
-        if n % 2 != 0:
-            raise DimensionMismatchError("S must act on full modes (even dimension)")
-        if self.d.shape != (n,):
-            raise DimensionMismatchError("d length must match S")
-        omega = symplectic_form(n // 2)
-        resid = np.abs(self.S @ omega @ self.S.T - omega).max()
-        scale = max(1.0, float(np.abs(self.S).max()) ** 2)
-        if resid > 1e-9 * scale:
-            raise InvalidSetupError(
-                f"S does not preserve the symplectic form (residual {resid:.2e})"
-            )
-
-    @property
-    def n_modes(self):
-        return self.S.shape[0] // 2
-
-
-@dataclass(frozen=True)
 class StateValidation:
     """Outcome of the uncertainty-bound check."""
 
@@ -194,32 +166,3 @@ def beta_from_nu(nu, energy):
     if nu == 1.0:
         return np.inf
     return 2.0 * np.arctanh(1.0 / nu) / energy
-
-
-def hamiltonian_flow(hamiltonian, t):
-    """Symplectic-affine map generated by a quadratic Hamiltonian over time t.
-
-    One exponential of the affine lift (QuadraticHamiltonian.affine_generator)
-    times t gives S = exp(Omega F t) as its top-left block and
-    d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last column, with
-    no special casing of singular Omega F (free or partial Hamiltonians).
-    """
-    n = hamiltonian.F.shape[0]
-    flow = mat_exp(hamiltonian.affine_generator() * t)
-    return AffineSymplectic(S=flow[:n, :n], d=flow[:n, n])
-
-
-def apply_affine(state, transform):
-    """Apply a symplectic-affine map to a state."""
-    if transform.S.shape[0] != state.mean.size:
-        raise DimensionMismatchError("transform and state dimensions differ")
-    mean = transform.S @ state.mean + transform.d
-    cov = transform.S @ state.cov @ transform.S.T
-    return GaussianState(mean=mean, cov=(cov + cov.T) / 2)
-
-
-def compose_affine(second, first):
-    """Composite map applying `first` then `second`."""
-    if second.S.shape != first.S.shape:
-        raise DimensionMismatchError("transform dimensions differ")
-    return AffineSymplectic(S=second.S @ first.S, d=second.S @ first.d + second.d)

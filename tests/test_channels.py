@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from rapidgauss.channels import (
     channel_power,
     channel_taylor,
     compose,
+    hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
@@ -23,8 +26,6 @@ from rapidgauss.errors import (
 from rapidgauss.phasespace import (
     GaussianState,
     QuadraticHamiltonian,
-    apply_affine,
-    hamiltonian_flow,
     symplectic_form,
     validate_state,
 )
@@ -120,6 +121,18 @@ def test_channel_power(rng):
     assert_allclose(powered.R, chained.R, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [64, 65, 100])
+def test_channel_power_stops_squaring_at_the_top_bit(n):
+    # T^n is finite up to 1e300, but one more squaring past the top bit of n
+    # would form 1e384 and overflow
+    channel = GaussianChannel(T=np.diag([1e3, 1e-3]), d=np.zeros(2), R=np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powered = channel_power(channel, n)
+    assert_allclose(np.diag(powered.T), [1e3**n, 1e-3**n], rtol=1e-12)
+    assert not powered.d.any() and not powered.R.any()
+
+
 def test_reduce_decoupled_setup(rng):
     f_s = np.array([[1.2, 0.3], [0.3, 0.8]])
     alpha_s = np.array([0.4, -0.2])
@@ -134,7 +147,7 @@ def test_reduce_decoupled_setup(rng):
     )
     channel = reduce_from_joint(setup)
     flow = hamiltonian_flow(QuadraticHamiltonian(F=f_s, alpha=alpha_s), 0.3)
-    assert_allclose(channel.T, flow.S, atol=1e-13)
+    assert_allclose(channel.T, flow.T, atol=1e-13)
     assert_allclose(channel.d, flow.d, atol=1e-13)
     assert_allclose(channel.R, np.zeros((2, 2)), atol=1e-14)
 
@@ -163,7 +176,7 @@ def test_reduce_matches_joint_marginal(rng):
         f_sa = np.block([[setup.F_S, setup.G], [setup.G.T, setup.F_A]])
         alpha_sa = np.concatenate([setup.alpha_S, setup.alpha_A])
         ham = QuadraticHamiltonian(F=f_sa, alpha=alpha_sa)
-        evolved = apply_affine(joint_state, hamiltonian_flow(ham, setup.dt))
+        evolved = apply(hamiltonian_flow(ham, setup.dt), joint_state)
 
         out = apply(reduce_from_joint(setup), sys_state)
         assert_allclose(out.mean, evolved.mean[:ds], atol=1e-11)

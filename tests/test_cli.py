@@ -9,12 +9,10 @@ from numpy.testing import assert_allclose
 
 from rapidgauss import cli
 from rapidgauss.cli import main
-from rapidgauss.phasespace import (
-    GaussianState,
-    QuadraticHamiltonian,
-    apply_affine,
-    hamiltonian_flow,
-)
+from rapidgauss.channels import apply, hamiltonian_flow
+from rapidgauss.interpolation import Generators
+from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
+from rapidgauss.thermalization import first_order_generators
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -69,7 +67,7 @@ def test_evolve_decoupled_matches_free_flow(tmp_path):
     state = GaussianState(mean=np.zeros(2), cov=np.eye(2))
     for row in data:
         t = row[0]
-        expected = apply_affine(state, hamiltonian_flow(ham, t))
+        expected = apply(hamiltonian_flow(ham, t), state)
         assert_allclose(row[1:3], expected.mean, atol=1e-12)
         assert_allclose(
             row[3:6],
@@ -148,6 +146,23 @@ def test_thermalize_ladder_coupling(tmp_path, capsys):
     assert main(["thermalize", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["nu_infinity"] == pytest.approx(5.0, rel=1e-9)
+
+
+def test_thermalize_checks_its_final_state(tmp_path, monkeypatch, capsys):
+    # negative noise drives the covariance below the uncertainty bound; the
+    # final state is checked as in evolve, so no CSV and no report appear
+    def negative_noise(bath):
+        gen = first_order_generators(bath)
+        return Generators(A=gen.A, b=gen.b, C=-0.5 * np.eye(2))
+
+    monkeypatch.setattr(cli, "first_order_generators", negative_noise)
+    cfg = _bath_cfg({"rwa": {"g1": 0.3, "gw": 0.1}}, steps=4000, dt=0.1, max_rows=401)
+    out = tmp_path / "traj.csv"
+    assert main(["thermalize", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "evolved state invalid" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_check_cp_single_setup(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rapidgauss.channels import (
     apply,
     apply_sequence,
     channel_power,
+    hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
@@ -25,12 +26,7 @@ from rapidgauss.interpolation import (
     propagate,
 )
 from rapidgauss.linalg import mat_exp
-from rapidgauss.phasespace import (
-    GaussianState,
-    QuadraticHamiltonian,
-    hamiltonian_flow,
-    symplectic_form,
-)
+from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian, symplectic_form
 from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
@@ -51,17 +47,11 @@ from helpers import (
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _flow_channel(hamiltonian, t):
-    flow = hamiltonian_flow(hamiltonian, t)
-    n = flow.S.shape[0]
-    return GaussianChannel(T=flow.S, d=flow.d, R=np.zeros((n, n)))
-
-
 def test_generators_invert_pure_hamiltonian_flow(rng):
     f = rng.uniform(-1, 1, (4, 4))
     ham = QuadraticHamiltonian(F=(f + f.T) / 2, alpha=rng.uniform(-1, 1, 4))
     dt = 0.05
-    gens = generators_from_channel(_flow_channel(ham, dt), dt)
+    gens = generators_from_channel(hamiltonian_flow(ham, dt), dt)
     assert_allclose(gens.A, ham.F, atol=1e-11)
     assert_allclose(gens.b, ham.alpha, atol=1e-11)
     assert_allclose(gens.C, np.zeros((4, 4)), atol=1e-13)
@@ -100,7 +90,7 @@ def test_propagate_unitary_matches_hamiltonian_flow(rng):
     t = 0.9
     channel = propagate(gens, t)
     flow = hamiltonian_flow(ham, t)
-    assert_allclose(channel.T, flow.S, atol=1e-12)
+    assert_allclose(channel.T, flow.T, atol=1e-12)
     assert_allclose(channel.d, flow.d, atol=1e-12)
     assert_allclose(channel.R, np.zeros((4, 4)), atol=1e-14)
 
@@ -282,7 +272,7 @@ def test_drift_generator_cross_check_via_embedding(rng):
 def test_branch_cut_surfaces_for_large_steps():
     # a half-turn per step puts the eigenvalues of T exactly on the cut
     ham = QuadraticHamiltonian(F=np.eye(2))
-    channel = _flow_channel(ham, np.pi)
+    channel = hamiltonian_flow(ham, np.pi)
     with pytest.raises(BranchCutError):
         generators_from_channel(channel, np.pi)
 

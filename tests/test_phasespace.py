@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rapidgauss.channels import GaussianChannel, apply, compose, hamiltonian_flow
 from rapidgauss.errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
 from rapidgauss.phasespace import (
-    AffineSymplectic,
     GaussianState,
     QuadraticHamiltonian,
-    apply_affine,
     beta_from_nu,
-    compose_affine,
-    hamiltonian_flow,
     nu_from_beta,
     purity,
     symplectic_form,
@@ -96,7 +93,7 @@ def test_hamiltonian_flow_rotation():
     expected = np.array(
         [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
     )
-    assert_allclose(flow.S, expected, atol=1e-14)
+    assert_allclose(flow.T, expected, atol=1e-14)
     assert_allclose(flow.d, np.zeros(2), atol=1e-15)
 
 
@@ -104,7 +101,7 @@ def test_hamiltonian_flow_pure_drift():
     alpha = np.array([0.3, -1.2])
     h = QuadraticHamiltonian(F=np.zeros((2, 2)), alpha=alpha)
     flow = hamiltonian_flow(h, 2.5)
-    assert_allclose(flow.S, np.eye(2))
+    assert_allclose(flow.T, np.eye(2))
     assert_allclose(flow.d, 2.5 * OMEGA2 @ alpha, atol=1e-15)
 
 
@@ -116,13 +113,13 @@ def test_hamiltonian_flow_matches_equations_of_motion(rng):
     state = GaussianState(mean=rng.uniform(-1, 1, 4), cov=2.0 * np.eye(4))
 
     def mean_at(t):
-        return apply_affine(state, hamiltonian_flow(h, t)).mean
+        return apply(hamiltonian_flow(h, t), state).mean
 
     def cov_at(t):
-        return apply_affine(state, hamiltonian_flow(h, t)).cov
+        return apply(hamiltonian_flow(h, t), state).cov
 
     t0 = 0.6
-    middle = apply_affine(state, hamiltonian_flow(h, t0))
+    middle = apply(hamiltonian_flow(h, t0), state)
     expected_dmean = omega @ (h.F @ middle.mean + h.alpha)
     gen = omega @ h.F
     expected_dcov = gen @ middle.cov + middle.cov @ gen.T
@@ -136,7 +133,7 @@ def test_flow_is_symplectic(rng):
         h = QuadraticHamiltonian(F=(f + f.T) / 2)
         flow = hamiltonian_flow(h, rng.uniform(0.1, 2.0))
         omega = symplectic_form(2)
-        assert np.abs(flow.S @ omega @ flow.S.T - omega).max() < 1e-9
+        assert np.abs(flow.T @ omega @ flow.T.T - omega).max() < 1e-9
 
 
 def test_flow_composition_group_property(rng):
@@ -145,36 +142,32 @@ def test_flow_composition_group_property(rng):
     one = hamiltonian_flow(h, 0.7)
     two = hamiltonian_flow(h, 0.5)
     both = hamiltonian_flow(h, 1.2)
-    composed = compose_affine(two, one)
-    assert_allclose(composed.S, both.S, atol=1e-10)
+    composed = compose(two, one)
+    assert_allclose(composed.T, both.T, atol=1e-10)
     assert_allclose(composed.d, both.d, atol=1e-10)
 
 
-def test_apply_affine_identity_and_rotation():
+def test_apply_flow_identity_and_rotation():
     state = GaussianState(mean=np.array([1.0, -2.0]), cov=np.eye(2))
-    ident = AffineSymplectic(S=np.eye(2), d=np.zeros(2))
-    same = apply_affine(state, ident)
+    ident = GaussianChannel(T=np.eye(2), d=np.zeros(2), R=np.zeros((2, 2)))
+    same = apply(ident, state)
     assert_allclose(same.mean, state.mean)
     assert_allclose(same.cov, state.cov)
 
     rot = hamiltonian_flow(QuadraticHamiltonian(F=np.eye(2)), 1.3)
     vacuum = GaussianState(mean=np.zeros(2), cov=np.eye(2))
-    rotated = apply_affine(vacuum, rot)
+    rotated = apply(rot, vacuum)
     assert_allclose(rotated.cov, np.eye(2), atol=1e-14)
 
 
-def test_apply_affine_preserves_purity_and_validity(rng):
+def test_apply_flow_preserves_purity_and_validity(rng):
     state = GaussianState(mean=np.zeros(4), cov=np.diag([1.0, 1.0, 3.0, 3.0]))
     for _ in range(10):
         s = random_symplectic(rng, 2, 0.8)
-        moved = apply_affine(state, AffineSymplectic(S=s, d=rng.uniform(-1, 1, 4)))
+        flow = GaussianChannel(T=s, d=rng.uniform(-1, 1, 4), R=np.zeros((4, 4)))
+        moved = apply(flow, state)
         assert validate_state(moved).ok
         assert purity(moved) == pytest.approx(purity(state), rel=1e-10)
-
-
-def test_affine_symplectic_rejects_non_symplectic():
-    with pytest.raises(InvalidSetupError):
-        AffineSymplectic(S=0.5 * np.eye(2), d=np.zeros(2))
 
 
 def test_state_shape_checks():
@@ -183,9 +176,9 @@ def test_state_shape_checks():
     with pytest.raises(DimensionMismatchError):
         GaussianState(mean=np.zeros(2), cov=np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        apply_affine(
+        apply(
+            GaussianChannel(T=np.eye(2), d=np.zeros(2), R=np.zeros((2, 2))),
             GaussianState(mean=np.zeros(4), cov=np.eye(4)),
-            AffineSymplectic(S=np.eye(2), d=np.zeros(2)),
         )
 
 
