@@ -51,7 +51,6 @@ from .errors import (
     InvalidStateError,
     MalformedSeriesError,
     NonFiniteStateError,
-    NotHermitianError,
     RapidGaussError,
     SingularMatrixError,
 )
@@ -64,7 +63,7 @@ from .interpolation import (
     master_rhs,
     propagate,
 )
-from .linalg import mat_exp, mat_log_principal, min_eig_hermitian
+from .linalg import mat_exp, mat_log_principal, psd_margin
 from .phasespace import (
     GaussianState,
     QuadraticHamiltonian,

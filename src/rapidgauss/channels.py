@@ -17,10 +17,11 @@ from .errors import (
     InvalidStateError,
     NonFiniteStateError,
 )
-from .linalg import mat_exp, min_eig_hermitian
+from .linalg import mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
     QuadraticHamiltonian,
+    _NoisyAffineMap,
     _check_symmetric,
     _frozen_array,
     symplectic_form,
@@ -32,38 +33,12 @@ CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GaussianChannel:
+class GaussianChannel(_NoisyAffineMap):
     """One Gaussian update step: mean -> T mean + d, cov -> T cov T^T + R."""
 
     T: np.ndarray
     d: np.ndarray
     R: np.ndarray
-
-    def __post_init__(self):
-        _frozen_array(self, "T", self.T)
-        _frozen_array(self, "d", self.d)
-        _frozen_array(self, "R", self.R)
-        if self.T.ndim != 2 or self.T.shape[0] != self.T.shape[1]:
-            raise DimensionMismatchError("T must be square")
-        n = self.T.shape[0]
-        if n % 2 != 0:
-            raise DimensionMismatchError("T must act on full modes (even dimension)")
-        if self.d.shape != (n,) or self.R.shape != (n, n):
-            raise DimensionMismatchError("d and R must match T")
-        _check_symmetric(self.R, "noise matrix R")
-
-    @property
-    def n_modes(self):
-        return self.T.shape[0] // 2
-
-    def to_dict(self):
-        return {"T": self.T.tolist(), "d": self.d.tolist(), "R": self.R.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(
-            T=np.asarray(obj["T"]), d=np.asarray(obj["d"]), R=np.asarray(obj["R"])
-        )
 
 
 @dataclass(frozen=True)
@@ -141,14 +116,12 @@ def apply_sequence(channels, mean, cov):
 def is_cptp(channel, tol=CP_TOL):
     """Complete-positivity test: R - i(T Omega T^T - Omega) >= 0.
 
-    Returns the smallest eigenvalue of that Hermitian matrix as the margin;
-    the channel is CPTP when the margin is >= -tol.
+    Returns the smallest eigenvalue of that Hermitian matrix
+    (:func:`rapidgauss.linalg.psd_margin`) as the margin; the channel is CPTP
+    when the margin is >= -tol.
     """
     omega = symplectic_form(channel.n_modes)
-    twist = channel.T @ omega @ channel.T.T - omega
-    twist = (twist - twist.T) / 2
-    herm = (channel.R + channel.R.T) / 2 - 1j * twist
-    margin = min_eig_hermitian(herm, hermitian_tol=1e-8)
+    margin = psd_margin(channel.R, channel.T @ omega @ channel.T.T - omega)
     return CpReport(ok=margin >= -tol, margin=margin)
 
 
@@ -163,18 +136,21 @@ def compose(second, first):
 
 
 def channel_power(channel, n):
-    """n-fold composition of a channel with itself, by binary exponentiation;
-    the channel is squared only while bits of n remain."""
+    """n-fold composition of a channel with itself, by binary exponentiation.
+    The result starts from its first factor, not the identity, and the
+    channel is squared only while bits of n remain: n = 2^k is k squarings."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = identity_channel(channel.n_modes)
-    while n:
+    if n == 0:
+        return identity_channel(channel.n_modes)
+    result = None
+    while True:
         if n & 1:
-            result = compose(channel, result)
+            result = channel if result is None else compose(channel, result)
         n >>= 1
-        if n:
-            channel = compose(channel, channel)
-    return result
+        if not n:
+            return result
+        channel = compose(channel, channel)
 
 
 def trajectory(channel, state, steps):

@@ -22,10 +22,6 @@ class BranchCutError(RapidGaussError):
     """
 
 
-class NotHermitianError(RapidGaussError, ValueError):
-    """Input to a Hermitian-only routine is not Hermitian within tolerance."""
-
-
 class NonFiniteStateError(RapidGaussError, ValueError):
     """Propagated moments overflowed the float range: the state has
     non-finite entries.

@@ -30,45 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, compose
+from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, channel_power
 from .errors import DimensionMismatchError, SingularMatrixError
-from .linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
-from .phasespace import GaussianState, _check_symmetric, _frozen_array, symplectic_form
+from .linalg import block_upper, mat_exp, mat_log_principal, psd_margin
+from .phasespace import GaussianState, _NoisyAffineMap, symplectic_form
 
 
 @dataclass(frozen=True)
-class Generators:
+class Generators(_NoisyAffineMap):
     """Master-equation generators (A, b, C); C is symmetric noise."""
 
     A: np.ndarray
     b: np.ndarray
     C: np.ndarray
-
-    def __post_init__(self):
-        _frozen_array(self, "A", self.A)
-        _frozen_array(self, "b", self.b)
-        _frozen_array(self, "C", self.C)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise DimensionMismatchError("A must be square")
-        n = self.A.shape[0]
-        if n % 2 != 0:
-            raise DimensionMismatchError("A must act on full modes (even dimension)")
-        if self.b.shape != (n,) or self.C.shape != (n, n):
-            raise DimensionMismatchError("b and C must match A")
-        _check_symmetric(self.C, "noise generator C")
-
-    @property
-    def n_modes(self):
-        return self.A.shape[0] // 2
-
-    def to_dict(self):
-        return {"A": self.A.tolist(), "b": self.b.tolist(), "C": self.C.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(
-            A=np.asarray(obj["A"]), b=np.asarray(obj["b"]), C=np.asarray(obj["C"])
-        )
 
 
 def channel_lift(top, forward, corner):
@@ -130,9 +104,9 @@ def propagate(gen, t):
     With M = Omega A, the exponential E of the generator lift
     [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
     s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  The
-    step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; the
-    channel over s is then doubled k times by composing it with itself
-    (:func:`rapidgauss.channels.compose`), as the flow is a semigroup.
+    step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; as the
+    flow is a semigroup, the channel over t is its 2^k-th power
+    (:func:`rapidgauss.channels.channel_power`), k squarings.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -146,9 +120,7 @@ def propagate(gen, t):
     step = lifted[n:-1, n:-1].T
     r = step @ lifted[:n, n:-1]
     channel = GaussianChannel(T=step, d=-step @ lifted[:n, -1], R=(r + r.T) / 2)
-    for _ in range(doublings):
-        channel = compose(channel, channel)
-    return channel
+    return channel_power(channel, 2**doublings)
 
 
 def gap_channels(gen, marks, unit=1.0):
@@ -197,13 +169,12 @@ def flow_states(gen, state, times):
 def cp_differential_check(gen, tol=CP_TOL):
     """Differential complete-positivity test: C - i Omega (A - A^T) Omega >= 0.
 
-    The margin is the smallest eigenvalue of that Hermitian matrix; passing
-    implies C itself is positive semi-definite.
+    The margin is the smallest eigenvalue of that Hermitian matrix
+    (:func:`rapidgauss.linalg.psd_margin`); passing implies C itself is
+    positive semi-definite.
     """
     omega = symplectic_form(gen.n_modes)
-    anti = omega @ (gen.A - gen.A.T) @ omega
-    herm = (gen.C + gen.C.T) / 2 - 1j * (anti - anti.T) / 2
-    margin = min_eig_hermitian(herm, hermitian_tol=1e-8)
+    margin = psd_margin(gen.C, omega @ (gen.A - gen.A.T) @ omega)
     return CpReport(ok=margin >= -tol, margin=margin)
 
 

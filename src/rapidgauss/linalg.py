@@ -2,22 +2,15 @@
 
 Provides the matrix exponential, the principal matrix logarithm, the block
 upper-triangular lift [[a, b], [0, c]] that both are taken of, and the
-smallest eigenvalue of a Hermitian matrix.  Everything is pure, operates on
-small dense arrays, and is safe to call concurrently.
+margin of the uncertainty bound that states, channels and generators all
+satisfy.  Everything is pure, operates on small dense arrays, and is safe to
+call concurrently.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    BranchCutError,
-    DimensionMismatchError,
-    NotHermitianError,
-    SingularMatrixError,
-)
-
-# Default absolute tolerance for kernel postconditions.
-DEFAULT_TOL = 1e-10
+from .errors import BranchCutError, DimensionMismatchError, SingularMatrixError
 
 # Eigenvector condition number above which eigendecompositions are not
 # trusted and Schur-based fallbacks are used instead.
@@ -86,14 +79,18 @@ def block_upper(a, b, c):
     return out
 
 
-def min_eig_hermitian(m, hermitian_tol=DEFAULT_TOL):
-    """Smallest eigenvalue of a Hermitian matrix.
+def psd_margin(noise, twist):
+    """Smallest eigenvalue of the Hermitian sym(noise) - i antisym(twist).
 
-    Raises NotHermitianError when the input deviates from its conjugate
-    transpose by more than hermitian_tol relative to max(1, norm).
+    This is the uncertainty bound of states (cov, -Omega), of channels
+    (R, T Omega T^T - Omega) and of generators (C, Omega (A - A^T) Omega).
+    The parts are formed as noise/2 + noise^T/2 and twist/2 - twist^T/2, so
+    entries near the float limit do not overflow.  Raises
+    DimensionMismatchError for non-square or unequal shapes and ValueError
+    for non-finite entries.
     """
-    a = _as_square(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.conj().T).max() > hermitian_tol * scale:
-        raise NotHermitianError("input is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
+    s, k = _as_square(noise, "noise"), _as_square(twist, "twist")
+    if s.shape != k.shape:
+        raise DimensionMismatchError(f"noise {s.shape} and twist {k.shape} differ in shape")
+    herm = (s / 2 + s.T / 2) - 1j * (k / 2 - k.T / 2)
+    return float(np.linalg.eigvalsh(herm)[0])

@@ -8,12 +8,12 @@ quadratic Hamiltonian over a time t is the noiseless Gaussian channel
 :func:`rapidgauss.channels.hamiltonian_flow`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
-from .linalg import block_upper, min_eig_hermitian
+from .linalg import block_upper, psd_margin
 
 # min eigenvalue of (cov + i Omega) may dip this far below zero, relative to
 # max(1, |cov|), before a state is called invalid; absorbs roundoff
@@ -43,6 +43,35 @@ def _check_symmetric(m, what, tol=1e-12, exc=InvalidSetupError):
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > tol * scale:
         raise exc(f"{what} must be symmetric")
+
+
+class _NoisyAffineMap:
+    """Base of the frozen dataclasses that declare three array fields, a
+    matrix, a shift and a symmetric noise, such as channels (T, d, R) and
+    generators (A, b, C).  Their JSON form maps each field name to lists."""
+
+    def __post_init__(self):
+        m, v, r = names = [f.name for f in fields(self)]
+        for name in names:
+            _frozen_array(self, name, getattr(self, name))
+        matrix, shift, noise = (getattr(self, name) for name in names)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+            raise DimensionMismatchError(f"{m} must be square of even dimension (full modes)")
+        n = matrix.shape[0]
+        if shift.shape != (n,) or noise.shape != (n, n):
+            raise DimensionMismatchError(f"{v} and {r} must match {m}")
+        _check_symmetric(noise, f"noise {r}")
+
+    @property
+    def n_modes(self):
+        return getattr(self, fields(self)[0].name).shape[0] // 2
+
+    def to_dict(self):
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, obj):
+        return cls(**{f.name: np.asarray(obj[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -121,9 +150,7 @@ class StateValidation:
 
 def validate_state(state, tol=STATE_TOL):
     """Check the uncertainty bound: min eig of (cov + i Omega) >= -tol*scale."""
-    omega = symplectic_form(state.n_modes)
-    m = state.cov + 1j * omega
-    low = min_eig_hermitian(m, hermitian_tol=1e-8)
+    low = psd_margin(state.cov, -symplectic_form(state.n_modes))
     scale = max(1.0, float(np.abs(state.cov).max()))
     if low >= -tol * scale:
         return StateValidation(ok=True, min_eig=low)

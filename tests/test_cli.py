@@ -408,9 +408,18 @@ def _malformed_configs():
         yield command, "rwa-list", dict(good, setup=dict(good["setup"], G={"rwa": [0.1]}))
         yield command, "energy-nan", dict(good, setup=dict(good["setup"], E_S=float("nan")))
         yield command, "nu-infinity", dict(good, setup=dict(good["setup"], nu_A=float("inf")))
+        yield command, "dt-huge-integer", dict(good, dt=10**400)
+        # scalars are JSON numbers: no bools, no numeric strings
+        yield command, "dt-bool", dict(good, dt=True)
+        yield command, "energy-string", dict(good, setup=dict(good["setup"], E_S="1.0"))
+        rwa = {"rwa": {"g1": 0.1, "gw": False}}
+        yield command, "rwa-bool", dict(good, setup=dict(good["setup"], G=rwa))
+        ladder = {"ladder": {"g": {"re": "0.1", "im": 0.0}, "h": {"re": 0.0, "im": 0.0}}}
+        yield command, "ladder-string", dict(good, setup=dict(good["setup"], G=ladder))
     for command in ("evolve", "thermalize"):
         yield command, "initial-state-string", dict(good, initial_state="x")
         yield command, "mean-object", dict(good, initial_state={"mean": {}, "cov": [[1, 0], [0, 1]]})
+    yield "check-cp", "sweep-scale-bool", {"dt": 0.1, "sweep": {"count": 2, "scale": True}}
     joint = _free_joint_cfg(steps=5)
     for command in ("evolve", "check-cp", "classify", "series"):
         yield command, "matrix-object", dict(joint, setup=dict(joint["setup"], F_S={"a": 1}))
@@ -435,6 +444,23 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, cf
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bath_near_the_float_limit_keeps_a_finite_uncertainty_margin(tmp_path, capsys):
+    # nu_A = 1e308 is a valid thermal ancilla, but cov + cov^T overflows
+    cfg = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5, dt=0.1, nu_A=1e308)
+    path = _write_config(tmp_path, cfg)
+    assert main(["series", "--config", path, "--order", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["coefficients"]) == 3
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        # the trajectory itself overflows, and scipy's expm warns on the way
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["thermalize", "--config", path, "--out", str(out)]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
     assert not out.exists()
 
 

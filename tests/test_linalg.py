@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss.errors import BranchCutError, NotHermitianError, SingularMatrixError
-from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal, min_eig_hermitian
+from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMatrixError
+from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal, psd_margin
 
 from helpers import expm1_div_series, logm_div_series
 
@@ -137,11 +137,24 @@ def test_tensor_log_identity(rng):
         assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_min_eig_hermitian():
-    assert min_eig_hermitian(np.eye(3)) == pytest.approx(1.0)
-    assert min_eig_hermitian(np.diag([2.0, -3.0])) == pytest.approx(-3.0)
-    # vacuum uncertainty matrix: eigenvalues 1 +- 1
-    vacuum = np.eye(2) + 1j * OMEGA2
-    assert min_eig_hermitian(vacuum) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(NotHermitianError):
-        min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_psd_margin():
+    assert psd_margin(np.eye(3), np.zeros((3, 3))) == pytest.approx(1.0)
+    assert psd_margin(np.diag([2.0, -3.0]), np.zeros((2, 2))) == pytest.approx(-3.0)
+    # vacuum uncertainty matrix 1 + i Omega: eigenvalues 1 +- 1
+    assert psd_margin(np.eye(2), -OMEGA2) == pytest.approx(0.0, abs=1e-12)
+    # only sym(noise) and antisym(twist) count
+    assert psd_margin(np.eye(2) + OMEGA2, -OMEGA2 + np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        psd_margin(np.eye(2), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatchError):
+        psd_margin(np.ones((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        psd_margin(np.eye(2), np.full((2, 2), np.nan))
+
+
+def test_psd_margin_does_not_overflow_near_the_float_limit():
+    # the vacuum bound scaled to the largest floats: the sums cov + cov^T
+    # and twist - twist^T would overflow, their halves do not
+    big = 1.5e308
+    assert psd_margin(big * np.eye(2), -big * OMEGA2) == pytest.approx(0.0, abs=1e-12 * big)
+    assert psd_margin(big * np.eye(2), -OMEGA2) == pytest.approx(big)
