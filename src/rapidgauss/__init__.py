@@ -32,7 +32,6 @@ from .channels import (
     identity_channel,
     is_cptp,
     reduce_from_joint,
-    trajectory,
 )
 from .classifier import (
     DYNAMICS_TYPES,
@@ -60,7 +59,6 @@ from .interpolation import (
     flow_states,
     gap_channels,
     generators_from_channel,
-    master_rhs,
     propagate,
 )
 from .linalg import mat_exp, mat_log_principal, psd_margin
@@ -79,7 +77,6 @@ from .thermalization import (
     OscillatorBathSetup,
     ThermalReport,
     analyze,
-    coefficient_rhs,
     decompose_cov,
     discrete_asymptote,
     first_order_generators,

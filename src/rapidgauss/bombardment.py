@@ -4,8 +4,11 @@ For a bombardment setup the reduced channel is analytic in dt, and the
 interpolation generators inherit a series A = A_0 + dt A_1 + ..., with
 closed forms for the first three orders and a mechanical construction
 (the logarithm series of the lifted channel series) at any order.
-The even-order A coefficients are symmetric (unitary effects), the odd ones
-antisymmetric (non-unitary effects).
+The CLI takes every order from the mechanical route; the closed forms are
+the paper's formulas, the reference the route is tested against, and the
+source of the first-order oscillator-bath analysis.  The even-order A
+coefficients are symmetric (unitary effects), the odd ones antisymmetric
+(non-unitary effects).
 
 Also houses the purification predicates: whether a generator can increase
 purity at all, and whether a coupling can do so at leading order.
@@ -15,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CP_TOL, channel_taylor
+from .channels import channel_taylor
 from .errors import MalformedSeriesError
 from .interpolation import Generators, channel_lift, cp_differential_check, read_generators
 from .phasespace import symplectic_form
 
+# how far below zero a purification value must fall to count; absorbs roundoff
 PURIFY_TOL = 1e-12
 
 
@@ -95,7 +99,7 @@ def _inverse_series(t_series, order):
     return inv
 
 
-def series_from_channel_series(t_series, d_series, r_series, order=None):
+def series_from_channel_series(t_series, d_series, r_series, order):
     """Generator series from a channel series (T_k, d_k, R_k).
 
     Lifts the channel series to the series of the channel lift
@@ -114,8 +118,6 @@ def series_from_channel_series(t_series, d_series, r_series, order=None):
     n = t_series[0].shape[0]
     if max(np.abs(m).max() for m in (t_series[0] - np.eye(n), d_series[0], r_series[0])) > 1e-12:
         raise MalformedSeriesError("channel series must start from the trivial channel")
-    if order is None:
-        order = len(t_series) - 2
     if order < 0:
         raise ValueError("order must be nonnegative")
     if min(len(t_series), len(d_series), len(r_series)) < order + 2:
@@ -186,13 +188,13 @@ def closed_form_series(setup, order=2):
     return GeneratorSeries(A=a_coeffs, b=b_coeffs, C=c_coeffs)
 
 
-def truncated_cp_check(series, order, dt, tol=CP_TOL):
+def truncated_cp_check(series, order, dt):
     """Differential CP test on the series truncated at `order` and evaluated
-    at step duration dt."""
-    return cp_differential_check(series.truncate(order, dt), tol=tol)
+    at step duration dt (:func:`rapidgauss.interpolation.cp_differential_check`)."""
+    return cp_differential_check(series.truncate(order, dt))
 
 
-def can_purify(a, tol=PURIFY_TOL):
+def can_purify(a):
     """Whether dynamics with drift matrix A can increase any state's purity.
 
     Holds exactly when trace(Omega A) is negative; symmetric (unitary) A
@@ -200,23 +202,22 @@ def can_purify(a, tol=PURIFY_TOL):
     """
     a = np.asarray(a)
     omega = symplectic_form(a.shape[0] // 2)
-    return float(np.trace(omega @ a)) < -tol
+    return float(np.trace(omega @ a)) < -PURIFY_TOL
 
 
-def first_order_purify(g, omega_s=None, omega_a=None, tol=PURIFY_TOL):
+def first_order_purify(g):
     """Leading-order purification test for a coupling block G.
 
-    Returns (flag, value) with value = (1/2) trace(Omega_S G Omega_A G^T);
-    purification at leading order requires a negative value.  Rank-one
-    couplings always give exactly zero.
+    Returns (flag, value) with value = (1/2) trace(Omega_S G Omega_A G^T),
+    the symplectic forms sized by the shape of G; purification at leading
+    order requires a value below -PURIFY_TOL.  Rank-one couplings always
+    give exactly zero.
     """
     g = np.asarray(g, dtype=float)
-    if omega_s is None:
-        omega_s = symplectic_form(g.shape[0] // 2)
-    if omega_a is None:
-        omega_a = symplectic_form(g.shape[1] // 2)
+    omega_s = symplectic_form(g.shape[0] // 2)
+    omega_a = symplectic_form(g.shape[1] // 2)
     value = 0.5 * float(np.trace(omega_s @ g @ omega_a @ g.T))
-    return value < -tol, value
+    return value < -PURIFY_TOL, value
 
 
 def rank_one_coupling(u, v):

@@ -113,16 +113,16 @@ def apply_sequence(channels, mean, cov):
     return means, covs
 
 
-def is_cptp(channel, tol=CP_TOL):
+def is_cptp(channel):
     """Complete-positivity test: R - i(T Omega T^T - Omega) >= 0.
 
     Returns the smallest eigenvalue of that Hermitian matrix
     (:func:`rapidgauss.linalg.psd_margin`) as the margin; the channel is CPTP
-    when the margin is >= -tol.
+    when the margin is >= -CP_TOL.
     """
     omega = symplectic_form(channel.n_modes)
     margin = psd_margin(channel.R, channel.T @ omega @ channel.T.T - omega)
-    return CpReport(ok=margin >= -tol, margin=margin)
+    return CpReport(ok=margin >= -CP_TOL, margin=margin)
 
 
 def compose(second, first):
@@ -153,16 +153,6 @@ def channel_power(channel, n):
         channel = compose(channel, channel)
 
 
-def trajectory(channel, state, steps):
-    """States after 0..steps repeated applications of the channel.
-
-    The steps run in :func:`apply_sequence`; each returned state is then
-    built, and so checked, as a GaussianState.
-    """
-    means, covs = apply_sequence([channel] * steps, state.mean, state.cov)
-    return [state] + [GaussianState(mean=m, cov=c) for m, c in zip(means, covs)]
-
-
 @dataclass(frozen=True)
 class JointSetup:
     """Bombardment scenario: system and ancilla free Hamiltonians, their
@@ -187,17 +177,21 @@ class JointSetup:
         _frozen_array(self, "F_A", self.F_A)
         _frozen_array(self, "G", self.G)
         ds, da = self.F_S.shape[0], self.F_A.shape[0]
+        _frozen_array(self, "alpha_S", np.zeros(ds) if self.alpha_S is None else self.alpha_S)
+        _frozen_array(self, "alpha_A", np.zeros(da) if self.alpha_A is None else self.alpha_A)
+        _frozen_array(self, "X_A0", np.zeros(da) if self.X_A0 is None else self.X_A0)
+        sigma = np.eye(da) if self.sigma_A0 is None else self.sigma_A0
+        _frozen_array(self, "sigma_A0", sigma)
+        # the ancilla state's finiteness is checked below, as a GaussianState
+        for name in ("F_S", "F_A", "G", "alpha_S", "alpha_A"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidSetupError(f"{name} has non-finite entries")
         if ds % 2 or da % 2:
             raise DimensionMismatchError("F_S and F_A must have even dimensions")
         _check_symmetric(self.F_S, "F_S")
         _check_symmetric(self.F_A, "F_A")
         if self.G.shape != (ds, da):
             raise DimensionMismatchError(f"G must be {ds}x{da}, got {self.G.shape}")
-        _frozen_array(self, "alpha_S", np.zeros(ds) if self.alpha_S is None else self.alpha_S)
-        _frozen_array(self, "alpha_A", np.zeros(da) if self.alpha_A is None else self.alpha_A)
-        _frozen_array(self, "X_A0", np.zeros(da) if self.X_A0 is None else self.X_A0)
-        sigma = np.eye(da) if self.sigma_A0 is None else self.sigma_A0
-        _frozen_array(self, "sigma_A0", sigma)
         if self.alpha_S.shape != (ds,) or self.alpha_A.shape != (da,):
             raise DimensionMismatchError("linear parts must match F_S/F_A")
         if self.X_A0.shape != (da,) or self.sigma_A0.shape != (da, da):

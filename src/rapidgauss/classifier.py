@@ -45,6 +45,10 @@ DYNAMICS_TYPES = (
     "multi_mode_counter_squeezing",
 )
 
+# a block coefficient counts when it exceeds this fraction of the largest
+# generator entry, so exact structural zeros never raise a flag
+CLASSIFY_EPS = 1e-10
+
 # availability per type: (0th via free Hamiltonian, 0th induced, odd >= 1, even >= 2)
 TABLE_AVAILABILITY = {
     "single_mode_rotation": (True, False, False, True),
@@ -134,18 +138,18 @@ class DynamicsReport:
         return {name: bool(self.flags[name]) for name in DYNAMICS_TYPES}
 
 
-def classify(gen, eps=1e-10):
+def classify(gen):
     """Flag the dynamics types a set of generators drives.
 
-    Coefficients are compared against eps times the overall generator scale,
-    so exact structural zeros (for example the symmetric part of an odd-order
-    coefficient) never raise a flag.
+    Coefficients are compared against CLASSIFY_EPS times the overall
+    generator scale, so exact structural zeros (for example the symmetric
+    part of an odd-order coefficient) never raise a flag.
     """
     a, b, c = np.asarray(gen.A), np.asarray(gen.b), np.asarray(gen.C)
     scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max(), 0.0)
     if scale == 0.0:
         return DynamicsReport(flags=dict.fromkeys(DYNAMICS_TYPES, False))
-    thr = eps * scale
+    thr = CLASSIFY_EPS * scale
 
     # per block and basis element: is the coefficient above the threshold?
     sym = np.abs(block_decompose((a + a.T) / 2).coefficients) > thr
@@ -172,7 +176,7 @@ def classify(gen, eps=1e-10):
     return DynamicsReport(flags={name: bool(flag) for name, flag in flags.items()})
 
 
-def table_availability(series, order, eps=1e-10):
+def table_availability(series, order):
     """Classify the order-k coefficients of a generator series.
 
     For a bombardment-derived series the flags land inside
@@ -182,4 +186,4 @@ def table_availability(series, order, eps=1e-10):
         raise ValueError(f"series only carries orders up to {series.order}")
     c = series.C[order]
     gen = Generators(A=series.A[order], b=series.b[order], C=(c + c.T) / 2)
-    return classify(gen, eps=eps)
+    return classify(gen)

@@ -7,9 +7,11 @@ dimensionless units of the library ([q, p] = i, energies scale rotation
 rates).  Trajectories are written as CSV with 17-significant-digit floats so
 reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 1 usage or config errors, 2 numerical precondition
-failures (for example a step duration too large for the principal-branch
-logarithm, or a trajectory that overflows), 3 invariant violations.
+Exit codes: 0 success, 1 usage or config errors (non-finite config arrays
+included), 2 numerical precondition failures (for example a step duration
+too large for the principal-branch logarithm, a trajectory that overflows,
+or any numpy or scipy RuntimeWarning, which a command raises as an error),
+3 invariant violations.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .bombardment import closed_form_series, generator_series_from_joint, truncated_cp_check
+from .bombardment import generator_series_from_joint, truncated_cp_check
 from .channels import CP_TOL, JointSetup, apply_sequence, identity_channel, reduce_from_joint
 from .classifier import allowed_types, table_availability
 from .errors import (
@@ -341,18 +343,12 @@ def cmd_thermalize(cfg, out_path):
     return EXIT_OK
 
 
-def _series_for(setup, order):
-    if order <= 2:
-        return closed_form_series(setup, order)
-    return generator_series_from_joint(setup, order)
-
-
 def cmd_check_cp(cfg, order, seed):
     dt = _dt(cfg)
     sweep = cfg.get("sweep")
     if sweep is None:
         setup, _ = _joint_from_config(cfg)
-        series = _series_for(setup, order)
+        series = generator_series_from_joint(setup, order)
         orders = []
         for k in range(order + 1):
             res = truncated_cp_check(series, k, dt)
@@ -366,7 +362,7 @@ def cmd_check_cp(cfg, order, seed):
     mins = [np.inf] * (order + 1)
     for _ in range(count):
         setup = random_joint_setup(rng, scale=scale, dt=dt)
-        series = _series_for(setup, order)
+        series = generator_series_from_joint(setup, order)
         for k in range(order + 1):
             mins[k] = min(mins[k], truncated_cp_check(series, k, dt).margin)
     orders = [
@@ -383,7 +379,7 @@ def cmd_check_cp(cfg, order, seed):
 
 def cmd_classify(cfg, order):
     setup, _ = _joint_from_config(cfg)
-    series = _series_for(setup, order)
+    series = generator_series_from_joint(setup, order)
     report = table_availability(series, order)
     allowed = sorted(allowed_types(order))
     within = report.present <= set(allowed)
@@ -402,14 +398,8 @@ def cmd_classify(cfg, order):
 
 def cmd_series(cfg, order):
     setup, _ = _joint_from_config(cfg)
-    series = _series_for(setup, order)
-    route = "closed_form" if order <= 2 else "log_series"
-    print(
-        json.dumps(
-            {"order": order, "route": route, "coefficients": series.to_json_obj()},
-            sort_keys=True,
-        )
-    )
+    series = generator_series_from_joint(setup, order)
+    print(json.dumps({"order": order, "coefficients": series.to_json_obj()}, sort_keys=True))
     return EXIT_OK
 
 
@@ -444,27 +434,40 @@ def _build_parser():
     return parser
 
 
+def _dispatch(args):
+    cfg = _load_config(args.config)
+    if args.command == "evolve":
+        return cmd_evolve(cfg, args.out)
+    if args.command == "thermalize":
+        return cmd_thermalize(cfg, args.out)
+    order = args.order if args.order is not None else _count("order", cfg.get("order", 2), 0)
+    if args.command == "check-cp":
+        seed = args.seed if args.seed is not None else _count("seed", cfg.get("seed", 0), 0)
+        return cmd_check_cp(cfg, order, seed)
+    if args.command == "classify":
+        return cmd_classify(cfg, order)
+    return cmd_series(cfg, order)
+
+
 def main(argv=None):
+    import warnings
+
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.out)
-        if args.command == "thermalize":
-            return cmd_thermalize(cfg, args.out)
-        order = args.order if args.order is not None else _count("order", cfg.get("order", 2), 0)
-        if args.command == "check-cp":
-            seed = args.seed if args.seed is not None else _count("seed", cfg.get("seed", 0), 0)
-            return cmd_check_cp(cfg, order, seed)
-        if args.command == "classify":
-            return cmd_classify(cfg, order)
-        return cmd_series(cfg, order)
+        # an overflow or invalid value anywhere in a command stops it: the
+        # numbers after it cannot be trusted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return _dispatch(args)
     except (BranchCutError, NonFiniteStateError, SingularMatrixError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except RuntimeWarning as exc:
+        print(f"numerical precondition failed: non-finite entries: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (InvariantViolation, InvalidStateError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, channel_power
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import SingularMatrixError
 from .linalg import block_upper, mat_exp, mat_log_principal, psd_margin
 from .phasespace import GaussianState, _NoisyAffineMap, symplectic_form
 
@@ -166,28 +166,14 @@ def flow_states(gen, state, times):
         yield GaussianState(mean=mean, cov=cov)
 
 
-def cp_differential_check(gen, tol=CP_TOL):
+def cp_differential_check(gen):
     """Differential complete-positivity test: C - i Omega (A - A^T) Omega >= 0.
 
     The margin is the smallest eigenvalue of that Hermitian matrix
-    (:func:`rapidgauss.linalg.psd_margin`); passing implies C itself is
-    positive semi-definite.
+    (:func:`rapidgauss.linalg.psd_margin`), and the test passes when it is
+    >= -CP_TOL; passing implies C itself is positive semi-definite.
     """
     omega = symplectic_form(gen.n_modes)
     margin = psd_margin(gen.C, omega @ (gen.A - gen.A.T) @ omega)
-    return CpReport(ok=margin >= -tol, margin=margin)
+    return CpReport(ok=margin >= -CP_TOL, margin=margin)
 
-
-def master_rhs(gen, state):
-    """Right-hand side of the master equation at a state.
-
-    Returns (dmean/dt, dcov/dt) = (Omega(A X + b),
-    (Omega A) cov + cov (Omega A)^T + C).
-    """
-    if gen.A.shape[0] != state.mean.size:
-        raise DimensionMismatchError("generators and state dimensions differ")
-    omega = symplectic_form(gen.n_modes)
-    oa = omega @ gen.A
-    dmean = omega @ (gen.A @ state.mean + gen.b)
-    dcov = oa @ state.cov + state.cov @ oa.T + gen.C
-    return dmean, dcov

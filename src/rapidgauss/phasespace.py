@@ -148,16 +148,16 @@ class StateValidation:
     message: str = ""
 
 
-def validate_state(state, tol=STATE_TOL):
-    """Check the uncertainty bound: min eig of (cov + i Omega) >= -tol*scale."""
+def validate_state(state):
+    """Check the uncertainty bound: min eig of (cov + i Omega) >= -STATE_TOL*scale."""
     low = psd_margin(state.cov, -symplectic_form(state.n_modes))
     scale = max(1.0, float(np.abs(state.cov).max()))
-    if low >= -tol * scale:
+    if low >= -STATE_TOL * scale:
         return StateValidation(ok=True, min_eig=low)
     return StateValidation(
         ok=False,
         min_eig=low,
-        message=f"uncertainty bound violated: min eig {low:.3e} < {-tol * scale:.3e}",
+        message=f"uncertainty bound violated: min eig {low:.3e} < {-STATE_TOL * scale:.3e}",
     )
 
 

@@ -7,7 +7,6 @@ reproduces a run bit for bit.
 import numpy as np
 
 from .channels import JointSetup
-from .interpolation import Generators
 from .linalg import mat_exp
 from .phasespace import symplectic_form
 
@@ -23,32 +22,29 @@ def random_symplectic(rng, n_modes, strength=0.5):
     return mat_exp(omega @ random_symmetric(rng, 2 * n_modes, strength))
 
 
-def random_state_cov(rng, n_modes, nu_range=(1.0, 2.5), squeeze=0.5):
-    """Valid covariance: thermal scales per mode, conjugated symplectically."""
-    nus = rng.uniform(nu_range[0], nu_range[1], n_modes)
+# range of the thermal parameter nu drawn for each mode of a random state
+NU_RANGE = (1.0, 2.5)
+
+
+def random_state_cov(rng, n_modes, squeeze=0.5):
+    """Valid covariance: thermal scales per mode (nu in NU_RANGE), conjugated
+    symplectically."""
+    nus = rng.uniform(NU_RANGE[0], NU_RANGE[1], n_modes)
     diag = np.diag(np.repeat(nus, 2))
     s = random_symplectic(rng, n_modes, squeeze)
     cov = s @ diag @ s.T
     return (cov + cov.T) / 2
 
 
-def random_joint_setup(
-    rng,
-    n_sys=None,
-    n_anc=None,
-    scale=0.5,
-    nu_range=(1.0, 2.5),
-    squeeze=0.5,
-    with_linear=True,
-    dt=0.05,
-):
-    """Random valid bombardment setup with moderate couplings."""
+def random_joint_setup(rng, n_sys=None, n_anc=None, scale=0.5, squeeze=0.5, dt=0.05):
+    """Random valid bombardment setup with moderate couplings and linear
+    parts."""
     if n_sys is None:
         n_sys = int(rng.integers(1, 3))
     if n_anc is None:
         n_anc = int(rng.integers(1, 3))
     ds, da = 2 * n_sys, 2 * n_anc
-    lin = lambda n: rng.uniform(-scale, scale, n) if with_linear else np.zeros(n)
+    lin = lambda n: rng.uniform(-scale, scale, n)
     return JointSetup(
         F_S=random_symmetric(rng, ds, scale),
         F_A=random_symmetric(rng, da, scale),
@@ -56,16 +52,7 @@ def random_joint_setup(
         alpha_S=lin(ds),
         alpha_A=lin(da),
         X_A0=lin(da),
-        sigma_A0=random_state_cov(rng, n_anc, nu_range, squeeze),
+        sigma_A0=random_state_cov(rng, n_anc, squeeze),
         dt=dt,
     )
 
-
-def random_generators(rng, n_modes=1, scale=0.7):
-    """Random master-equation generators (C symmetric, not necessarily CP)."""
-    n = 2 * n_modes
-    return Generators(
-        A=rng.uniform(-scale, scale, (n, n)),
-        b=rng.uniform(-scale, scale, n),
-        C=random_symmetric(rng, n, scale),
-    )

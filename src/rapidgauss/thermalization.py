@@ -11,7 +11,10 @@ They have an attractive fixed point exactly when det(G) > 0, reached at
 rate dt*det(G), with limiting temperature scale
 nu_tilde = Tr(G^T G)/(2 det G) * nu_A >= nu_A.  Equality holds only for the
 excitation-exchange couplings G = g1 + gw*omega, the ones a rotating-wave
-approximation keeps.
+approximation keeps.  The equations are the {1, X, Z} components of the
+first-order master equation (:func:`first_order_generators`), which is what
+:func:`simulate_first_order` steps; :func:`analyze` reports their fixed
+point in closed form.
 """
 
 from dataclasses import dataclass
@@ -82,27 +85,6 @@ def decompose_cov(sigma):
         nu=0.5 * (sigma[..., 0, 0] + sigma[..., 1, 1]),
         s_cross=0.5 * (sigma[..., 0, 1] + sigma[..., 1, 0]),
         s_plus=0.5 * (sigma[..., 0, 0] - sigma[..., 1, 1]),
-    )
-
-
-def coefficient_rhs(coeffs, setup):
-    """Time derivatives of (nu, s_cross, s_plus) under the first-order flow."""
-    g = setup.G
-    det_g = float(np.linalg.det(g))
-    damp = setup.dt * det_g
-    drive = 0.5 * setup.dt * setup.nu_A
-    return CovCoefficients(
-        nu=-damp * coeffs.nu + drive * float(np.trace(g.T @ g)),
-        s_cross=(
-            -2.0 * setup.E_S * coeffs.s_plus
-            - damp * coeffs.s_cross
-            - drive * float(np.trace(g.T @ _X @ g))
-        ),
-        s_plus=(
-            2.0 * setup.E_S * coeffs.s_cross
-            - damp * coeffs.s_plus
-            - drive * float(np.trace(g.T @ _Z @ g))
-        ),
     )
 
 

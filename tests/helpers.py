@@ -6,6 +6,8 @@ from rapidgauss.channels import GaussianChannel
 from rapidgauss.interpolation import LIFT_NORM_MAX, Generators
 from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal
 from rapidgauss.phasespace import symplectic_form
+from rapidgauss.sampling import random_symmetric
+from rapidgauss.thermalization import CovCoefficients
 
 
 def expm1_div_series(x, t, terms=60):
@@ -175,3 +177,49 @@ def two_lift_propagate(gen, t):
         r = step @ r @ step.T + r
         step = step @ step
     return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
+
+
+def random_generators(rng, n_modes=1, scale=0.7):
+    """Random master-equation generators (C symmetric, not necessarily CP)."""
+    n = 2 * n_modes
+    return Generators(
+        A=rng.uniform(-scale, scale, (n, n)),
+        b=rng.uniform(-scale, scale, n),
+        C=random_symmetric(rng, n, scale),
+    )
+
+
+def master_rhs(gen, state):
+    """Right-hand side of the master equation at a state.
+
+    Returns (dmean/dt, dcov/dt) = (Omega(A X + b),
+    (Omega A) cov + cov (Omega A)^T + C).
+    """
+    omega = symplectic_form(gen.n_modes)
+    oa = omega @ gen.A
+    dmean = omega @ (gen.A @ state.mean + gen.b)
+    dcov = oa @ state.cov + state.cov @ oa.T + gen.C
+    return dmean, dcov
+
+
+def coefficient_rhs(coeffs, setup):
+    """Time derivatives of (nu, s_cross, s_plus) under the first-order flow of
+    an oscillator bath: the three coefficient equations over {1, X, Z}."""
+    g = setup.G
+    x, z = _BLOCK_BASIS[2], _BLOCK_BASIS[3]
+    det_g = float(np.linalg.det(g))
+    damp = setup.dt * det_g
+    drive = 0.5 * setup.dt * setup.nu_A
+    return CovCoefficients(
+        nu=-damp * coeffs.nu + drive * float(np.trace(g.T @ g)),
+        s_cross=(
+            -2.0 * setup.E_S * coeffs.s_plus
+            - damp * coeffs.s_cross
+            - drive * float(np.trace(g.T @ x @ g))
+        ),
+        s_plus=(
+            2.0 * setup.E_S * coeffs.s_cross
+            - damp * coeffs.s_plus
+            - drive * float(np.trace(g.T @ z @ g))
+        ),
+    )

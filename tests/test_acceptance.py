@@ -26,7 +26,7 @@ from rapidgauss.classifier import allowed_types, table_availability
 from rapidgauss.interpolation import generators_from_channel, propagate
 from rapidgauss.linalg import mat_exp
 from rapidgauss.phasespace import GaussianState, symplectic_form
-from rapidgauss.sampling import random_generators, random_joint_setup
+from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
     analyze,
@@ -39,7 +39,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import fit_power_series, gauss_legendre_integral
+from helpers import fit_power_series, gauss_legendre_integral, random_generators
 
 
 def _passed(number, text):
@@ -190,7 +190,7 @@ def test_criterion_07_cp_through_second_order():
         setup = random_joint_setup(rng)
         series = closed_form_series(setup, 2)
         for order in (0, 1, 2):
-            res = truncated_cp_check(series, order, 0.01, tol=1e-9)
+            res = truncated_cp_check(series, order, 0.01)
             worst = min(worst, res.margin)
             assert res.ok
     _passed(7, f"orders 0-2 completely positive on 100 setups, worst margin {worst:.2e}")

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from rapidgauss.bombardment import closed_form_series
 from rapidgauss.classifier import (
+    CLASSIFY_EPS,
     DYNAMICS_TYPES,
     allowed_types,
     block_decompose,
@@ -114,8 +115,8 @@ def test_classify_squeezed_noise_and_multimode():
 
 def test_threshold_is_relative():
     a = 1e6 * np.eye(2) + 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    report = classify(_gen(a=a), eps=1e-10)
-    # the omega admixture sits below eps * scale and must not raise a flag
+    report = classify(_gen(a=a))
+    # the omega admixture sits below CLASSIFY_EPS * scale and must not raise a flag
     assert report.present == {"single_mode_rotation"}
 
 
@@ -123,7 +124,7 @@ def test_threshold_is_relative():
 def test_classify_matches_block_loop_at_the_threshold(n):
     # b sets the generator scale to 1, so the threshold is eps; each planted
     # entry moves one or two block coefficients to just above or just below it
-    eps = 1e-10
+    eps = CLASSIFY_EPS
     dim = 2 * n
     b = np.zeros(dim)
     b[0] = 1.0
@@ -137,16 +138,16 @@ def test_classify_matches_block_loop_at_the_threshold(n):
                     noise = np.zeros((dim, dim))
                     noise[r, c] = noise[c, r] = size * factor
                     for gen in (_gen(a=a, b=b, n=dim), _gen(c=noise, b=b, n=dim)):
-                        flags = classify(gen, eps=eps).to_dict()
+                        flags = classify(gen).to_dict()
                         assert flags == classify_flags_loop(gen.A, gen.b, gen.C, eps=eps)
                         seen.add(frozenset(name for name in flags if flags[name]))
     # the planted entries both raise and miss flags
     assert frozenset({"displacement"}) in seen and len(seen) > 2
     a = np.zeros((dim, dim))
     a[0, 0] = 2 * eps * (1 + 1e-6)
-    assert classify(_gen(a=a, b=b, n=dim), eps=eps)["single_mode_rotation"]
+    assert classify(_gen(a=a, b=b, n=dim))["single_mode_rotation"]
     a[0, 0] = 2 * eps * (1 - 1e-6)
-    assert not classify(_gen(a=a, b=b, n=dim), eps=eps)["single_mode_rotation"]
+    assert not classify(_gen(a=a, b=b, n=dim))["single_mode_rotation"]
 
 
 def test_table_availability_zeroth_order_free_only():

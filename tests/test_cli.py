@@ -8,10 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss import cli
-from rapidgauss.cli import main
+from rapidgauss.bombardment import closed_form_series, truncated_cp_check
 from rapidgauss.channels import apply, hamiltonian_flow
+from rapidgauss.classifier import table_availability
+from rapidgauss.cli import main
 from rapidgauss.interpolation import Generators
 from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
+from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
 
 
@@ -219,7 +222,7 @@ def test_series_command_matches_library(tmp_path, capsys):
     cfg = _bath_cfg([[0.2, 0.0], [0.0, 0.1]], dt=0.05)
     assert main(["series", "--config", _write_config(tmp_path, cfg), "--order", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["route"] == "closed_form"
+    assert set(report) == {"order", "coefficients"}
     coeffs = report["coefficients"]
     assert [c["k"] for c in coeffs] == [0, 1, 2]
     assert_allclose(np.asarray(coeffs[0]["A"]), np.eye(2))
@@ -230,12 +233,51 @@ def test_series_command_matches_library(tmp_path, capsys):
 
 
 def test_series_command_at_any_order(tmp_path, capsys):
-    # past order 2 the series comes from the logarithm series of the lift
     cfg = _bath_cfg([[0.2, 0.0], [0.0, 0.1]], dt=0.05)
     assert main(["series", "--config", _write_config(tmp_path, cfg), "--order", "6"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["route"] == "log_series"
+    assert set(report) == {"order", "coefficients"}
     assert [c["k"] for c in report["coefficients"]] == list(range(7))
+
+
+def _joint_cfg_from(setup):
+    fields = ("F_S", "F_A", "G", "alpha_S", "alpha_A", "X_A0", "sigma_A0")
+    arrays = {name: getattr(setup, name).tolist() for name in fields}
+    return {"setup": dict(kind="joint", **arrays), "dt": setup.dt}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _bath_cfg([[0.3, 0.1], [-0.1, 0.2]], dt=0.05),
+        # 2 + 2 modes whose order-2 truncation fails the CP test at this dt
+        _joint_cfg_from(random_joint_setup(np.random.default_rng(166), n_sys=2, n_anc=2, dt=0.2)),
+    ],
+    ids=["bath", "joint-2+2"],
+)
+def test_low_orders_match_the_closed_forms(tmp_path, capsys, cfg):
+    # every order comes from the logarithm series of the lifted channel
+    # series; through order 2 it reproduces the paper's closed forms
+    path = _write_config(tmp_path, cfg)
+    setup, _ = cli._joint_from_config(cfg)
+    for order in range(3):
+        closed = closed_form_series(setup, order)
+        args = ["--config", path, "--order", str(order)]
+        assert main(["series", *args]) == 0
+        coeffs = json.loads(capsys.readouterr().out)["coefficients"]
+        assert len(coeffs) == order + 1
+        for field in ("A", "b", "C"):
+            want = getattr(closed, field)
+            scale = max(np.abs(w).max() for w in want)
+            for entry, w in zip(coeffs, want):
+                assert np.abs(np.asarray(entry[field]) - w).max() <= 1e-13 * scale
+        assert main(["check-cp", *args]) == 0
+        cp = [entry["cp"] for entry in json.loads(capsys.readouterr().out)["orders"]]
+        assert cp == [truncated_cp_check(closed, k, setup.dt).ok for k in range(order + 1)]
+        assert main(["classify", *args]) == 0
+        flags = json.loads(capsys.readouterr().out)["flags"]
+        assert flags == table_availability(closed, order).to_dict()
+    assert cp == [True, True, cfg["setup"]["kind"] == "oscillator_bath"]
 
 
 def test_evolve_deterministic_output(tmp_path):
@@ -421,8 +463,18 @@ def _malformed_configs():
         yield command, "mean-object", dict(good, initial_state={"mean": {}, "cov": [[1, 0], [0, 1]]})
     yield "check-cp", "sweep-scale-bool", {"dt": 0.1, "sweep": {"count": 2, "scale": True}}
     joint = _free_joint_cfg(steps=5)
+    nan, inf = float("nan"), float("inf")
+    non_finite = {
+        "F_S-nan": ("F_S", [[nan, 0.0], [0.0, 1.0]]),
+        "F_A-infinity": ("F_A", [[1.0, 0.0], [0.0, inf]]),
+        "G-nan": ("G", [[0.1, nan], [0.0, 0.1]]),
+        "alpha_S-infinity": ("alpha_S", [inf, 0.0]),
+        "alpha_A-nan": ("alpha_A", [0.0, nan]),
+    }
     for command in ("evolve", "check-cp", "classify", "series"):
         yield command, "matrix-object", dict(joint, setup=dict(joint["setup"], F_S={"a": 1}))
+        for name, (key, value) in non_finite.items():
+            yield command, name, dict(joint, setup=dict(joint["setup"], **{key: value}))
 
 
 @pytest.mark.parametrize(
@@ -455,13 +507,21 @@ def test_bath_near_the_float_limit_keeps_a_finite_uncertainty_margin(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err == ""
     assert len(json.loads(captured.out)["coefficients"]) == 3
+    # the trajectories overflow: each command stops at the first overflow,
+    # warns nothing, exits 2 with one line and writes no --out file
     out = tmp_path / "t.csv"
-    with warnings.catch_warnings():
-        # the trajectory itself overflows, and scipy's expm warns on the way
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["thermalize", "--config", path, "--out", str(out)]) == 2
-    assert "non-finite entries" in capsys.readouterr().err
-    assert not out.exists()
+    runs = [("evolve", mode) for mode in ("discrete", "interpolated", "both")]
+    for command, mode in runs + [("thermalize", "discrete")]:
+        path = _write_config(tmp_path, dict(cfg, mode=mode))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical precondition failed")
+        assert "non-finite entries" in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("count", [2.5, True, 0, -3])

@@ -22,12 +22,11 @@ from rapidgauss.interpolation import (
     cp_differential_check,
     flow_states,
     generators_from_channel,
-    master_rhs,
     propagate,
 )
 from rapidgauss.linalg import mat_exp
 from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian, symplectic_form
-from rapidgauss.sampling import random_generators, random_joint_setup, random_state_cov
+from rapidgauss.sampling import random_joint_setup, random_state_cov
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
     decompose_cov,
@@ -40,6 +39,8 @@ from helpers import (
     central_difference,
     gauss_legendre_integral,
     logm_div_series,
+    master_rhs,
+    random_generators,
     two_lift_generators,
     two_lift_propagate,
 )
@@ -234,10 +235,10 @@ def test_semigroup_positivity(rng):
         setup = random_joint_setup(rng, dt=0.05)
         channel = reduce_from_joint(setup)
         gens = generators_from_channel(channel, setup.dt)
-        if not cp_differential_check(gens, tol=1e-12).ok:
+        if cp_differential_check(gens).margin < -1e-12:
             continue
         for t in np.linspace(0.01, 2.0, 8):
-            assert is_cptp(propagate(gens, t), tol=1e-9).ok
+            assert is_cptp(propagate(gens, t)).ok
 
 
 def test_noise_flow_matches_quadrature(rng):
