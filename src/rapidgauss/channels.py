@@ -14,18 +14,17 @@ from .errors import (
     DimensionMismatchError,
     InvalidAncillaStateError,
     InvalidSetupError,
-    InvalidStateError,
     NonFiniteStateError,
 )
 from .linalg import mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
     QuadraticHamiltonian,
-    _NoisyAffineMap,
-    _check_symmetric,
+    _PhaseSpaceRecord,
+    _check_uncertainty,
     _frozen_array,
+    _frozen_arrays,
     symplectic_form,
-    validate_state,
 )
 
 # how far below zero every positivity margin (channel or generator) may dip
@@ -33,12 +32,15 @@ CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GaussianChannel(_NoisyAffineMap):
+class GaussianChannel(_PhaseSpaceRecord):
     """One Gaussian update step: mean -> T mean + d, cov -> T cov T^T + R."""
 
     T: np.ndarray
     d: np.ndarray
     R: np.ndarray
+
+    def __post_init__(self):
+        _frozen_arrays(self, "d", {"T": False, "R": True})
 
 
 @dataclass(frozen=True)
@@ -173,36 +175,22 @@ class JointSetup:
     dt: float = 0.0
 
     def __post_init__(self):
-        _frozen_array(self, "F_S", self.F_S)
-        _frozen_array(self, "F_A", self.F_A)
-        _frozen_array(self, "G", self.G)
-        ds, da = self.F_S.shape[0], self.F_A.shape[0]
-        _frozen_array(self, "alpha_S", np.zeros(ds) if self.alpha_S is None else self.alpha_S)
-        _frozen_array(self, "alpha_A", np.zeros(da) if self.alpha_A is None else self.alpha_A)
-        _frozen_array(self, "X_A0", np.zeros(da) if self.X_A0 is None else self.X_A0)
-        sigma = np.eye(da) if self.sigma_A0 is None else self.sigma_A0
-        _frozen_array(self, "sigma_A0", sigma)
-        # the ancilla state's finiteness is checked below, as a GaussianState
-        for name in ("F_S", "F_A", "G", "alpha_S", "alpha_A"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise InvalidSetupError(f"{name} has non-finite entries")
-        if ds % 2 or da % 2:
-            raise DimensionMismatchError("F_S and F_A must have even dimensions")
-        _check_symmetric(self.F_S, "F_S")
-        _check_symmetric(self.F_A, "F_A")
-        if self.G.shape != (ds, da):
-            raise DimensionMismatchError(f"G must be {ds}x{da}, got {self.G.shape}")
-        if self.alpha_S.shape != (ds,) or self.alpha_A.shape != (da,):
-            raise DimensionMismatchError("linear parts must match F_S/F_A")
-        if self.X_A0.shape != (da,) or self.sigma_A0.shape != (da, da):
-            raise DimensionMismatchError("ancilla state must match F_A")
-        if self.dt < 0:
-            raise InvalidSetupError("dt must be nonnegative")
-        try:
-            anc = GaussianState(mean=self.X_A0, cov=self.sigma_A0)
-            check = validate_state(anc)
-        except InvalidStateError as exc:
-            raise InvalidAncillaStateError(str(exc)) from exc
+        _frozen_arrays(self, "alpha_S", {"F_S": True})
+        _frozen_arrays(self, "alpha_A", {"F_A": True})
+        if self.sigma_A0 is None:
+            object.__setattr__(self, "sigma_A0", np.eye(len(self.F_A)))
+        _frozen_arrays(self, "X_A0", {"sigma_A0": True}, asymmetric=InvalidAncillaStateError)
+        g = _frozen_array(self, "G", self.G)
+        if not np.isfinite(g).all():
+            raise InvalidSetupError("G has non-finite entries")
+        ds, da = len(self.F_S), len(self.F_A)
+        if g.shape != (ds, da):
+            raise DimensionMismatchError(f"G must be {ds}x{da}, got {g.shape}")
+        if len(self.X_A0) != da:
+            raise DimensionMismatchError(f"X_A0 and sigma_A0 must match F_A ({da}x{da})")
+        if not 0 <= self.dt < np.inf:
+            raise InvalidSetupError("dt must be nonnegative and finite")
+        check = _check_uncertainty(self.sigma_A0)
         if not check.ok:
             raise InvalidAncillaStateError(check.message)
 

@@ -8,7 +8,8 @@ rates).  Trajectories are written as CSV with 17-significant-digit floats so
 reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 1 usage or config errors (non-finite config arrays
-included), 2 numerical precondition failures (for example a step duration
+included) and output errors (an --out file or stdout that cannot be
+written), 2 numerical precondition failures (for example a step duration
 too large for the principal-branch logarithm, a trajectory that overflows,
 or any numpy or scipy RuntimeWarning, which a command raises as an error),
 3 invariant violations.
@@ -71,10 +72,11 @@ class InvariantViolation(Exception):
 
 def _write_atomic(path, lines):
     """Write the lines of a generator to path as they are produced, through a
-    temporary file that replaces path once all are written; return its value."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rapidgauss-")
+    temporary file that replaces path once all are written; return its value.
+    A failed write raises OSError naming path, not the temporary file."""
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rapidgauss-")
         with os.fdopen(fd, "w") as handle:
             try:
                 while True:
@@ -83,10 +85,11 @@ def _write_atomic(path, lines):
                 result = stop.value
         os.replace(tmp, path)
         return result
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_config(path):
@@ -462,7 +465,9 @@ def main(argv=None):
         # numbers after it cannot be trusted
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return _dispatch(args)
+            code = _dispatch(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (BranchCutError, NonFiniteStateError, SingularMatrixError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -479,9 +484,13 @@ def main(argv=None):
         MalformedSeriesError,
         KeyError,
         ValueError,
-        OSError,
     ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # reads fail as ConfigError: this is a write, of --out or of stdout
+        target = exc.filename or "stdout"
+        print(f"output error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -33,16 +33,19 @@ import numpy as np
 from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, channel_power
 from .errors import SingularMatrixError
 from .linalg import block_upper, mat_exp, mat_log_principal, psd_margin
-from .phasespace import GaussianState, _NoisyAffineMap, symplectic_form
+from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
 @dataclass(frozen=True)
-class Generators(_NoisyAffineMap):
+class Generators(_PhaseSpaceRecord):
     """Master-equation generators (A, b, C); C is symmetric noise."""
 
     A: np.ndarray
     b: np.ndarray
     C: np.ndarray
+
+    def __post_init__(self):
+        _frozen_arrays(self, "b", {"A": False, "C": True})
 
 
 def channel_lift(top, forward, corner):

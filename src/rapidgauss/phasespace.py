@@ -8,6 +8,7 @@ quadratic Hamiltonian over a time t is the noiseless Gaussian channel
 :func:`rapidgauss.channels.hamiltonian_flow`.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,6 +20,10 @@ from .linalg import block_upper, psd_margin
 # max(1, |cov|), before a state is called invalid; absorbs roundoff
 # accumulated over long trajectories
 STATE_TOL = 1e-9
+
+# largest asymmetry |m - m^T| that a symmetric matrix field may carry,
+# relative to max(1, max|m|)
+SYMMETRY_TOL = 1e-12
 
 _omega_block = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -37,34 +42,59 @@ def _frozen_array(obj, field, value):
     a = np.array(value, dtype=float)
     a.setflags(write=False)
     object.__setattr__(obj, field, a)
+    return a
 
 
-def _check_symmetric(m, what, tol=1e-12, exc=InvalidSetupError):
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > tol * scale:
+def _check_symmetric(m, what, exc, scale):
+    # halves, so that finite entries near the float limit cannot overflow;
+    # h - h^T is antisymmetric, so its largest entry is its largest magnitude
+    half = m / 2
+    if (half - half.T).max() > SYMMETRY_TOL / 2 * max(1.0, scale):
         raise exc(f"{what} must be symmetric")
 
 
-class _NoisyAffineMap:
-    """Base of the frozen dataclasses that declare three array fields, a
-    matrix, a shift and a symmetric noise, such as channels (T, d, R) and
-    generators (A, b, C).  Their JSON form maps each field name to lists."""
+def _frozen_arrays(
+    obj, vector, matrices, asymmetric=InvalidSetupError, nonfinite=InvalidSetupError
+):
+    """Freeze the fields of obj, a frozen dataclass, that hold a phase-space
+    vector and the matrices acting on it as read-only float arrays, and check
+    them in one order: all finite (else `nonfinite`); the first matrix 2N x 2N
+    with N >= 1, the others and the vector matching it (else
+    DimensionMismatchError); each matrix that `matrices` maps to True
+    symmetric (else `asymmetric`).  A vector field holding None becomes zeros;
+    vector=None checks the matrices alone.  Messages name the field."""
+    # (name, array, largest magnitude): NaN or inf exactly where an entry is
+    checked = []
+    for name in matrices:
+        a = _frozen_array(obj, name, getattr(obj, name))
+        checked.append((name, a, abs(a).max(initial=0.0)))
+    first, m, _ = checked[0]
+    if vector is not None:
+        v = getattr(obj, vector)
+        v = _frozen_array(obj, vector, np.zeros(m.shape[:1]) if v is None else v)
+        checked.append((vector, v, abs(v).max(initial=0.0)))
+    for name, _, scale in checked:
+        if not math.isfinite(scale):
+            raise nonfinite(f"{name} has non-finite entries")
+    n = len(m) if m.ndim else 0
+    if m.shape != (n, n) or n == 0 or n % 2:
+        raise DimensionMismatchError(f"{first} must be 2N x 2N with N >= 1, got shape {m.shape}")
+    for name, a, _ in checked:
+        if a.shape != ((n,) if name == vector else (n, n)):
+            raise DimensionMismatchError(f"{name} must match {first} ({n}x{n}), got {a.shape}")
+    for (name, a, scale), symmetric in zip(checked, matrices.values()):
+        if symmetric:
+            _check_symmetric(a, name, asymmetric, scale)
 
-    def __post_init__(self):
-        m, v, r = names = [f.name for f in fields(self)]
-        for name in names:
-            _frozen_array(self, name, getattr(self, name))
-        matrix, shift, noise = (getattr(self, name) for name in names)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise DimensionMismatchError(f"{m} must be square of even dimension (full modes)")
-        n = matrix.shape[0]
-        if shift.shape != (n,) or noise.shape != (n, n):
-            raise DimensionMismatchError(f"{v} and {r} must match {m}")
-        _check_symmetric(noise, f"noise {r}")
+
+class _PhaseSpaceRecord:
+    """Base of the frozen dataclasses of phase-space arrays, such as states
+    (mean, cov), channels (T, d, R) and generators (A, b, C).  The first
+    field has length 2N, and the JSON form maps each field name to lists."""
 
     @property
     def n_modes(self):
-        return getattr(self, fields(self)[0].name).shape[0] // 2
+        return len(getattr(self, fields(self)[0].name)) // 2
 
     def to_dict(self):
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
@@ -75,62 +105,27 @@ class _NoisyAffineMap:
 
 
 @dataclass(frozen=True)
-class GaussianState:
+class GaussianState(_PhaseSpaceRecord):
     """First and second moments of a Gaussian state: mean vector and covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "mean", self.mean)
-        _frozen_array(self, "cov", self.cov)
-        if self.mean.ndim != 1:
-            raise DimensionMismatchError("mean must be a vector")
-        d = self.mean.size
-        if d == 0 or d % 2 != 0:
-            raise DimensionMismatchError("mean length must be a positive even number")
-        if self.cov.shape != (d, d):
-            raise DimensionMismatchError(
-                f"cov shape {self.cov.shape} does not match mean length {d}"
-            )
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
-            raise ValueError("state has non-finite entries")
-        _check_symmetric(self.cov, "covariance", exc=InvalidStateError)
-
-    @property
-    def n_modes(self):
-        return self.mean.size // 2
-
-    def to_dict(self):
-        return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(mean=np.asarray(obj["mean"]), cov=np.asarray(obj["cov"]))
+        _frozen_arrays(
+            self, "mean", {"cov": True}, asymmetric=InvalidStateError, nonfinite=ValueError
+        )
 
 
 @dataclass(frozen=True)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(_PhaseSpaceRecord):
     """Quadratic generator: symmetric matrix F plus linear vector alpha."""
 
     F: np.ndarray
     alpha: np.ndarray = None
 
     def __post_init__(self):
-        _frozen_array(self, "F", self.F)
-        if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
-            raise DimensionMismatchError("F must be square")
-        if self.F.shape[0] % 2 != 0:
-            raise DimensionMismatchError("F must act on full modes (even dimension)")
-        _check_symmetric(self.F, "F")
-        alpha = np.zeros(self.F.shape[0]) if self.alpha is None else self.alpha
-        _frozen_array(self, "alpha", alpha)
-        if self.alpha.shape != (self.F.shape[0],):
-            raise DimensionMismatchError("alpha length must match F")
-
-    @property
-    def n_modes(self):
-        return self.F.shape[0] // 2
+        _frozen_arrays(self, "alpha", {"F": True})
 
     def affine_generator(self):
         """The affine lift [[Omega F, Omega alpha], [0, 0]], generator of the
@@ -150,8 +145,12 @@ class StateValidation:
 
 def validate_state(state):
     """Check the uncertainty bound: min eig of (cov + i Omega) >= -STATE_TOL*scale."""
-    low = psd_margin(state.cov, -symplectic_form(state.n_modes))
-    scale = max(1.0, float(np.abs(state.cov).max()))
+    return _check_uncertainty(state.cov)
+
+
+def _check_uncertainty(cov):
+    low = psd_margin(cov, -symplectic_form(len(cov) // 2))
+    scale = max(1.0, float(np.abs(cov).max()))
     if low >= -STATE_TOL * scale:
         return StateValidation(ok=True, min_eig=low)
     return StateValidation(

@@ -27,7 +27,7 @@ from .channels import JointSetup, apply_sequence, reduce_from_joint
 from .errors import DimensionMismatchError, InvalidSetupError
 # propagate is imported, not called: bench/test_bench.py expects the binding
 from .interpolation import gap_channels, propagate  # noqa: F401
-from .phasespace import GaussianState, _frozen_array, beta_from_nu
+from .phasespace import GaussianState, _frozen_arrays, beta_from_nu
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -49,15 +49,15 @@ class OscillatorBathSetup:
     dt: float
 
     def __post_init__(self):
-        _frozen_array(self, "G", self.G)
+        _frozen_arrays(self, None, {"G": False})
         if self.G.shape != (2, 2):
             raise DimensionMismatchError("G must be 2x2 for the oscillator bath")
-        if self.E_S <= 0 or self.E_A <= 0:
-            raise InvalidSetupError("energy gaps must be positive")
-        if self.nu_A < 1.0:
-            raise InvalidSetupError("bath thermal parameter must be >= 1")
-        if self.dt <= 0:
-            raise InvalidSetupError("dt must be positive")
+        if not (0 < self.E_S < np.inf and 0 < self.E_A < np.inf):
+            raise InvalidSetupError("energy gaps must be positive and finite")
+        if not 1.0 <= self.nu_A < np.inf:
+            raise InvalidSetupError("bath thermal parameter must be >= 1 and finite")
+        if not 0 < self.dt < np.inf:
+            raise InvalidSetupError("dt must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,7 @@ def simulate_first_order(setup, sigma0, times):
     (t, CovCoefficients, purity) tuples.
     """
     gens = first_order_generators(setup)
-    sigma0 = np.asarray(sigma0, dtype=float)
-    start = GaussianState(mean=np.zeros(sigma0.shape[0]), cov=sigma0)
+    start = GaussianState(mean=np.zeros(np.shape(sigma0)[:1]), cov=sigma0)
     times = [float(t) for t in times]
     _, covs = apply_sequence(gap_channels(gens, times), start.mean, start.cov)
     return [

@@ -313,8 +313,23 @@ def test_joint_setup_validation():
             G=np.zeros((2, 2)),
             sigma_A0=0.2 * np.eye(2),
         )
+    with pytest.raises(InvalidAncillaStateError, match="sigma_A0 must be symmetric"):
+        JointSetup(
+            F_S=np.eye(2),
+            F_A=np.eye(2),
+            G=np.zeros((2, 2)),
+            sigma_A0=np.array([[2.0, 0.5], [0.0, 2.0]]),
+        )
     with pytest.raises(DimensionMismatchError):
         JointSetup(F_S=np.eye(2), F_A=np.eye(2), G=np.zeros((2, 4)))
+    for dt in (np.nan, np.inf):
+        with pytest.raises(InvalidSetupError, match="dt"):
+            JointSetup(F_S=np.eye(2), F_A=np.eye(2), G=np.zeros((2, 2)), dt=dt)
+    # an ancilla state of consistent but wrong size
+    with pytest.raises(DimensionMismatchError, match="must match F_A"):
+        JointSetup(
+            F_S=np.eye(2), F_A=np.eye(2), G=np.zeros((2, 2)), X_A0=np.zeros(4), sigma_A0=np.eye(4)
+        )
 
 
 def test_channel_json_round_trip(rng):

@@ -1,3 +1,4 @@
+import errno
 import json
 import tracemalloc
 import warnings
@@ -471,10 +472,20 @@ def _malformed_configs():
         "alpha_S-infinity": ("alpha_S", [inf, 0.0]),
         "alpha_A-nan": ("alpha_A", [0.0, nan]),
     }
+    malformed = {
+        **non_finite,
+        "F_S-scalar": ("F_S", 5),
+        "sigma_A0-scalar": ("sigma_A0", 2),
+        # F - F^T overflows; the symmetry test must not
+        "F_S-asymmetric-near-float-limit": ("F_S", [[0.0, 1e308], [-1e308, 0.0]]),
+    }
     for command in ("evolve", "check-cp", "classify", "series"):
         yield command, "matrix-object", dict(joint, setup=dict(joint["setup"], F_S={"a": 1}))
-        for name, (key, value) in non_finite.items():
+        for name, (key, value) in malformed.items():
             yield command, name, dict(joint, setup=dict(joint["setup"], **{key: value}))
+    bath_nan = dict(good, setup=dict(good["setup"], G=[[0.1, nan], [0.0, 0.1]]))
+    for command in ("evolve", "thermalize", "check-cp", "classify", "series"):
+        yield command, "bath-G-nan", bath_nan
 
 
 @pytest.mark.parametrize(
@@ -497,6 +508,56 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, cf
     assert captured.out == ""
     assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "thermalize"])
+@pytest.mark.parametrize(
+    "cov",
+    [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 1e308], [-1e308, 1.0]]],
+    ids=["small", "near-float-limit"],
+)
+def test_asymmetric_initial_covariance_is_an_invariant_violation(tmp_path, capsys, command, cov):
+    initial = {"mean": [0.0, 0.0], "cov": cov}
+    cfg = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5, initial_state=initial)
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: cov must be symmetric\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_is_an_output_error(tmp_path, capsys, monkeypatch, failing):
+    # a pipe closed by its reader fails on write, or on the flush of a
+    # buffered write, which must come before main returns
+    class ClosedPipe:
+        def write(self, text):
+            if failing == "write":
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    cfg = _write_config(tmp_path, _free_joint_cfg())
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["series", "--config", cfg, "--order", "3"]) == 1
+    assert capsys.readouterr().err == "output error: cannot write stdout: Broken pipe\n"
+
+
+def test_out_path_in_a_missing_directory_is_an_output_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _free_joint_cfg())
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the line names the --out path, not the temporary file
+    assert captured.err == f"output error: cannot write {out}: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_bath_near_the_float_limit_keeps_a_finite_uncertainty_margin(tmp_path, capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss.channels import GaussianChannel, apply, compose, hamiltonian_flow
+from rapidgauss.channels import GaussianChannel, JointSetup, apply, compose, hamiltonian_flow
 from rapidgauss.errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
+from rapidgauss.interpolation import Generators
 from rapidgauss.phasespace import (
     GaussianState,
     QuadraticHamiltonian,
@@ -188,3 +189,58 @@ def test_state_json_round_trip(rng):
     again = GaussianState.from_dict(state.to_dict())
     assert_allclose(again.mean, state.mean)
     assert_allclose(again.cov, state.cov)
+
+
+# Each record checks its (matrix, vector) pairs in one order: finite, then
+# shapes, then symmetry.  The malformed matrix goes where it must be
+# symmetric: the covariance, F, the noise R or C, and F_S.
+_RECORDS = {
+    "GaussianState": (lambda m, v: GaussianState(mean=v, cov=m), ValueError, InvalidStateError),
+    "QuadraticHamiltonian": (
+        lambda m, v: QuadraticHamiltonian(F=m, alpha=v),
+        InvalidSetupError,
+        InvalidSetupError,
+    ),
+    "GaussianChannel": (
+        lambda m, v: GaussianChannel(T=np.eye(len(v)), d=v, R=m),
+        InvalidSetupError,
+        InvalidSetupError,
+    ),
+    "Generators": (
+        lambda m, v: Generators(A=np.eye(len(v)), b=v, C=m),
+        InvalidSetupError,
+        InvalidSetupError,
+    ),
+    "JointSetup": (
+        lambda m, v: JointSetup(F_S=m, alpha_S=v, F_A=np.eye(2), G=np.zeros((2, 2))),
+        InvalidSetupError,
+        InvalidSetupError,
+    ),
+}
+
+_MALFORMED = {
+    "0-d-matrix": (np.array(5.0), np.zeros(2), "shape"),
+    "1-d-matrix": (np.ones(2), np.zeros(2), "shape"),
+    "odd-dimension": (np.eye(3), np.zeros(3), "shape"),
+    "mismatched-vector": (np.eye(2), np.zeros(4), "shape"),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2), "nonfinite"),
+    # m - m^T overflows; the symmetry test must not
+    "asymmetric-near-float-limit": (
+        np.array([[1.0, 1e308], [-1e308, 1.0]]),
+        np.zeros(2),
+        "asymmetric",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+@pytest.mark.parametrize("record", list(_RECORDS))
+def test_records_reject_the_same_malformed_pairs(record, case):
+    build, nonfinite, asymmetric = _RECORDS[record]
+    matrix, vector, kind = _MALFORMED[case]
+    expected = {"shape": DimensionMismatchError, "nonfinite": nonfinite, "asymmetric": asymmetric}
+    with pytest.raises(expected[kind]) as caught:
+        build(matrix, vector)
+    assert type(caught.value) is expected[kind]
+    if kind == "asymmetric":
+        assert "must be symmetric" in str(caught.value)

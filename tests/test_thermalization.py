@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.channels import apply_sequence, reduce_from_joint
-from rapidgauss.errors import InvalidSetupError
+from rapidgauss.errors import DimensionMismatchError, InvalidSetupError
 from rapidgauss.phasespace import GaussianState
 from rapidgauss.thermalization import (
     CovCoefficients,
@@ -221,6 +221,15 @@ def test_setup_validation():
         OscillatorBathSetup(E_S=-1.0, E_A=1.0, nu_A=2.0, G=np.eye(2), dt=0.1)
     with pytest.raises(InvalidSetupError):
         OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=2.0, G=np.eye(2), dt=0.0)
+    good = dict(E_S=1.0, E_A=1.0, nu_A=2.0, G=np.eye(2), dt=0.1)
+    for field in ("E_S", "E_A", "nu_A", "dt"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidSetupError):
+                OscillatorBathSetup(**{**good, field: value})
+    with pytest.raises(DimensionMismatchError, match="cov must be 2N x 2N"):
+        simulate_first_order(_bath(np.eye(2)), 2.0, [0.0, 1.0])
+    with pytest.raises(InvalidSetupError, match="G has non-finite entries"):
+        OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=2.0, G=np.diag([1.0, np.nan]), dt=0.1)
 
 
 def test_to_joint_setup_round_trip():
