@@ -7,6 +7,7 @@ exactly when R - i(T Omega T^T - Omega) is positive semi-definite.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,18 +58,26 @@ def identity_channel(n_modes):
 
 
 def apply(channel, state):
-    """Apply a channel to a state.
+    """Apply a channel to a state: T mean + d and T cov T^T + R symmetrised.
 
     The result is a GaussianState, so it is checked like any other: finite
     entries and a symmetric covariance.  To push a state through many
-    channels, :func:`apply_sequence` does the same arithmetic on stacked
-    arrays and checks once for the whole run.
+    channels, use :func:`apply_sequence`, which checks once for the whole
+    run.
+
+    Raises NonFiniteStateError("state has non-finite entries") when the
+    moments overflow, as :func:`apply_sequence` does.
     """
     if channel.T.shape[0] != state.mean.size:
         raise DimensionMismatchError("channel and state dimensions differ")
-    mean = channel.T @ state.mean + channel.d
-    cov = channel.T @ state.cov @ channel.T.T + channel.R
-    return GaussianState(mean=mean, cov=(cov + cov.T) / 2)
+    # overflow is reported below as a non-finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = channel.T @ state.mean + channel.d
+        cov = channel.T @ state.cov @ channel.T.T + channel.R
+        cov = (cov + cov.T) / 2
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NonFiniteStateError("state has non-finite entries")
+    return GaussianState(mean=mean, cov=cov)
 
 
 def apply_sequence(channels, mean, cov):
@@ -76,43 +85,94 @@ def apply_sequence(channels, mean, cov):
 
     Returns means (K, 2N) and covs (K, 2N, 2N) for K channels, taken from
     any iterable: row k holds the state after channels[0], ..., channels[k].
-    Each step is the update of :func:`apply`, T mean + d and T cov T^T + R
-    symmetrised, with the same arithmetic, so the rows equal a loop of
-    :func:`apply` bit for bit.
-    The start is taken as given.  Dimensions are checked once on entry and
+    Each update is T mean + d and T cov T^T + R, symmetrised.
+
+    Consecutive repeats of one channel object form a run, and a run is
+    filled by state doubling (affine maps compose associatively; Blelloch,
+    "Prefix sums and their applications", 1990).  Its first two rows are
+    single updates; then, with m rows filled, the channel is squared into
+    its m-th power P_m, and P_m applied to rows 1..m gives rows m+1..2m in
+    one stacked update.  A run of K rows thus costs about log2(K) stacked
+    updates and squarings instead of K single updates.  The products are
+    reassociated, so the rows agree with a loop of :func:`apply` to
+    rounding, not exactly.
+    The start is taken as given.  Dimensions are checked once per run and
     finiteness once over the result; no state is built or validated per
     step.
 
     Raises DimensionMismatchError when a channel does not fit the start and
-    NonFiniteStateError("state has non-finite entries") when the moments
-    overflow.
+    NonFiniteStateError("state has non-finite entries") when the moments,
+    or the powers of a channel, overflow.
     """
     channels = list(channels)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
-    if cov.shape != (n, n) or any(ch.T.shape[0] != n for ch in channels):
+    if cov.shape != (n, n):
         raise DimensionMismatchError("channel and state dimensions differ")
-    means = np.empty((len(channels), n))
-    covs = np.empty((len(channels), n, n))
-    parts = {id(ch): (ch.T, ch.T.T, ch.d, ch.R) for ch in channels}
+    count = len(channels)
+    means = np.empty((count, n))
+    covs = np.empty((count, n, n))
     tc, c = np.empty((n, n)), np.empty((n, n))
     c_t, add = c.T, np.add
+    starts = [k for k in range(count) if k == 0 or channels[k] is not channels[k - 1]]
+    if any(channels[k].T.shape[0] != n for k in starts):
+        raise DimensionMismatchError("channel and state dimensions differ")
+    # the second row of every run longer than two -> the end of that run
+    doubled = {
+        first + 1: end for first, end in zip(starts, starts[1:] + [count]) if end - first > 2
+    }
+    rows = zip(range(count), channels, means, covs)
     # overflow is reported below, once, as a non-finite state
     with np.errstate(over="ignore", invalid="ignore"):
-        for ch, m, s in zip(channels, means, covs):
-            t, t_t, d, r = parts[id(ch)]
+        for row, ch, m, s in rows:
+            t = ch.T
             t.dot(mean, m)
-            add(m, d, m)
+            add(m, ch.d, m)
             t.dot(cov, tc)
-            tc.dot(t_t, c)
-            add(c, r, c)
+            tc.dot(t.T, c)
+            add(c, ch.R, c)
             add(c, c_t, s)
             s /= 2
             mean, cov = m, s
+            end = doubled.get(row)
+            if end is not None:
+                first = row - 1
+                mean, cov = _double_run(t, ch.d, ch.R, means[first:end], covs[first:end])
+                for _ in islice(rows, end - row - 1):  # skip the rows just filled
+                    pass
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteStateError("state has non-finite entries")
     return means, covs
+
+
+def _double_run(t, d, r, means, covs):
+    """Fill a run of rows of one channel (t, d, r) from its first two rows.
+
+    With m rows filled, the channel is squared into its m-th power, which
+    maps rows 0..m-1 onto rows m..2m-1 in one stacked update.  Returns the
+    last row.
+    """
+    count, filled, n = len(means), 2, len(d)
+    # C T^T of every row, in one product over the rows stacked as (k n, n);
+    # preallocated, as fresh temporaries of this size cost page faults
+    work = np.empty((count // 2, n, n))
+    while filled < count:
+        d = t.dot(d) + d
+        r = t.dot(r).dot(t.T) + r
+        r = (r + r.T) / 2
+        t = t.dot(t)
+        k = min(filled, count - filled)
+        new_means, new_covs, tc = means[filled : filled + k], covs[filled : filled + k], work[:k]
+        np.matmul(means[:k], t.T, out=new_means)
+        new_means += d
+        np.matmul(covs[:k].reshape(-1, n), t.T, out=tc.reshape(-1, n))
+        np.matmul(t, tc, out=new_covs)
+        new_covs += r
+        np.add(new_covs, new_covs.swapaxes(1, 2), out=tc)
+        np.multiply(tc, 0.5, out=new_covs)
+        filled += k
+    return means[-1], covs[-1]
 
 
 def is_cptp(channel):

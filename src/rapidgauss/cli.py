@@ -71,8 +71,9 @@ class InvariantViolation(Exception):
 
 
 def _write_atomic(path, lines):
-    """Write the lines of a generator to path as they are produced, through a
-    temporary file that replaces path once all are written; return its value.
+    """Write the strings of a generator to path as they are produced, each
+    ended by a newline, through a temporary file that replaces path once all
+    are written; return the generator's value.
     A failed write raises OSError naming path, not the temporary file."""
     directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
@@ -230,12 +231,13 @@ def _columns(kind, means, covs):
 
 
 def _csv_rows(kind, times, mean, cov, trajectories):
-    """CSV lines, one per time: t, then the state columns of each trajectory,
+    """CSV rows, one per time: t, then the state columns of each trajectory,
     and max_abs_diff between them when there are two.
 
     Each trajectory is an iterable of channels, one per row, applied in turn
     to the start (mean, cov).  The times and the channels are read, stepped
-    and formatted BLOCK_ROWS rows at a time, so they may stream in.
+    and formatted BLOCK_ROWS rows at a time, so they may stream in; each
+    block is yielded as one string of newline-separated rows.
     Returns the last (mean, cov) of the first trajectory.
     """
     times = iter(times)
@@ -257,9 +259,8 @@ def _csv_rows(kind, times, mean, cov, trajectories):
             )
             parts.append(diff[:, None])
         table = np.hstack(parts)
-        template = ",".join(["%.17g"] * table.shape[1])
-        for values in table.tolist():
-            yield template % tuple(values)
+        line = ",".join(["%.17g"] * table.shape[1])
+        yield "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
     return ends[0]
 
 

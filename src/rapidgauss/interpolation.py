@@ -158,9 +158,10 @@ def flow_states(gen, state, times):
     The state at times[k] is the channel over the float gap
     times[k] - times[k-1] applied to the state at times[k-1]
     (:func:`gap_channels` with unit 1), so each distinct float gap costs one
-    exponential.  The steps run on stacked arrays in
-    :func:`rapidgauss.channels.apply_sequence`; each yielded state is then
-    built, and so checked, as a GaussianState.
+    exponential.  The steps run in :func:`rapidgauss.channels.apply_sequence`,
+    which fills each run of equal gaps by state doubling, so the states
+    agree with a loop of :func:`rapidgauss.channels.apply` to rounding; each
+    yielded state is then built, and so checked, as a GaussianState.
 
     Raises ValueError when the times decrease, as soon as iteration starts.
     """

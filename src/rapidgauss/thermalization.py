@@ -186,9 +186,10 @@ def simulate_first_order(setup, sigma0, times):
     :func:`rapidgauss.interpolation.gap_channels`; the CLI passes it integer
     collision counts with unit dt instead, for one exponential per step
     count).  `sigma0` is checked once, as the covariance of a GaussianState;
-    the steps run on stacked arrays
-    (:func:`rapidgauss.channels.apply_sequence`).  Returns a list of
-    (t, CovCoefficients, purity) tuples.
+    the steps run in :func:`rapidgauss.channels.apply_sequence`, which fills
+    each run of equal gaps by state doubling and so agrees with stepping
+    gap by gap to rounding.  Returns a list of (t, CovCoefficients, purity)
+    tuples.
     """
     gens = first_order_generators(setup)
     start = GaussianState(mean=np.zeros(np.shape(sigma0)[:1]), cov=sigma0)

@@ -179,6 +179,38 @@ def two_lift_propagate(gen, t):
     return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
 
 
+def apply_loop(channels, mean, cov, dtype=float):
+    """Moments after each of the channels in turn, one update per row in
+    `dtype`: T mean + d and T cov T^T + R, symmetrised.
+
+    The per-row reference for rapidgauss.channels.apply_sequence; with
+    np.longdouble it applies the float channels in extended precision.
+    Returns means (K, 2N) and covs (K, 2N, 2N) in `dtype`.
+    """
+    mean, cov = np.asarray(mean, dtype=dtype), np.asarray(cov, dtype=dtype)
+    means, covs = [], []
+    for ch in channels:
+        t, d, r = (np.asarray(x, dtype=dtype) for x in (ch.T, ch.d, ch.R))
+        mean = t @ mean + d
+        cov = t @ cov @ t.T + r
+        cov = (cov + cov.T) / 2
+        means.append(mean)
+        covs.append(cov)
+    n = len(mean)
+    return np.array(means, dtype=dtype).reshape(-1, n), np.array(covs, dtype=dtype).reshape(-1, n, n)
+
+
+def row_errors(got, want):
+    """Per-row error of `got` against `want`, relative to the row's scale:
+    max |got - want| over the row over max |want| over the row.  Rows are
+    the first axis; a tuple of arrays (means, covs) counts as one row each."""
+    if not isinstance(want, tuple):
+        got, want = (got,), (want,)
+    flat = lambda arrays: np.hstack([np.reshape(a, (len(a), -1)) for a in arrays])
+    got, want = flat(got), flat(want)
+    return (np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)).astype(float)
+
+
 def random_generators(rng, n_modes=1, scale=0.7):
     """Random master-equation generators (C symmetric, not necessarily CP)."""
     n = 2 * n_modes

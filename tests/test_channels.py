@@ -21,7 +21,9 @@ from rapidgauss.errors import (
     DimensionMismatchError,
     InvalidAncillaStateError,
     InvalidSetupError,
+    NonFiniteStateError,
 )
+from rapidgauss.interpolation import generators_from_channel, propagate
 from rapidgauss.phasespace import (
     GaussianState,
     QuadraticHamiltonian,
@@ -29,7 +31,14 @@ from rapidgauss.phasespace import (
     validate_state,
 )
 from rapidgauss.sampling import random_joint_setup, random_state_cov, random_symplectic
-from rapidgauss.thermalization import OscillatorBathSetup, to_joint_setup
+from rapidgauss.thermalization import (
+    OscillatorBathSetup,
+    first_order_generators,
+    rwa_coupling,
+    to_joint_setup,
+)
+
+from helpers import apply_loop, row_errors
 
 
 def test_apply_identity_and_constant():
@@ -273,17 +282,61 @@ def _two_mode_channel():
 
 @pytest.mark.parametrize("make_channel", [_damped_one_mode_channel, _two_mode_channel])
 def test_trajectory_equals_a_loop_of_apply(make_channel):
-    # the stacked-array steps keep apply's arithmetic, so they agree bit for bit
+    # state doubling reassociates the products, so rows agree to rounding
     channel = make_channel()
     n = channel.T.shape[0]
     state = GaussianState(mean=np.linspace(-0.5, 0.5, n), cov=1.5 * np.eye(n))
     means, covs = apply_sequence([channel] * 300, state.mean, state.cov)
     assert len(means) == len(covs) == 300
-    reference = state
-    for mean, cov in zip(means, covs):
-        reference = apply(channel, reference)
-        assert np.array_equal(mean, reference.mean)
-        assert np.array_equal(cov, reference.cov)
+    reference = [state]
+    for _ in range(300):
+        reference.append(apply(channel, reference[-1]))
+    want = (np.array([s.mean for s in reference[1:]]), np.array([s.cov for s in reference[1:]]))
+    assert row_errors((means, covs), want).max() <= 1e-12
+
+
+def _bath_channel(g, dt):
+    bath = OscillatorBathSetup(E_S=1.0, E_A=1.3, nu_A=3.0, G=rwa_coupling(g, 0.3 * g), dt=dt)
+    return reduce_from_joint(to_joint_setup(bath))
+
+
+def _thermalize_gap():
+    bath = OscillatorBathSetup(E_S=1.2, E_A=1.0, nu_A=2.0, G=rwa_coupling(0.3, 0.1), dt=0.05)
+    return propagate(first_order_generators(bath), 10 * bath.dt)
+
+
+def _interpolated_substep():
+    return propagate(generators_from_channel(_bath_channel(0.3, 0.37), 0.37), 0.037)
+
+
+def _weak_coupling_channel():
+    channel = _bath_channel(1e-3, 0.05)
+    # the spectral radius of T sits within 1e-7 of one: the noise piles up
+    # over the whole run instead of settling
+    assert 1 - 1e-7 < np.abs(np.linalg.eigvals(channel.T)).max() < 1
+    return channel
+
+
+ACCURACY_CHANNELS = {
+    "damped_one_mode": _damped_one_mode_channel,
+    "thermalize_gap": _thermalize_gap,
+    "interpolated_substep": _interpolated_substep,
+    "weak_coupling": _weak_coupling_channel,
+    "two_mode": _two_mode_channel,
+    "E_S_dt_1.6": lambda: _bath_channel(0.3, 1.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCURACY_CHANNELS))
+def test_doubled_trajectory_is_accurate_over_4000_steps(name):
+    # against the same float channel applied row by row in extended precision
+    channel = ACCURACY_CHANNELS[name]()
+    n = channel.T.shape[0]
+    mean, cov = np.linspace(-0.5, 0.5, n), 1.5 * np.eye(n)
+    got = apply_sequence([channel] * 4000, mean, cov)
+    want = apply_loop([channel] * 4000, mean, cov, dtype=np.longdouble)
+    assert row_errors(got, want).max() <= 1e-12
+    assert np.array_equal(got[1], got[1].swapaxes(1, 2))  # symmetrised exactly
 
 
 def test_apply_sequence_checks_dimensions_and_finiteness():
@@ -297,6 +350,16 @@ def test_apply_sequence_checks_dimensions_and_finiteness():
     stretch = GaussianChannel(T=np.diag([np.e**3, np.e**-3]), d=np.zeros(2), R=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="state has non-finite entries"):
         apply_sequence([stretch] * 200, state.mean, state.cov)
+
+
+def test_apply_and_apply_sequence_report_overflow_alike():
+    # the covariance entry 1e200^2 leaves the float range
+    stretch = GaussianChannel(T=np.diag([1e200, 1e-200]), d=np.zeros(2), R=np.zeros((2, 2)))
+    vacuum = GaussianState(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(NonFiniteStateError, match="state has non-finite entries"):
+        apply(stretch, apply(stretch, vacuum))
+    with pytest.raises(NonFiniteStateError, match="state has non-finite entries"):
+        apply_sequence([stretch] * 2, vacuum.mean, vacuum.cov)
 
 
 def test_joint_setup_validation():

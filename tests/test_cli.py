@@ -18,6 +18,8 @@ from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
 
+from helpers import row_errors
+
 
 def _write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -647,7 +649,8 @@ def test_integral_float_counts_are_accepted(tmp_path, capsys):
 )
 def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, capsys, command, extra):
     # rows are stepped and formatted a block at a time; block boundaries,
-    # including one inside the first block's pairing in mode both, must not show
+    # including one inside the first block's pairing in mode both, must not
+    # show beyond rounding, as each block starts its own doubling
     cfg = dict(_bath_cfg([[0.3, 0.1], [-0.1, 0.2]], steps=40), **extra)
     path = _write_config(tmp_path, cfg)
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
@@ -655,9 +658,18 @@ def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, capsys, co
     monkeypatch.setattr("rapidgauss.cli.BLOCK_ROWS", 7)
     assert main([command, "--config", path, "--out", str(blocked)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert whole.read_bytes() == blocked.read_bytes()
+    whole_lines, blocked_lines = whole.read_text().splitlines(), blocked.read_text().splitlines()
+    assert whole_lines[0] == blocked_lines[0]
+    assert len(whole_lines) == len(blocked_lines)
+    times = [[line.split(",", 1)[0] for line in lines] for lines in (whole_lines, blocked_lines)]
+    assert times[0] == times[1]
+    (_, want), (_, got) = _read_csv(whole), _read_csv(blocked)
+    assert row_errors(got[:, 1:], want[:, 1:]).max() <= 1e-12
     if command == "thermalize":
-        assert out[0] == out[1]
+        want, got = (json.loads(line) for line in out)
+        assert list(got) == list(want)
+        assert got.pop("final_nu_S") == pytest.approx(want.pop("final_nu_S"), rel=1e-12, abs=0)
+        assert got == want
 
 
 @pytest.mark.parametrize(

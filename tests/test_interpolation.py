@@ -8,7 +8,6 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
-    apply_sequence,
     channel_power,
     hamiltonian_flow,
     identity_channel,
@@ -21,6 +20,7 @@ from rapidgauss.interpolation import (
     Generators,
     cp_differential_check,
     flow_states,
+    gap_channels,
     generators_from_channel,
     propagate,
 )
@@ -36,11 +36,13 @@ from rapidgauss.thermalization import (
 )
 
 from helpers import (
+    apply_loop,
     central_difference,
     gauss_legendre_integral,
     logm_div_series,
     master_rhs,
     random_generators,
+    row_errors,
     two_lift_generators,
     two_lift_propagate,
 )
@@ -425,17 +427,18 @@ def test_flow_states_match_propagation_from_the_start(grid, make_gen):
 @pytest.mark.parametrize("grid", ["uniform", "thermalize"])
 @pytest.mark.parametrize("make_gen", [_damped_one_mode, _damped_two_mode])
 def test_flow_states_equal_a_loop_of_apply(grid, make_gen):
-    # the stacked-array steps keep apply's arithmetic, so they agree bit for bit
+    # state doubling reassociates the products, so rows agree to rounding
     gen = make_gen()
     n = 2 * gen.n_modes
     state = GaussianState(mean=np.linspace(-0.5, 0.5, n), cov=1.5 * np.eye(n))
     times = FLOW_GRIDS[grid]
-    previous = 0.0
-    for t, got in zip(times, flow_states(gen, state, times)):
+    got, want, previous = list(flow_states(gen, state, times)), [], 0.0
+    for t in times:
         state = apply(propagate(gen, t - previous), state)
+        want.append(state)
         previous = t
-        assert np.array_equal(got.mean, state.mean)
-        assert np.array_equal(got.cov, state.cov)
+    moments = lambda states: (np.array([s.mean for s in states]), np.array([s.cov for s in states]))
+    assert row_errors(moments(got), moments(want)).max() <= 1e-12
 
 
 def test_flow_states_reject_decreasing_times():
@@ -505,12 +508,17 @@ def test_cli_trajectories_propagate_once_per_step_size(tmp_path, monkeypatch, ca
     capsys.readouterr()
 
 
-def _bath_rows(gen, step, count):
-    # CSV state columns of the flow from the vacuum, one step channel per row
-    channels = [propagate(gen, 0.0)] + [propagate(gen, step)] * (count - 1)
-    _, covs = apply_sequence(channels, np.zeros(2), np.eye(2))
+def _loop_rows(channels):
+    # CSV state columns of the flow from the vacuum, the channels applied by
+    # the per-row loop
+    _, covs = apply_loop(channels, np.zeros(2), np.eye(2))
     coeffs = decompose_cov(covs)
     return np.column_stack([coeffs.nu, coeffs.s_cross, coeffs.s_plus, 1.0 / np.linalg.det(covs)])
+
+
+def _bath_rows(gen, step, count):
+    # one step channel per row
+    return _loop_rows([propagate(gen, 0.0)] + [propagate(gen, step)] * (count - 1))
 
 
 def _read_rows(path):
@@ -533,7 +541,7 @@ def test_cli_trajectory_rows_are_the_one_step_channel_repeated(tmp_path, capsys)
     gen = generators_from_channel(reduce_from_joint(to_joint_setup(bath)), dt)
     count = steps * substeps + 1
     assert rows[:, 0].tolist() == [k * dt / substeps for k in range(count)]
-    assert np.array_equal(rows[:, 1:], _bath_rows(gen, dt / substeps, count))
+    assert row_errors(rows[:, 1:], _bath_rows(gen, dt / substeps, count)).max() <= 1e-12
 
     cfg = tmp_path / "thermalize.json"
     cfg.write_text(json.dumps({"setup": _CLI_BATH, "dt": dt, "steps": 4000, "max_rows": 401}))
@@ -541,5 +549,24 @@ def test_cli_trajectory_rows_are_the_one_step_channel_repeated(tmp_path, capsys)
     assert main(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
     rows = _read_rows(out)
     assert rows[:, 0].tolist() == [int(n) * dt for n in range(0, 4001, 10)]
-    assert np.array_equal(rows[:, 1:], _bath_rows(first_order_generators(bath), 10 * dt, 401))
+    want = _bath_rows(first_order_generators(bath), 10 * dt, 401)
+    assert row_errors(rows[:, 1:], want).max() <= 1e-12
+    capsys.readouterr()
+
+
+def test_cli_thermalize_rows_on_an_uneven_grid_match_the_per_row_loop(tmp_path, capsys):
+    # 1000 steps over 301 rows: gaps of 3 and 4 collisions, so the channel
+    # changes every one or two rows
+    dt = 0.37
+    bath = OscillatorBathSetup(E_S=1.2, E_A=1.0, nu_A=2.0, G=rwa_coupling(0.3, 0.1), dt=dt)
+    cfg = tmp_path / "thermalize.json"
+    cfg.write_text(json.dumps({"setup": _CLI_BATH, "dt": dt, "steps": 1000, "max_rows": 301}))
+    out = tmp_path / "thermalize.csv"
+    assert main(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    marks = np.unique(np.linspace(0, 1000, 301).round().astype(int)).tolist()
+    assert {b - a for a, b in zip(marks, marks[1:])} == {3, 4}
+    assert rows[:, 0].tolist() == [n * dt for n in marks]
+    want = _loop_rows(list(gap_channels(first_order_generators(bath), marks, unit=dt)))
+    assert row_errors(rows[:, 1:], want).max() <= 1e-12
     capsys.readouterr()
