@@ -24,6 +24,7 @@ from .channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_runs,
     apply_sequence,
     channel_power,
     channel_taylor,
@@ -58,6 +59,7 @@ from .interpolation import (
     cp_differential_check,
     flow_states,
     gap_channels,
+    gap_runs,
     generators_from_channel,
     propagate,
 )

@@ -7,7 +7,7 @@ exactly when R - i(T Omega T^T - Omega) is positive semi-definite.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby
 
 import numpy as np
 
@@ -62,11 +62,11 @@ def apply(channel, state):
 
     The result is a GaussianState, so it is checked like any other: finite
     entries and a symmetric covariance.  To push a state through many
-    channels, use :func:`apply_sequence`, which checks once for the whole
-    run.
+    channels, use :func:`apply_runs` or :func:`apply_sequence`, which check
+    once for the whole trajectory.
 
     Raises NonFiniteStateError("state has non-finite entries") when the
-    moments overflow, as :func:`apply_sequence` does.
+    moments overflow, as :func:`apply_runs` does.
     """
     if channel.T.shape[0] != state.mean.size:
         raise DimensionMismatchError("channel and state dimensions differ")
@@ -80,70 +80,91 @@ def apply(channel, state):
     return GaussianState(mean=mean, cov=cov)
 
 
-def apply_sequence(channels, mean, cov):
-    """Moments after applying each of the channels in turn to (mean, cov).
+def apply_runs(runs, mean, cov):
+    """Moments after applying runs of channels in turn to (mean, cov).
 
-    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels, taken from
-    any iterable: row k holds the state after channels[0], ..., channels[k].
-    Each update is T mean + d and T cov T^T + R, symmetrised.
+    Each run is a pair (channel, count): the channel applied count >= 1
+    times.  Returns means (K, 2N) and covs (K, 2N, 2N), K the total count,
+    taken from any iterable of runs: row k holds the state after the first
+    k + 1 applications.  Each update is T mean + d and T cov T^T + R,
+    symmetrised.
 
-    Consecutive repeats of one channel object form a run, and a run is
-    filled by state doubling (affine maps compose associatively; Blelloch,
-    "Prefix sums and their applications", 1990).  Its first two rows are
-    single updates; then, with m rows filled, the channel is squared into
-    its m-th power P_m, and P_m applied to rows 1..m gives rows m+1..2m in
-    one stacked update.  A run of K rows thus costs about log2(K) stacked
-    updates and squarings instead of K single updates.  The products are
-    reassociated, so the rows agree with a loop of :func:`apply` to
+    A run is filled by state doubling (affine maps compose associatively;
+    Blelloch, "Prefix sums and their applications", 1990).  Its first two
+    rows are single updates; then, with m rows filled, the channel is
+    squared into its m-th power P_m, and P_m applied to rows 1..m gives rows
+    m+1..2m in one stacked update.  A run of K rows thus costs about log2(K)
+    stacked updates and squarings instead of K single updates.  The products
+    are reassociated, so the rows agree with a loop of :func:`apply` to
     rounding, not exactly.
     The start is taken as given.  Dimensions are checked once per run and
     finiteness once over the result; no state is built or validated per
     step.
 
-    Raises DimensionMismatchError when a channel does not fit the start and
-    NonFiniteStateError("state has non-finite entries") when the moments,
-    or the powers of a channel, overflow.
+    Raises ValueError on a count below 1, DimensionMismatchError when a
+    channel does not fit the start and NonFiniteStateError("state has
+    non-finite entries") when the moments, or the powers of a channel,
+    overflow.
     """
-    channels = list(channels)
+    runs = list(runs)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
     if cov.shape != (n, n):
         raise DimensionMismatchError("channel and state dimensions differ")
-    count = len(channels)
-    means = np.empty((count, n))
-    covs = np.empty((count, n, n))
+    counts = [count for _, count in runs]
+    if counts and min(counts) < 1:
+        raise ValueError("run counts must be positive")
+    total = sum(counts)
+    means = np.empty((total, n))
+    covs = np.empty((total, n, n))
     tc, c = np.empty((n, n)), np.empty((n, n))
     c_t, add = c.T, np.add
-    starts = [k for k in range(count) if k == 0 or channels[k] is not channels[k - 1]]
-    if any(channels[k].T.shape[0] != n for k in starts):
-        raise DimensionMismatchError("channel and state dimensions differ")
-    # the second row of every run longer than two -> the end of that run
-    doubled = {
-        first + 1: end for first, end in zip(starts, starts[1:] + [count]) if end - first > 2
-    }
-    rows = zip(range(count), channels, means, covs)
+    rows, first = zip(means, covs), 0
     # overflow is reported below, once, as a non-finite state
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, ch, m, s in rows:
-            t = ch.T
-            t.dot(mean, m)
-            add(m, ch.d, m)
-            t.dot(cov, tc)
-            tc.dot(t.T, c)
-            add(c, ch.R, c)
-            add(c, c_t, s)
-            s /= 2
-            mean, cov = m, s
-            end = doubled.get(row)
-            if end is not None:
-                first = row - 1
-                mean, cov = _double_run(t, ch.d, ch.R, means[first:end], covs[first:end])
-                for _ in islice(rows, end - row - 1):  # skip the rows just filled
-                    pass
+        for ch, count in runs:
+            t, d, r = ch.T, ch.d, ch.R
+            if t.shape[0] != n:
+                raise DimensionMismatchError("channel and state dimensions differ")
+            single = 2 if count > 1 else 1
+            for m, s in rows:
+                t.dot(mean, m)
+                add(m, d, m)
+                t.dot(cov, tc)
+                tc.dot(t.T, c)
+                add(c, r, c)
+                add(c, c_t, s)
+                s /= 2
+                mean, cov = m, s
+                single -= 1
+                if not single:
+                    break
+            end = first + count
+            if count > 2:
+                mean, cov = _double_run(t, d, r, means[first:end], covs[first:end])
+                rows = zip(means[end:], covs[end:])
+            first = end
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteStateError("state has non-finite entries")
     return means, covs
+
+
+def apply_sequence(channels, mean, cov):
+    """Moments after applying each of the channels in turn to (mean, cov).
+
+    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels, taken from
+    any iterable: row k holds the state after channels[0], ..., channels[k].
+    This is the per-channel view of :func:`apply_runs`: consecutive repeats
+    of one channel object form one run, filled by state doubling, so the
+    rows agree with a loop of :func:`apply` to rounding, not exactly.
+
+    Raises DimensionMismatchError when a channel does not fit the start and
+    NonFiniteStateError("state has non-finite entries") when the moments,
+    or the powers of a channel, overflow.
+    """
+    runs = [(next(group), 1 + len(list(group))) for _, group in groupby(channels, key=id)]
+    return apply_runs(runs, mean, cov)
 
 
 def _double_run(t, d, r, means, covs):

@@ -21,12 +21,12 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
 from .bombardment import generator_series_from_joint, truncated_cp_check
-from .channels import CP_TOL, JointSetup, apply_sequence, identity_channel, reduce_from_joint
+from .channels import CP_TOL, JointSetup, apply_runs, identity_channel, reduce_from_joint
 from .classifier import allowed_types, table_availability
 from .errors import (
     BranchCutError,
@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrixError,
 )
 # propagate is imported, not called: bench/test_bench.py expects the binding
-from .interpolation import gap_channels, generators_from_channel, propagate  # noqa: F401
+from .interpolation import gap_runs, generators_from_channel, propagate  # noqa: F401
 from .phasespace import GaussianState, validate_state
 from .sampling import random_joint_setup
 from .thermalization import (
@@ -56,10 +56,15 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INVARIANT = 3
 
-# Trajectory rows stepped and formatted at a time.  Output streams block by
-# block, so memory stays bounded on any grid; a block of 128 formatted rows
-# holds about 0.1 MB, and 512 raised the benchmark's peak RSS by ~0.3 MB.
-BLOCK_ROWS = 128
+# Most values formatted into one string of trajectory rows; a string holds as
+# many rows as fit, at least one.  Output streams string by string, so memory
+# stays bounded on any grid: formatting takes about 110 bytes per value, and a
+# 10-column oscillator-bath trajectory of 401 rows is one string.
+BLOCK_VALUES = 2**13
+# Fewest rows stepped at a time.  Each block restarts state doubling, so
+# blocks of only the 12 rows that fit in one string cost 12-mode trajectories
+# in mode both about 5 % of their run time; 128 rows of them peak near 4 MB.
+STEP_ROWS = 128
 
 
 class ConfigError(Exception):
@@ -230,24 +235,46 @@ def _columns(kind, means, covs):
     return np.column_stack([means, covs[:, rows, cols]])
 
 
+def _blocks(runs, rows):
+    """Cut a stream of runs (channel, count) into lists of runs of `rows`
+    rows each, the last one possibly shorter; a run that crosses a block
+    boundary is split there."""
+    block, room = [], rows
+    for channel, count in runs:
+        while count >= room:
+            yield block + [(channel, room)]
+            count -= room
+            block, room = [], rows
+        if count:
+            block.append((channel, count))
+            room -= count
+    if block:
+        yield block
+
+
 def _csv_rows(kind, times, mean, cov, trajectories):
     """CSV rows, one per time: t, then the state columns of each trajectory,
     and max_abs_diff between them when there are two.
 
-    Each trajectory is an iterable of channels, one per row, applied in turn
-    to the start (mean, cov).  The times and the channels are read, stepped
-    and formatted BLOCK_ROWS rows at a time, so they may stream in; each
-    block is yielded as one string of newline-separated rows.
+    Each trajectory is an iterable of runs (channel, count), one row per
+    application, applied in turn to the start (mean, cov).  The times and
+    the runs are read and stepped (:func:`rapidgauss.channels.apply_runs`)
+    a block of rows at a time, so they may stream in; a run that crosses a
+    block boundary is split there.  A block's rows are yielded as strings
+    of newline-separated rows, each string as many rows as fit in
+    BLOCK_VALUES formatted values.  A block is one string, or STEP_ROWS rows
+    when fewer than that fit in one string.
     Returns the last (mean, cov) of the first trajectory.
     """
+    state_width = len(_state_columns(kind, len(mean) // 2))
+    width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
+    rows = max(1, BLOCK_VALUES // width)
+    step = max(rows, STEP_ROWS)
     times = iter(times)
-    trajectories = [iter(channels) for channels in trajectories]
+    trajectories = [_blocks(runs, step) for runs in trajectories]
     ends = [(mean, cov)] * len(trajectories)
-    while block_times := list(islice(times, BLOCK_ROWS)):
-        block = [
-            apply_sequence(islice(channels, len(block_times)), *end)
-            for channels, end in zip(trajectories, ends)
-        ]
+    while block_times := list(islice(times, step)):
+        block = [apply_runs(next(runs), *end) for runs, end in zip(trajectories, ends)]
         ends = [(means[-1], covs[-1]) for means, covs in block]
         parts = [np.array(block_times)[:, None]]
         parts += [_columns(kind, means, covs) for means, covs in block]
@@ -259,8 +286,10 @@ def _csv_rows(kind, times, mean, cov, trajectories):
             )
             parts.append(diff[:, None])
         table = np.hstack(parts)
-        line = ",".join(["%.17g"] * table.shape[1])
-        yield "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
+        line = ",".join(["%.17g"] * width)
+        for first in range(0, len(table), rows):
+            piece = table[first : first + rows]
+            yield "\n".join([line] * len(piece)) % tuple(piece.ravel().tolist())
     return ends[0]
 
 
@@ -309,11 +338,11 @@ def cmd_evolve(cfg, out_path):
             yield ",".join(["t"] + cols)
         trajectories = []
         if mode != "interpolated":
-            trajectories.append(chain([identity_channel(setup.n_sys)], repeat(channel, steps)))
+            trajectories.append([(identity_channel(setup.n_sys), 1), (channel, steps)])
         if mode != "discrete":
             # the interpolated column comes from the generators alone
             gen = generators_from_channel(channel, dt)
-            trajectories.append(gap_channels(gen, marks, unit=dt / substeps))
+            trajectories.append(gap_runs(gen, marks, unit=dt / substeps))
         _check_final(*(yield from _csv_rows(kind, times, mean0, cov0, trajectories)))
 
     _write_atomic(out_path, lines())
@@ -334,7 +363,7 @@ def cmd_thermalize(cfg, out_path):
     count = min(steps + 1, max_rows)
     indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
     times = [n * dt for n in indices]
-    gaps = gap_channels(first_order_generators(bath), indices, unit=dt)
+    gaps = gap_runs(first_order_generators(bath), indices, unit=dt)
 
     def lines():
         yield ",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])

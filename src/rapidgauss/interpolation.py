@@ -22,15 +22,24 @@ negative real axis; propagation is one exponential of the same block.
 The generators are constant, so the flow is a semigroup: the channel over
 t + s is the channel over s composed with the channel over t.  Trajectories
 (:func:`flow_states`) therefore step from one requested time to the next
-with the channel of the gap between them (:func:`gap_channels`); on an
-evenly spaced grid every step is carried by one and the same channel.
+with the channel of the gap between them, one run (channel, count) per
+stretch of equal gaps (:func:`gap_runs`); an evenly spaced grid is one run
+of one channel.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .channels import CP_TOL, CpReport, GaussianChannel, apply_sequence, channel_power
+from .channels import (
+    CP_TOL,
+    CpReport,
+    GaussianChannel,
+    apply_runs,
+    channel_power,
+    identity_channel,
+)
 from .errors import SingularMatrixError
 from .linalg import block_upper, mat_exp, mat_log_principal, psd_margin
 from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
@@ -126,29 +135,53 @@ def propagate(gen, t):
     return channel_power(channel, 2**doublings)
 
 
-def gap_channels(gen, marks, unit=1.0):
-    """Yield the channels of the master-equation flow over the gaps between
-    the times `marks[k] * unit`, reading the marks one at a time.
+def gap_runs(gen, marks, unit=1.0):
+    """Yield the master-equation flow over the gaps between the times
+    `marks[k] * unit` as runs (channel, count): one run per stretch of
+    equal consecutive gaps, the channel over that gap and the stretch's
+    length.
 
-    The marks are nondecreasing and measured from 0, so entry k is the
-    channel over (marks[k] - marks[k-1]) * unit, the first gap running from
-    0.  Each distinct mark difference is propagated once.  On a grid of
-    integer marks, such as the row indices of an evenly spaced trajectory,
-    that is one exponential per distinct step count, however long the grid;
-    float times with unit 1 give one exponential per distinct float gap.
+    The marks are nondecreasing and measured from 0, so the first gap runs
+    from 0.  A gap of 0 is carried by the identity channel, and each other
+    distinct mark difference is propagated once.  On a grid of integer
+    marks, such as the row indices of an evenly spaced trajectory, that is
+    one exponential per distinct step count, however long the grid; float
+    times with unit 1 give one exponential per distinct float gap.  The
+    marks are read one at a time, and a run is yielded once the gap after
+    it differs or the marks end.
 
     Raises ValueError on reaching a mark that decreases.
     """
     cache = {}
-    previous = 0
-    for k, mark in enumerate(marks):
-        if k and mark < previous:
-            raise ValueError("times must be nondecreasing")
+    previous, run_gap, count = 0, None, 0
+    for mark in marks:
         gap = mark - previous
-        if gap not in cache:
-            cache[gap] = propagate(gen, gap * unit)
-        yield cache[gap]
+        if gap != run_gap:
+            if count:
+                yield cache[run_gap], count
+                if gap < 0:
+                    raise ValueError("times must be nondecreasing")
+            if gap not in cache:
+                cache[gap] = propagate(gen, gap * unit) if gap else identity_channel(gen.n_modes)
+            run_gap, count = gap, 0
+        count += 1
         previous = mark
+    if count:
+        yield cache[run_gap], count
+
+
+def gap_channels(gen, marks, unit=1.0):
+    """Yield the channels of the master-equation flow over the gaps between
+    the times `marks[k] * unit`: entry k is the channel over
+    (marks[k] - marks[k-1]) * unit, the first gap running from 0.
+
+    This is the per-channel view of :func:`gap_runs`, each run repeated
+    count times, so equal gaps give one and the same channel object.
+
+    Raises ValueError on reaching a mark that decreases.
+    """
+    for channel, count in gap_runs(gen, marks, unit):
+        yield from repeat(channel, count)
 
 
 def flow_states(gen, state, times):
@@ -157,15 +190,15 @@ def flow_states(gen, state, times):
     The times are nondecreasing and measured from the moment `state` holds.
     The state at times[k] is the channel over the float gap
     times[k] - times[k-1] applied to the state at times[k-1]
-    (:func:`gap_channels` with unit 1), so each distinct float gap costs one
-    exponential.  The steps run in :func:`rapidgauss.channels.apply_sequence`,
+    (:func:`gap_runs` with unit 1), so each distinct float gap costs one
+    exponential.  The steps run in :func:`rapidgauss.channels.apply_runs`,
     which fills each run of equal gaps by state doubling, so the states
     agree with a loop of :func:`rapidgauss.channels.apply` to rounding; each
     yielded state is then built, and so checked, as a GaussianState.
 
     Raises ValueError when the times decrease, as soon as iteration starts.
     """
-    means, covs = apply_sequence(gap_channels(gen, times), state.mean, state.cov)
+    means, covs = apply_runs(gap_runs(gen, times), state.mean, state.cov)
     for mean, cov in zip(means, covs):
         yield GaussianState(mean=mean, cov=cov)
 

@@ -23,10 +23,10 @@ import numpy as np
 import scipy.linalg
 
 from .bombardment import closed_form_series
-from .channels import JointSetup, apply_sequence, reduce_from_joint
+from .channels import JointSetup, apply_runs, reduce_from_joint
 from .errors import DimensionMismatchError, InvalidSetupError
 # propagate is imported, not called: bench/test_bench.py expects the binding
-from .interpolation import gap_channels, propagate  # noqa: F401
+from .interpolation import gap_runs, propagate  # noqa: F401
 from .phasespace import GaussianState, _frozen_arrays, beta_from_nu
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -182,19 +182,19 @@ def simulate_first_order(setup, sigma0, times):
 
     The flow is linear with constant generators, so it is stepped from each
     time to the next with the exact channel of the gap (no stepping error),
-    one exponential per distinct float gap (see
-    :func:`rapidgauss.interpolation.gap_channels`; the CLI passes it integer
-    collision counts with unit dt instead, for one exponential per step
-    count).  `sigma0` is checked once, as the covariance of a GaussianState;
-    the steps run in :func:`rapidgauss.channels.apply_sequence`, which fills
-    each run of equal gaps by state doubling and so agrees with stepping
-    gap by gap to rounding.  Returns a list of (t, CovCoefficients, purity)
-    tuples.
+    one exponential per distinct float gap and one run (channel, count) per
+    stretch of equal gaps (see :func:`rapidgauss.interpolation.gap_runs`;
+    the CLI passes it integer collision counts with unit dt instead, for one
+    exponential per step count).  `sigma0` is checked once, as the
+    covariance of a GaussianState; the runs are stepped by
+    :func:`rapidgauss.channels.apply_runs`, which fills each by state
+    doubling and so agrees with stepping gap by gap to rounding.  Returns a
+    list of (t, CovCoefficients, purity) tuples.
     """
     gens = first_order_generators(setup)
     start = GaussianState(mean=np.zeros(np.shape(sigma0)[:1]), cov=sigma0)
     times = [float(t) for t in times]
-    _, covs = apply_sequence(gap_channels(gens, times), start.mean, start.cov)
+    _, covs = apply_runs(gap_runs(gens, times), start.mean, start.cov)
     return [
         (t, decompose_cov(cov), 1.0 / float(np.linalg.det(cov)))
         for t, cov in zip(times, covs)

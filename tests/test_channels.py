@@ -8,6 +8,7 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_runs,
     apply_sequence,
     channel_power,
     channel_taylor,
@@ -360,6 +361,10 @@ def test_apply_and_apply_sequence_report_overflow_alike():
         apply(stretch, apply(stretch, vacuum))
     with pytest.raises(NonFiniteStateError, match="state has non-finite entries"):
         apply_sequence([stretch] * 2, vacuum.mean, vacuum.cov)
+    # in the single updates of a run, and in the squarings of a longer one
+    for count in (2, 5):
+        with pytest.raises(NonFiniteStateError, match="state has non-finite entries"):
+            apply_runs([(stretch, count)], vacuum.mean, vacuum.cov)
 
 
 def test_joint_setup_validation():

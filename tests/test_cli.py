@@ -648,14 +648,18 @@ def test_integral_float_counts_are_accepted(tmp_path, capsys):
     ],
 )
 def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, capsys, command, extra):
-    # rows are stepped and formatted a block at a time; block boundaries,
-    # including one inside the first block's pairing in mode both, must not
-    # show beyond rounding, as each block starts its own doubling
+    # rows are stepped a block at a time and formatted a string at a time;
+    # block boundaries, including one inside the first block's pairing in
+    # mode both, must not show beyond rounding, as each block starts its own
+    # doubling.  By default each of these trajectories is one block and one
+    # string; here blocks are 10 rows, and strings of 35 values are 7 rows of
+    # 5 columns or 3 rows of 10, so both boundaries fall inside blocks
     cfg = dict(_bath_cfg([[0.3, 0.1], [-0.1, 0.2]], steps=40), **extra)
     path = _write_config(tmp_path, cfg)
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert main([command, "--config", path, "--out", str(whole)]) == 0
-    monkeypatch.setattr("rapidgauss.cli.BLOCK_ROWS", 7)
+    monkeypatch.setattr("rapidgauss.cli.BLOCK_VALUES", 35)
+    monkeypatch.setattr("rapidgauss.cli.STEP_ROWS", 10)
     assert main([command, "--config", path, "--out", str(blocked)]) == 0
     out = capsys.readouterr().out.splitlines()
     whole_lines, blocked_lines = whole.read_text().splitlines(), blocked.read_text().splitlines()

@@ -1,7 +1,8 @@
 """Property tests of the map algebra: every collision is a CPTP channel with
 symmetric noise, the interpolating flow meets the collisions at every n*dt,
-it is a semigroup, a contractive flow settles where the collisions do, and a
-Hamiltonian flow is a noiseless symplectic channel.
+it is a semigroup, a contractive flow settles where the collisions do, a
+Hamiltonian flow is a noiseless symplectic channel, and runs of channels
+step like the per-row loop however they are grouped and cut into blocks.
 
 Setups have 1-3 system and 1-3 ancilla modes, ancillas squeezed by up to
 e^2 in either quadrature, and steps dt up to where the largest |arg mu| of
@@ -10,6 +11,7 @@ the reduced T reaches 0.9 pi.
 
 import json
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -18,16 +20,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rapidgauss.channels import (
+    GaussianChannel,
     JointSetup,
+    apply_runs,
+    apply_sequence,
     channel_power,
     compose,
     hamiltonian_flow,
+    identity_channel,
     is_cptp,
     reduce_from_joint,
 )
+from rapidgauss.cli import _blocks
 from rapidgauss.interpolation import (
     LIFT_NORM_MAX,
+    Generators,
     cp_differential_check,
+    gap_channels,
+    gap_runs,
     generators_from_channel,
     propagate,
 )
@@ -38,6 +48,8 @@ from rapidgauss.thermalization import (
     ladder_coupling,
     to_joint_setup,
 )
+
+from helpers import apply_loop, row_errors
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 BRANCH_LIMIT = 0.9 * np.pi
@@ -185,3 +197,91 @@ def test_hamiltonian_flow_is_a_noiseless_symplectic_channel(hamiltonian, t):
     omega = symplectic_form(flow.n_modes)
     residual = np.abs(flow.T @ omega @ flow.T.T - omega).max()
     assert residual <= 1e-9 * max(1.0, np.abs(flow.T).max() ** 2)
+
+
+@st.composite
+def _contraction(draw, dim):
+    """Channel with T = rho Q, Q orthogonal and 0.8 <= rho <= 1, so that a
+    few thousand steps stay in range, and noise R >= 0.01."""
+    q, _ = np.linalg.qr(draw(_entries((dim, dim))))
+    b = draw(_entries((dim, dim)))
+    return GaussianChannel(
+        T=draw(st.floats(0.8, 1.0)) * q,
+        d=draw(_entries(dim)),
+        R=b @ b.T + 0.01 * np.eye(dim),
+    )
+
+
+@st.composite
+def _channel_runs(draw):
+    """(runs, block size) on 1-3 modes: 1-8 runs of 1-300 rows over 1-4
+    channels, the fourth, when drawn, equal to the first but a distinct
+    object; consecutive runs may share a channel."""
+    dim = 2 * draw(st.integers(1, 3))
+    channels = [draw(_contraction(dim)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        first = channels[0]
+        channels.append(GaussianChannel(T=first.T.copy(), d=first.d.copy(), R=first.R.copy()))
+    run = st.tuples(st.sampled_from(channels), st.integers(1, 300))
+    return draw(st.lists(run, min_size=1, max_size=8)), draw(st.integers(1, 400))
+
+
+@PROPERTY
+@given(_channel_runs())
+def test_runs_step_like_the_per_row_loop_in_any_blocks(drawn):
+    runs, size = drawn
+    channels = [ch for ch, count in runs for _ in range(count)]
+    dim = channels[0].T.shape[0]
+    mean, cov = np.linspace(-0.5, 0.5, dim), 1.5 * np.eye(dim)
+    want = apply_loop(channels, mean, cov)
+    assert row_errors(apply_runs(runs, mean, cov), want).max() <= 1e-12
+    # cut at every `size` rows, each block stepped from the last row of the one before
+    means, covs, end = [], [], (mean, cov)
+    blocks = list(_blocks(iter(runs), size))
+    assert [sum(count for _, count in block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+    cut = [id(ch) for block in blocks for ch, count in block for _ in range(count)]
+    assert cut == [id(ch) for ch in channels]
+    for block in blocks:
+        block_means, block_covs = apply_runs(block, *end)
+        means.append(block_means)
+        covs.append(block_covs)
+        end = block_means[-1], block_covs[-1]
+    assert row_errors((np.concatenate(means), np.concatenate(covs)), want).max() <= 1e-12
+    # the per-channel view groups by object, merging runs of one object and
+    # keeping the equal copy apart
+    grouped = [(next(group), 1 + len(list(group))) for _, group in groupby(channels, key=id)]
+    assert all(a is not b for (a, _), (b, _) in zip(grouped, grouped[1:]))
+    got, expected = apply_sequence(channels, mean, cov), apply_runs(grouped, mean, cov)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+@st.composite
+def _gap_grids(draw):
+    """(generators, marks, unit): 1-3 modes, 1-40 nondecreasing integer
+    marks whose gaps, the first from 0, are 0-3."""
+    dim = 2 * draw(st.integers(1, 3))
+    gen = Generators(A=draw(_entries((dim, dim))), b=draw(_entries(dim)), C=draw(_symmetric(dim)))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    return gen, np.cumsum(gaps).tolist(), draw(st.floats(0.01, 0.5))
+
+
+@PROPERTY
+@given(_gap_grids())
+def test_gap_runs_are_the_maximal_runs_of_gap_channels(grid):
+    gen, marks, unit = grid
+    runs = list(gap_runs(gen, marks, unit))
+    gaps = [b - a for a, b in zip([0] + marks, marks)]
+    assert [count for _, count in runs] == [len(list(g)) for _, g in groupby(gaps)]
+    per_row = list(gap_channels(gen, marks, unit))
+    assert len(per_row) == len(marks)
+    first = 0
+    for channel, count in runs:
+        gap = gaps[first]
+        want = propagate(gen, gap * unit) if gap else identity_channel(gen.n_modes)
+        for row in [channel] + per_row[first : first + count]:
+            assert all(np.array_equal(getattr(row, f), getattr(want, f)) for f in ("T", "d", "R"))
+        first += count
+    # one channel object per distinct gap within a grid
+    by_gap = {}
+    for gap, channel in zip(gaps, per_row):
+        assert by_gap.setdefault(gap, channel) is channel
