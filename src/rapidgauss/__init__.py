@@ -16,18 +16,19 @@ from .bombardment import (
     closed_form_series,
     first_order_purify,
     generator_series_from_joint,
+    generator_series_stack,
     rank_one_coupling,
     series_from_channel_series,
     truncated_cp_check,
+    truncated_cp_margins,
 )
 from .channels import (
     GaussianChannel,
     JointSetup,
     apply,
     apply_runs,
-    apply_sequence,
     channel_power,
-    channel_taylor,
+    channel_taylor_stack,
     compose,
     hamiltonian_flow,
     identity_channel,
@@ -57,8 +58,8 @@ from .errors import (
 from .interpolation import (
     Generators,
     cp_differential_check,
+    cp_margins,
     flow_states,
-    gap_channels,
     gap_runs,
     generators_from_channel,
     propagate,

@@ -3,7 +3,9 @@
 For a bombardment setup the reduced channel is analytic in dt, and the
 interpolation generators inherit a series A = A_0 + dt A_1 + ..., with
 closed forms for the first three orders and a mechanical construction
-(the logarithm series of the lifted channel series) at any order.
+(the logarithm series of the lifted channel series) at any order, one
+kernel for a stack of same-shape setups at once, whose truncations of every
+order get their CP margins from one batched eigen-solve.
 The CLI takes every order from the mechanical route; the closed forms are
 the paper's formulas, the reference the route is tested against, and the
 source of the first-order oscillator-bath analysis.  The even-order A
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channel_taylor
+from .channels import CP_TOL, CpReport, channel_taylor_stack
 from .errors import MalformedSeriesError
-from .interpolation import Generators, channel_lift, cp_differential_check, read_generators
+from .interpolation import Generators, cp_margins, read_generators
 from .phasespace import symplectic_form
 
 # how far below zero a purification value must fall to count; absorbs roundoff
@@ -29,21 +31,21 @@ PURIFY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GeneratorSeries:
-    """Per-order generator coefficients {A_k, b_k, C_k}, k = 0..order."""
+    """Per-order generator coefficients {A_k, b_k, C_k}, k = 0..order, held
+    as read-only stacks: A (order+1, 2N, 2N), b (order+1, 2N) and
+    C (order+1, 2N, 2N), so A[k] is the order-k drift matrix."""
 
-    A: tuple
-    b: tuple
-    C: tuple
+    A: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
 
     def __post_init__(self):
-        freeze = lambda seq: tuple(np.ascontiguousarray(m, dtype=float) for m in seq)
-        object.__setattr__(self, "A", freeze(self.A))
-        object.__setattr__(self, "b", freeze(self.b))
-        object.__setattr__(self, "C", freeze(self.C))
-        if not len(self.A) == len(self.b) == len(self.C) or not self.A:
+        stacks = [np.asarray(getattr(self, name), dtype=float).view() for name in "AbC"]
+        if not len(stacks[0]) or len({len(stack) for stack in stacks}) > 1:
             raise MalformedSeriesError("A, b, C must have one entry per order")
-        for m in self.A + self.b + self.C:
-            m.setflags(write=False)
+        for name, stack in zip("AbC", stacks):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def order(self):
@@ -65,38 +67,79 @@ class GeneratorSeries:
         ]
 
 
-def _log_series(t_series, order):
-    """Coefficients of Log(T(dt)) given T(dt) = 1 + sum_k dt^k T_k.
+def _log_series_rows(x, rows):
+    """Coefficients 0..K of the first `rows` rows of Log(1 + X(dt)), for a
+    stack of series X(dt) = sum_{k>=1} dt^k x[:, k] given as x of shape
+    (S, K+1, w, w); x[:, 0] is not read.
 
-    Log T = sum_m (-1)^(m+1) X^m / m with X = T - 1.  X has no dt^0 term, so
-    X^m has no terms below dt^m: only its coefficients k >= m are built, the
-    k-th from the products X^(m-1)[i] @ X[k-i] with i >= m-1.  The products
-    skipped are exact zeros, so skipping them changes no bit of the result.
+    Log(1 + X) = sum_m (-1)^(m+1) X^m / m.  The top rows of X^m are the top
+    rows of X^(m-1) times X, so only they are formed, (rows x w) @ (w x w)
+    per product.  X^m has no terms below dt^m: only its coefficients
+    k >= m are built, the k-th from the products X^(m-1)[i] X[k-i] with
+    i >= m-1.  Each Cauchy product runs over the left order i, increasing,
+    one stacked matmul of X^(m-1)[i] with all the X[j] it meets, so every
+    coefficient is summed in the order of a sum over i.
     """
-    n = t_series[0].shape[0]
-    shifted = [None] + [np.asarray(m) for m in t_series[1:]]
-    out = [np.zeros((n, n)) for _ in range(order + 1)]
-    power = shifted  # X^1; power[k] is read only for k >= m
-    for m in range(1, order + 1):
-        if m > 1:
-            power = [None] * m + [
-                sum(power[i] @ shifted[k - i] for i in range(m - 1, k))
-                for k in range(m, order + 1)
-            ]
-        coeff = (-1) ** (m + 1) / m
-        for k in range(m, order + 1):
-            out[k] = out[k] + coeff * power[k]
-    return out
+    order = x.shape[1] - 1
+    top = x[:, :, :rows]
+    log = np.zeros_like(top)
+    log[:, 1:] += top[:, 1:]
+    power = top  # top rows of X^1; power[:, k] is read only for k >= m
+    for m in range(2, order + 1):
+        prev, power = power, np.zeros_like(top)
+        for i in range(m - 1, order):
+            power[:, i + 1 :] += prev[:, i : i + 1] @ x[:, 1 : order - i + 1]
+        log[:, m:] += (-1) ** (m + 1) / m * power[:, m:]
+    return log
 
 
-def _inverse_series(t_series, order):
-    """Coefficients of T(dt)^-1 given T(dt) = 1 + sum_k dt^k T_k (the Neumann
-    series, order by order from T T^-1 = 1).  T_0 is taken as exactly 1, so
-    the k-th coefficient is -T_k - sum_{0<i<k} T_i inv_{k-i}."""
-    inv = [np.eye(t_series[0].shape[0])]
-    for k in range(1, order + 1):
-        inv.append(-t_series[k] - sum(t_series[i] @ inv[k - i] for i in range(1, k)))
-    return inv
+def _series_of_stacks(t, d, r, order):
+    """Generator stacks (A, b, C), each (S, order+1, ...), of S channel
+    series stacks t, d, r of shapes (S, order+2, n, n), (S, order+2, n) and
+    (S, order+2, n, n) that start from the trivial channel.
+
+    The series of the channel lift
+    L(dt) = [[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]] is built
+    coefficient by coefficient, and the generators are read off the top
+    block row of its logarithm series (:func:`_log_series_rows`,
+    :func:`read_generators`), as :func:`generators_from_channel` reads them
+    off Log L at a single dt.  The order-0 terms are taken as exactly
+    trivial: no product with T_0, d_0 or R_0 is formed.  Each coefficient is
+    summed in the order of a sum over increasing left order, so a stack of
+    setups gives each setup the bits it gets on its own.
+    """
+    kc, n = order + 1, t.shape[-1]
+    # T^-1 by the Neumann recurrence: inv_k = -T_k - sum_{0<i<k} T_i inv_(k-i)
+    inv = np.empty(t.shape[:1] + (kc + 1, n, n))
+    inv[:, 0] = np.eye(n)
+    for k in range(1, kc + 1):
+        acc = 0
+        for term in (t[:, 1:k] @ inv[:, k - 1 : 0 : -1]).swapaxes(0, 1):
+            acc = acc + term
+        inv[:, k] = -t[:, k] - acc
+    # the top block row [T^-1, T^-1 [R, -d]] of every lift coefficient
+    rd = np.concatenate([r, -d[..., None]], axis=3)
+    acc = np.zeros_like(rd)
+    for i in range(1, kc):
+        acc[:, i + 1 :] += inv[:, i : i + 1] @ rd[:, 1 : kc - i + 1]
+    lift = np.zeros(t.shape[:1] + (kc + 1, 2 * n + 1, 2 * n + 1))
+    lift[:, :, :n, :n] = inv
+    lift[:, :, :n, n:] = rd + acc
+    lift[:, :, n:-1, n:-1] = t.swapaxes(2, 3)
+    return read_generators(_log_series_rows(lift, n)[:, 1:])
+
+
+def generator_series_stack(setups, order):
+    """Generator series of S same-shape bombardment setups, as stacks A
+    (S, order+1, 2N, 2N), b (S, order+1, 2N) and C (S, order+1, 2N, 2N):
+    the exact channel Taylor coefficients of every setup
+    (:func:`rapidgauss.channels.channel_taylor_stack`) fed into one
+    logarithm series of the lifted channel series (the kernel behind
+    :func:`series_from_channel_series`).  Any order >= 0.  Each setup's
+    coefficients are bit for bit those of its own stack of one."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _series_of_stacks(*channel_taylor_stack(setups, order + 1), order)
 
 
 def series_from_channel_series(t_series, d_series, r_series, order):
@@ -124,21 +167,15 @@ def series_from_channel_series(t_series, d_series, r_series, order):
         raise MalformedSeriesError(
             f"order-{order} generators need channel coefficients through order {order + 1}"
         )
-    kc = order + 1
-    t_inv = _inverse_series(t_series, kc)
-    rd = [np.column_stack([r, -d]) for r, d in zip(r_series, d_series)]
-    tops = [np.column_stack([t_inv[k], rd[k] + sum(t_inv[i] @ rd[k - i] for i in range(1, k))])
-            for k in range(1, kc + 1)]
-    lifted = [np.eye(2 * n + 1)] + [channel_lift(top, t, 0.0) for top, t in zip(tops, t_series[1:])]
-    log = _log_series(lifted, kc)
-    return GeneratorSeries(*read_generators(np.array(log[1:])))
+    stacks = (np.array([series[: order + 2]]) for series in (t_series, d_series, r_series))
+    return GeneratorSeries(*(coeffs[0] for coeffs in _series_of_stacks(*stacks, order)))
 
 
 def generator_series_from_joint(setup, order):
     """Generator series of a bombardment setup through the mechanical route
     (exact channel Taylor coefficients fed into the logarithm series), at
-    any order >= 0."""
-    return series_from_channel_series(*channel_taylor(setup, order + 1), order)
+    any order >= 0: the stack of one of :func:`generator_series_stack`."""
+    return GeneratorSeries(*(coeffs[0] for coeffs in generator_series_stack([setup], order)))
 
 
 def closed_form_series(setup, order=2):
@@ -188,10 +225,35 @@ def closed_form_series(setup, order=2):
     return GeneratorSeries(A=a_coeffs, b=b_coeffs, C=c_coeffs)
 
 
+def truncated_cp_margins(a, c, dt):
+    """Differential CP margins of the truncations of orders 0..K of stacks
+    of series coefficients a and c, shapes (..., K+1, 2N, 2N), evaluated at
+    step duration dt: entry k is the margin
+    :func:`rapidgauss.interpolation.cp_differential_check` gives
+    ``GeneratorSeries.truncate(k, dt)``.
+
+    The partial sums sum_{j<=k} coeff_j dt^j of all orders come from one
+    cumulative sum, which adds in increasing order as a sum over j does,
+    and all margins from one batched Hermitian eigen-solve
+    (:func:`rapidgauss.interpolation.cp_margins`).  Returns an array
+    (..., K+1).
+    """
+    powers = np.array([dt**k for k in range(np.shape(a)[-3])])[:, None, None]
+    # + 0.0 turns the -0.0 a cumulative sum keeps into the +0.0 of a sum
+    # started from 0; the sign of a zero can steer the eigen-solve
+    a_sum = np.cumsum(a * powers, axis=-3) + 0.0
+    c_sum = np.cumsum(c * powers, axis=-3) + 0.0
+    return cp_margins(a_sum, (c_sum + c_sum.swapaxes(-1, -2)) / 2)
+
+
 def truncated_cp_check(series, order, dt):
     """Differential CP test on the series truncated at `order` and evaluated
-    at step duration dt (:func:`rapidgauss.interpolation.cp_differential_check`)."""
-    return cp_differential_check(series.truncate(order, dt))
+    at step duration dt: the order-`order` entry of
+    :func:`truncated_cp_margins`, as a CpReport."""
+    if order > series.order:
+        raise ValueError(f"series only carries orders up to {series.order}")
+    margin = float(truncated_cp_margins(series.A[: order + 1], series.C[: order + 1], dt)[order])
+    return CpReport(ok=margin >= -CP_TOL, margin=margin)
 
 
 def can_purify(a):

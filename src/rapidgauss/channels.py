@@ -7,7 +7,6 @@ exactly when R - i(T Omega T^T - Omega) is positive semi-definite.
 """
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -62,8 +61,8 @@ def apply(channel, state):
 
     The result is a GaussianState, so it is checked like any other: finite
     entries and a symmetric covariance.  To push a state through many
-    channels, use :func:`apply_runs` or :func:`apply_sequence`, which check
-    once for the whole trajectory.
+    channels, use :func:`apply_runs`, which checks once for the whole
+    trajectory.
 
     Raises NonFiniteStateError("state has non-finite entries") when the
     moments overflow, as :func:`apply_runs` does.
@@ -148,23 +147,6 @@ def apply_runs(runs, mean, cov):
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteStateError("state has non-finite entries")
     return means, covs
-
-
-def apply_sequence(channels, mean, cov):
-    """Moments after applying each of the channels in turn to (mean, cov).
-
-    Returns means (K, 2N) and covs (K, 2N, 2N) for K channels, taken from
-    any iterable: row k holds the state after channels[0], ..., channels[k].
-    This is the per-channel view of :func:`apply_runs`: consecutive repeats
-    of one channel object form one run, filled by state doubling, so the
-    rows agree with a loop of :func:`apply` to rounding, not exactly.
-
-    Raises DimensionMismatchError when a channel does not fit the start and
-    NonFiniteStateError("state has non-finite entries") when the moments,
-    or the powers of a channel, overflow.
-    """
-    runs = [(next(group), 1 + len(list(group))) for _, group in groupby(channels, key=id)]
-    return apply_runs(runs, mean, cov)
 
 
 def _double_run(t, d, r, means, covs):
@@ -326,29 +308,47 @@ def reduce_from_joint(setup, dt=None):
     return GaussianChannel(T=m_ss, d=d, R=(r + r.T) / 2)
 
 
-def channel_taylor(setup, order):
-    """Taylor coefficients in dt of the reduced channel about dt = 0.
+def channel_taylor_stack(setups, order):
+    """Taylor coefficients in dt of the reduced channels of same-shape setups.
 
-    Returns three lists (T_k, d_k, R_k) for k = 0..order, read off the terms
-    L^k / k! of the exponential series of the joint affine lift L
-    (QuadraticHamiltonian.affine_generator); no numerical differentiation
-    is involved.  T_0 = 1, d_0 = 0, R_0 = 0 always.
+    Returns stacks T (S, order+1, 2N, 2N), d (S, order+1, 2N) and
+    R (S, order+1, 2N, 2N) for the S setups, read off the terms L^k / k! of
+    the exponential series of each joint affine lift
+    L = [[Omega F_SA, Omega alpha_SA], [0, 0]]; no numerical differentiation
+    is involved.  Only the 2N system rows of L^k are read, so only they are
+    formed, as (rows of L^(k-1)) L / k.  With M_k the system-ancilla block of
+    those rows, T_k is their system block, d_k their last column plus
+    M_k X_A0, and R_k = sym(sum_{0<i<k} M_i sigma_A0 M_(k-i)^T).
+    T_0 = 1, d_0 = 0, R_0 = 0 always.  The setups are taken as validated;
+    they must share their mode counts.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    ds = 2 * setup.n_sys
-    lift = setup.hamiltonian.affine_generator()
-    terms = [np.eye(lift.shape[0])]
+    first = setups[0]
+    if any(s.F_S.shape != first.F_S.shape or s.F_A.shape != first.F_A.shape for s in setups):
+        raise DimensionMismatchError("the setups of one stack must share their mode counts")
+    stack = lambda name: np.array([getattr(s, name) for s in setups])
+    ds, dim = len(first.F_S), len(first.F_S) + len(first.F_A)
+    g = stack("G")
+    f = np.empty((len(setups), dim, dim))
+    f[:, :ds, :ds], f[:, :ds, ds:] = stack("F_S"), g
+    f[:, ds:, :ds], f[:, ds:, ds:] = g.swapaxes(1, 2), stack("F_A")
+    omega = symplectic_form(dim // 2)
+    lift = np.zeros((len(setups), dim + 1, dim + 1))
+    lift[:, :dim, :dim] = omega @ f
+    lift[:, :dim, dim] = np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1) @ omega.T
+    rows = np.empty((len(setups), order + 1, ds, dim + 1))
+    rows[:, 0] = np.eye(ds, dim + 1)
     for k in range(1, order + 1):
-        terms.append(terms[-1] @ lift / k)
+        rows[:, k] = rows[:, k - 1] @ lift / k
 
-    t_list = [term[:ds, :ds] for term in terms]
-    m_sa = [term[:ds, ds:-1] for term in terms]
-    d_list = [term[:ds, -1] + m @ setup.X_A0 for term, m in zip(terms, m_sa)]
-    r_list = [np.zeros((ds, ds))]
-    for k in range(1, order + 1):
-        acc = np.zeros((ds, ds))
-        for i in range(1, k):
-            acc += m_sa[i] @ setup.sigma_A0 @ m_sa[k - i].T
-        r_list.append((acc + acc.T) / 2)
-    return t_list, d_list, r_list
+    m_sa = rows[..., ds:dim]
+    d = rows[..., dim] + (m_sa @ stack("X_A0")[:, None, :, None])[..., 0]
+    r = np.zeros((len(setups), order + 1, ds, ds))
+    m_sigma = m_sa[:, 1:order] @ stack("sigma_A0")[:, None]
+    for i in range(1, order):
+        # the terms of R_(i+1), ..., R_order with left factor M_i, added in
+        # increasing i as in a sum over i
+        r[:, i + 1 :] += m_sigma[:, i - 1 : i] @ m_sa[:, 1 : order - i + 1].swapaxes(2, 3)
+    return rows[..., :ds], d, (r + r.swapaxes(2, 3)) / 2
+

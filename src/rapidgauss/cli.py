@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bombardment import generator_series_from_joint, truncated_cp_check
+from .bombardment import generator_series_from_joint, generator_series_stack, truncated_cp_margins
 from .channels import CP_TOL, JointSetup, apply_runs, identity_channel, reduce_from_joint
 from .classifier import allowed_types, table_availability
 from .errors import (
@@ -65,6 +65,10 @@ BLOCK_VALUES = 2**13
 # blocks of only the 12 rows that fit in one string cost 12-mode trajectories
 # in mode both about 5 % of their run time; 128 rows of them peak near 4 MB.
 STEP_ROWS = 128
+# Setups drawn at a time by a check-cp sweep and evaluated together, one
+# stacked series and CP-margin call per mode-count pair among them, so the
+# sweep's memory stays bounded whatever its count.
+SWEEP_CHUNK = 64
 
 
 class ConfigError(Exception):
@@ -382,10 +386,11 @@ def cmd_check_cp(cfg, order, seed):
     if sweep is None:
         setup, _ = _joint_from_config(cfg)
         series = generator_series_from_joint(setup, order)
-        orders = []
-        for k in range(order + 1):
-            res = truncated_cp_check(series, k, dt)
-            orders.append({"order": k, "margin": res.margin, "cp": res.ok})
+        margins = truncated_cp_margins(series.A, series.C, dt).tolist()
+        orders = [
+            {"order": k, "margin": margin, "cp": margin >= -CP_TOL}
+            for k, margin in enumerate(margins)
+        ]
         print(json.dumps({"dt": dt, "orders": orders}, sort_keys=True))
         return EXIT_OK
     sweep = _object("sweep", sweep)
@@ -393,11 +398,22 @@ def cmd_check_cp(cfg, order, seed):
     scale = _number("scale", sweep.get("scale", 0.4))
     rng = np.random.default_rng(seed)
     mins = [np.inf] * (order + 1)
-    for _ in range(count):
-        setup = random_joint_setup(rng, scale=scale, dt=dt)
-        series = generator_series_from_joint(setup, order)
-        for k in range(order + 1):
-            mins[k] = min(mins[k], truncated_cp_check(series, k, dt).margin)
+    for first in range(0, count, SWEEP_CHUNK):
+        # draw a chunk in order, then evaluate it by stacks of one shape
+        setups = [
+            random_joint_setup(rng, scale=scale, dt=dt)
+            for _ in range(min(SWEEP_CHUNK, count - first))
+        ]
+        shapes = {}
+        for i, setup in enumerate(setups):
+            shapes.setdefault((setup.n_sys, setup.n_anc), []).append(i)
+        margins = np.empty((len(setups), order + 1))
+        for members in shapes.values():
+            a, _, c = generator_series_stack([setups[i] for i in members], order)
+            margins[members] = truncated_cp_margins(a, c, dt)
+        # the minimum of each order over the draws in draw order, as a
+        # running minimum over the setups one at a time would keep it
+        mins = [min(low, *column) for low, column in zip(mins, margins.T.tolist())]
     orders = [
         {"order": k, "min_margin": mins[k], "all_cp": bool(mins[k] >= -CP_TOL)}
         for k in range(order + 1)

@@ -28,7 +28,6 @@ of one channel.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -71,7 +70,9 @@ def channel_lift(top, forward, corner):
 def read_generators(log_lift):
     """(A, b, C) from the logarithm of a channel lift over one unit of time:
     A = Omega Log_11, b = Omega Log_13 and C = sym(Log_12), as
-    Omega^-1 = -Omega.  A stack of logarithms gives stacks of generators."""
+    Omega^-1 = -Omega.  Only the top block row is read, so that row alone,
+    2N x (4N + 1), will do.  A stack of logarithms gives stacks of
+    generators."""
     n = log_lift.shape[-1] // 2
     omega = symplectic_form(n // 2)
     c = log_lift[..., :n, n:-1]
@@ -170,20 +171,6 @@ def gap_runs(gen, marks, unit=1.0):
         yield cache[run_gap], count
 
 
-def gap_channels(gen, marks, unit=1.0):
-    """Yield the channels of the master-equation flow over the gaps between
-    the times `marks[k] * unit`: entry k is the channel over
-    (marks[k] - marks[k-1]) * unit, the first gap running from 0.
-
-    This is the per-channel view of :func:`gap_runs`, each run repeated
-    count times, so equal gaps give one and the same channel object.
-
-    Raises ValueError on reaching a mark that decreases.
-    """
-    for channel, count in gap_runs(gen, marks, unit):
-        yield from repeat(channel, count)
-
-
 def flow_states(gen, state, times):
     """Yield the states of the master-equation flow from `state` at `times`.
 
@@ -203,14 +190,21 @@ def flow_states(gen, state, times):
         yield GaussianState(mean=mean, cov=cov)
 
 
+def cp_margins(a, c):
+    """Differential CP margin of drift a and noise c: the smallest eigenvalue
+    of C - i Omega (A - A^T) Omega (:func:`rapidgauss.linalg.psd_margin`).
+    Two matrices give a float; two stacks (..., 2N, 2N) give an array (...)
+    from one batched eigen-solve, each entry bit for bit its own pair's."""
+    omega = symplectic_form(np.shape(a)[-1] // 2)
+    return psd_margin(c, omega @ (a - np.swapaxes(a, -1, -2)) @ omega)
+
+
 def cp_differential_check(gen):
     """Differential complete-positivity test: C - i Omega (A - A^T) Omega >= 0.
 
-    The margin is the smallest eigenvalue of that Hermitian matrix
-    (:func:`rapidgauss.linalg.psd_margin`), and the test passes when it is
-    >= -CP_TOL; passing implies C itself is positive semi-definite.
+    The margin is :func:`cp_margins` of (A, C), and the test passes when it
+    is >= -CP_TOL; passing implies C itself is positive semi-definite.
     """
-    omega = symplectic_form(gen.n_modes)
-    margin = psd_margin(gen.C, omega @ (gen.A - gen.A.T) @ omega)
+    margin = cp_margins(gen.A, gen.C)
     return CpReport(ok=margin >= -CP_TOL, margin=margin)
 

@@ -18,8 +18,10 @@ EIG_COND_MAX = 1e8
 
 
 def _as_square(m, name="matrix"):
+    """m as an array of one square matrix or of a stack (..., n, n) of them;
+    its entries must be finite."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
@@ -27,7 +29,7 @@ def _as_square(m, name="matrix"):
 
 
 def mat_exp(m):
-    """Matrix exponential."""
+    """Matrix exponential, of one matrix or of each matrix of a stack."""
     return scipy.linalg.expm(_as_square(m))
 
 
@@ -41,6 +43,8 @@ def mat_log_principal(m):
     eigenvalue lies on the closed negative real axis.
     """
     a = _as_square(m)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"matrix must be one square matrix, got shape {a.shape}")
     evals, vecs = np.linalg.eig(a)
     mags = np.abs(evals)
     if float(mags.min()) <= 1e-14 * max(float(mags.max()), 1.0):
@@ -85,12 +89,15 @@ def psd_margin(noise, twist):
     This is the uncertainty bound of states (cov, -Omega), of channels
     (R, T Omega T^T - Omega) and of generators (C, Omega (A - A^T) Omega).
     The parts are formed as noise/2 + noise^T/2 and twist/2 - twist^T/2, so
-    entries near the float limit do not overflow.  Raises
-    DimensionMismatchError for non-square or unequal shapes and ValueError
-    for non-finite entries.
+    entries near the float limit do not overflow.  Two matrices give a
+    float; two stacks (..., n, n) of the same shape give an array (...) of
+    the margins of their pairs from one batched eigen-solve, each bit for
+    bit the margin of its own pair.  Raises DimensionMismatchError for
+    non-square or unequal shapes and ValueError for non-finite entries.
     """
     s, k = _as_square(noise, "noise"), _as_square(twist, "twist")
     if s.shape != k.shape:
         raise DimensionMismatchError(f"noise {s.shape} and twist {k.shape} differ in shape")
-    herm = (s / 2 + s.T / 2) - 1j * (k / 2 - k.T / 2)
-    return float(np.linalg.eigvalsh(herm)[0])
+    herm = (s / 2 + s.swapaxes(-1, -2) / 2) - 1j * (k / 2 - k.swapaxes(-1, -2) / 2)
+    margins = np.linalg.eigvalsh(herm)[..., 0]
+    return float(margins) if margins.ndim == 0 else margins

@@ -25,16 +25,17 @@ STATE_TOL = 1e-9
 # relative to max(1, max|m|)
 SYMMETRY_TOL = 1e-12
 
-_omega_block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 def symplectic_form(n_modes):
     """Block-diagonal symplectic form for n_modes modes."""
     if n_modes < 1:
         raise InvalidSetupError("n_modes must be at least 1")
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _omega_block
+    n = 2 * n_modes
+    out = np.zeros((n, n))
+    # entries (2k, 2k+1) and (2k+1, 2k) lie 2n + 2 apart in the flat array
+    flat = out.reshape(-1)
+    flat[1 :: 2 * n + 2] = 1.0
+    flat[n :: 2 * n + 2] = -1.0
     return out
 
 

@@ -1,9 +1,17 @@
 """Shared test oracles, kept independent of the production code paths."""
 
+from itertools import groupby, repeat
+
 import numpy as np
 
-from rapidgauss.channels import GaussianChannel
-from rapidgauss.interpolation import LIFT_NORM_MAX, Generators
+from rapidgauss.channels import GaussianChannel, apply_runs
+from rapidgauss.interpolation import (
+    LIFT_NORM_MAX,
+    Generators,
+    channel_lift,
+    gap_runs,
+    read_generators,
+)
 from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_symmetric
@@ -146,6 +154,57 @@ def log_series_cauchy(t_series, order):
     return out
 
 
+def inverse_series_lists(t_series, order):
+    """Coefficients of T(dt)^-1 for T(dt) = 1 + sum_k dt^k T_k, one matrix
+    per order (the Neumann series: inv_k = -T_k - sum_{0<i<k} T_i inv_(k-i))."""
+    inv = [np.eye(t_series[0].shape[0])]
+    for k in range(1, order + 1):
+        inv.append(-t_series[k] - sum(t_series[i] @ inv[k - i] for i in range(1, k)))
+    return inv
+
+
+def channel_taylor_lists(setup, order):
+    """Taylor coefficients (T_k, d_k, R_k), k = 0..order, of the reduced
+    channel, one matrix per order, from the full powers L^k / k! of the joint
+    affine lift."""
+    ds = 2 * setup.n_sys
+    lift = setup.hamiltonian.affine_generator()
+    terms = [np.eye(lift.shape[0])]
+    for k in range(1, order + 1):
+        terms.append(terms[-1] @ lift / k)
+    m_sa = [term[:ds, ds:-1] for term in terms]
+    d_list = [term[:ds, -1] + m @ setup.X_A0 for term, m in zip(terms, m_sa)]
+    r_list = [np.zeros((ds, ds))]
+    for k in range(1, order + 1):
+        acc = np.zeros((ds, ds))
+        for i in range(1, k):
+            acc += m_sa[i] @ setup.sigma_A0 @ m_sa[k - i].T
+        r_list.append((acc + acc.T) / 2)
+    return [term[:ds, :ds] for term in terms], d_list, r_list
+
+
+def series_from_channel_lists(t_series, d_series, r_series, order):
+    """Generator coefficients (A_k, b_k, C_k), k = 0..order, of a channel
+    series, one matrix per order: the whole (4N + 1)-dimensional channel
+    lift of every order, its logarithm series by full Cauchy products
+    (:func:`log_series_cauchy`), and the generators read off it."""
+    kc = order + 1
+    t_inv = inverse_series_lists(t_series, kc)
+    rd = [np.column_stack([r, -d]) for r, d in zip(r_series, d_series)]
+    tops = [np.column_stack([t_inv[k], rd[k] + sum(t_inv[i] @ rd[k - i] for i in range(1, k))])
+            for k in range(1, kc + 1)]
+    lifted = [np.eye(len(tops[0][0]))] + [
+        channel_lift(top, t, 0.0) for top, t in zip(tops, t_series[1:])
+    ]
+    return read_generators(np.array(log_series_cauchy(lifted, kc)[1:]))
+
+
+def series_from_joint_lists(setup, order):
+    """Generator coefficients of a bombardment setup by the list route:
+    :func:`channel_taylor_lists` into :func:`series_from_channel_lists`."""
+    return series_from_channel_lists(*channel_taylor_lists(setup, order + 1), order)
+
+
 def two_lift_generators(channel, dt):
     """Generators of a channel from two lifts: A and b from the principal Log
     of the affine lift [[T, d], [0, 1]], C from that of the noise lift
@@ -179,11 +238,27 @@ def two_lift_propagate(gen, t):
     return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=(r + r.T) / 2)
 
 
+def apply_sequence(channels, mean, cov):
+    """Moments after applying each of the channels in turn to (mean, cov):
+    the per-channel view of rapidgauss.channels.apply_runs, consecutive
+    repeats of one channel object forming one run."""
+    runs = [(next(group), 1 + len(list(group))) for _, group in groupby(channels, key=id)]
+    return apply_runs(runs, mean, cov)
+
+
+def gap_channels(gen, marks, unit=1.0):
+    """The channels over the gaps between the times marks[k] * unit, one per
+    mark: the per-channel view of rapidgauss.interpolation.gap_runs, each
+    run repeated count times, so equal gaps give one channel object."""
+    for channel, count in gap_runs(gen, marks, unit):
+        yield from repeat(channel, count)
+
+
 def apply_loop(channels, mean, cov, dtype=float):
     """Moments after each of the channels in turn, one update per row in
     `dtype`: T mean + d and T cov T^T + R, symmetrised.
 
-    The per-row reference for rapidgauss.channels.apply_sequence; with
+    The per-row reference for :func:`apply_sequence`; with
     np.longdouble it applies the float channels in extended precision.
     Returns means (K, 2N) and covs (K, 2N, 2N) in `dtype`.
     """

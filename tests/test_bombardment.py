@@ -3,24 +3,37 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.bombardment import (
-    _log_series,
+    GeneratorSeries,
+    _log_series_rows,
     can_purify,
     closed_form_series,
     first_order_purify,
     generator_series_from_joint,
+    generator_series_stack,
     rank_one_coupling,
     series_from_channel_series,
     truncated_cp_check,
+    truncated_cp_margins,
 )
-from rapidgauss.channels import JointSetup, channel_taylor, reduce_from_joint
+from rapidgauss.channels import JointSetup, reduce_from_joint
 from rapidgauss.classifier import allowed_types, table_availability
 from rapidgauss.errors import MalformedSeriesError
-from rapidgauss.interpolation import generators_from_channel
+from rapidgauss.interpolation import cp_differential_check, generators_from_channel
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import to_joint_setup, OscillatorBathSetup
 
-from helpers import fit_power_series, log_series_cauchy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    channel_taylor_lists,
+    fit_power_series,
+    log_series_cauchy,
+    series_from_joint_lists,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -82,15 +95,16 @@ def test_series_order_cap():
 
 def test_log_series_equals_full_cauchy_products_bit_for_bit(rng):
     # X = T - 1 has no dt^0 term, so X^m starts at dt^m; the products below
-    # that order are exact zeros, and skipping them must change no bit
+    # that order are exact zeros, and skipping them must change no bit; nor
+    # may stacking the products of one left factor into one matmul
     for order in range(5):
         for n in (1, 3, 5):
             for _ in range(4):
                 t_series = [np.eye(n)] + [
                     rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3) for _ in range(order)
                 ]
-                got = _log_series(t_series, order)
                 want = log_series_cauchy(t_series, order)
+                got = _log_series_rows(np.array([t_series]), n)[0]
                 assert len(got) == order + 1
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -130,15 +144,21 @@ def test_series_is_one_log_series_of_one_lift(rng, monkeypatch):
 
     shapes = []
 
-    def counting(t_series, order):
-        shapes.append(t_series[1].shape)
-        return _log_series(t_series, order)
+    def counting(x, rows):
+        shapes.append((x.shape, rows))
+        return _log_series_rows(x, rows)
 
-    monkeypatch.setattr(bombardment, "_log_series", counting)
+    monkeypatch.setattr(bombardment, "_log_series_rows", counting)
     setup = random_joint_setup(rng, n_sys=3, n_anc=2)
     series = generator_series_from_joint(setup, 5)
     assert series.order == 5
-    assert shapes == [(13, 13)]
+    assert shapes == [((1, 7, 13, 13), 6)]
+    # a stack of setups is one logarithm series of one stack of lifts
+    shapes.clear()
+    setups = [random_joint_setup(rng, n_sys=3, n_anc=2) for _ in range(4)]
+    a, b, c = generator_series_stack(setups, 5)
+    assert a.shape == (4, 6, 6, 6) and b.shape == (4, 6, 6) and c.shape == (4, 6, 6, 6)
+    assert shapes == [((4, 7, 13, 13), 6)]
 
 
 def test_cross_route_equality(rng):
@@ -146,7 +166,7 @@ def test_cross_route_equality(rng):
     for _ in range(20):
         setup = random_joint_setup(rng)
         closed = closed_form_series(setup, 2)
-        mech = series_from_channel_series(*channel_taylor(setup, 3), order=2)
+        mech = series_from_channel_series(*channel_taylor_lists(setup, 3), order=2)
         for k in range(3):
             assert_allclose(closed.A[k], mech.A[k], atol=1e-10)
             assert_allclose(closed.b[k], mech.b[k], atol=1e-10)
@@ -329,3 +349,103 @@ def test_truncate_guard(rng):
     series = closed_form_series(random_joint_setup(rng), 1)
     with pytest.raises(ValueError):
         series.truncate(2, 0.01)
+
+
+_MODES = st.integers(1, 3)
+
+
+@PROPERTY
+@given(n_sys=_MODES, n_anc=_MODES, order=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_series_kernel_matches_the_list_route(n_sys, n_anc, order, seed):
+    # every order of every coefficient family within 1e-14 of its largest
+    # entry, orders 0 and 1 (no products of powers) included
+    setup = random_joint_setup(np.random.default_rng(seed), n_sys=n_sys, n_anc=n_anc)
+    series = generator_series_from_joint(setup, order)
+    want = series_from_joint_lists(setup, order)
+    for got, expected in zip((series.A, series.b, series.C), want):
+        assert got.shape == expected.shape == (order + 1,) + expected.shape[1:]
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+
+
+@PROPERTY
+@given(
+    n_sys=_MODES, n_anc=_MODES, order=st.integers(0, 6), size=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_series_and_margins_equal_each_setups_own_bit_for_bit(
+    n_sys, n_anc, order, size, seed
+):
+    rng = np.random.default_rng(seed)
+    setups = [random_joint_setup(rng, n_sys=n_sys, n_anc=n_anc) for _ in range(size)]
+    dt = float(rng.uniform(0.01, 0.3))
+    stacks = generator_series_stack(setups, order)
+    margins = truncated_cp_margins(stacks[0], stacks[2], dt)
+    assert margins.shape == (size, order + 1)
+    for i, setup in enumerate(setups):
+        series = generator_series_from_joint(setup, order)
+        for stack, own in zip(stacks, (series.A, series.b, series.C)):
+            assert np.array_equal(stack[i], own)
+        assert np.array_equal(margins[i], truncated_cp_margins(series.A, series.C, dt))
+
+
+@PROPERTY
+@given(n_sys=_MODES, n_anc=_MODES, order=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_truncated_cp_margins_equal_the_check_of_each_truncation_bit_for_bit(
+    n_sys, n_anc, order, seed
+):
+    # entry k is the margin of the generators summed through order k, taken
+    # one truncation at a time, to the sign of a zero
+    rng = np.random.default_rng(seed)
+    setup = random_joint_setup(rng, n_sys=n_sys, n_anc=n_anc)
+    series = generator_series_from_joint(setup, order)
+    dt = float(rng.uniform(0.01, 0.3))
+    margins = truncated_cp_margins(series.A, series.C, dt)
+    for k in range(order + 1):
+        want = cp_differential_check(series.truncate(k, dt)).margin
+        assert float(margins[k]).hex() == want.hex()
+        assert truncated_cp_check(series, k, dt).margin.hex() == want.hex()
+
+
+def test_stack_orders_zero_and_one_and_the_order_check(rng):
+    setups = [random_joint_setup(rng, n_sys=2, n_anc=1) for _ in range(3)]
+    for order in (0, 1):
+        a, b, c = generator_series_stack(setups, order)
+        assert a.shape == (3, order + 1, 4, 4)
+        closed = [closed_form_series(setup, order) for setup in setups]
+        for i, want in enumerate(closed):
+            assert_allclose(a[i], want.A, atol=1e-13)
+            assert_allclose(b[i], want.b, atol=1e-13)
+            assert_allclose(c[i], want.C, atol=1e-13)
+    with pytest.raises(ValueError, match="nonnegative"):
+        generator_series_stack(setups, -1)
+    with pytest.raises(ValueError, match="mode counts"):
+        generator_series_stack(setups + [random_joint_setup(rng, n_sys=1, n_anc=1)], 2)
+
+
+def test_series_stacks_are_read_only(rng):
+    series = generator_series_from_joint(random_joint_setup(rng), 3)
+    assert series.A.shape[0] == len(series.b) == len(series.C) == 4
+    for stack in (series.A, series.b, series.C):
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
+    with pytest.raises(MalformedSeriesError):
+        GeneratorSeries(A=series.A, b=series.b[:2], C=series.C)
+
+
+def test_truncated_cp_margins_see_signed_zeros_as_a_sum_from_zero(rng):
+    # a sum started from 0 turns a -0.0 coefficient entry into +0.0; the
+    # sign of a zero can steer the eigen-solve, so the margins see +0.0 too
+    for n in (2, 4, 6):
+        for _ in range(20):
+            a = rng.normal(size=(2, n, n))
+            c = rng.normal(size=(2, n, n))
+            c = c + c.swapaxes(1, 2)
+            a[0][rng.random((n, n)) < 0.5] = -0.0
+            zeros = rng.random((n, n)) < 0.5
+            c[0][zeros | zeros.T] = -0.0
+            series = GeneratorSeries(A=a, b=np.zeros((2, n)), C=c)
+            margins = truncated_cp_margins(series.A, series.C, 0.1)
+            for k in range(2):
+                want = cp_differential_check(series.truncate(k, 0.1)).margin
+                assert float(margins[k]).hex() == want.hex()

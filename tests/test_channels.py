@@ -9,9 +9,8 @@ from rapidgauss.channels import (
     JointSetup,
     apply,
     apply_runs,
-    apply_sequence,
     channel_power,
-    channel_taylor,
+    channel_taylor_stack,
     compose,
     hamiltonian_flow,
     identity_channel,
@@ -39,7 +38,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import apply_loop, row_errors
+from helpers import apply_loop, apply_sequence, row_errors
 
 
 def test_apply_identity_and_constant():
@@ -212,7 +211,7 @@ def test_fresh_ancilla_composition_differs_from_continued_contact(rng):
 
 def test_channel_taylor_structure(rng):
     setup = random_joint_setup(rng)
-    t_list, d_list, r_list = channel_taylor(setup, 4)
+    t_list, d_list, r_list = (coeffs[0] for coeffs in channel_taylor_stack([setup], 4))
     omega_s = symplectic_form(setup.n_sys)
     assert_allclose(t_list[0], np.eye(2 * setup.n_sys))
     assert_allclose(d_list[0], np.zeros(2 * setup.n_sys))
@@ -220,7 +219,7 @@ def test_channel_taylor_structure(rng):
     assert_allclose(t_list[1], omega_s @ setup.F_S, atol=1e-14)
     assert_allclose(r_list[1], np.zeros_like(r_list[1]), atol=1e-16)
     with pytest.raises(ValueError):
-        channel_taylor(setup, -1)
+        channel_taylor_stack([setup], -1)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +229,7 @@ def test_channel_taylor_structure(rng):
 def test_channel_taylor_remainder_scaling(rng, order, steps):
     # truncation error must shrink like dt^(order+1)
     setup = random_joint_setup(rng, n_sys=1, n_anc=1, scale=0.8)
-    t_list, d_list, r_list = channel_taylor(setup, order)
+    t_list, d_list, r_list = (coeffs[0] for coeffs in channel_taylor_stack([setup], order))
     residuals = []
     for dt in steps:
         channel = reduce_from_joint(setup, dt=dt)

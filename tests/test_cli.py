@@ -9,11 +9,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss import cli
-from rapidgauss.bombardment import closed_form_series, truncated_cp_check
-from rapidgauss.channels import apply, hamiltonian_flow
+from rapidgauss.bombardment import (
+    closed_form_series,
+    generator_series_from_joint,
+    truncated_cp_check,
+)
+from rapidgauss.channels import CP_TOL, apply, hamiltonian_flow
 from rapidgauss.classifier import table_availability
 from rapidgauss.cli import main
-from rapidgauss.interpolation import Generators
+from rapidgauss.interpolation import Generators, cp_differential_check
 from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
@@ -190,6 +194,41 @@ def test_check_cp_sweep_is_deterministic(tmp_path, capsys):
     assert first == second
     report = json.loads(first)
     assert all(entry["all_cp"] for entry in report["orders"])
+
+
+def _sweep_setup_by_setup(dt, count, scale, order, seed):
+    """The stdout of a check-cp sweep evaluated one setup at a time: each
+    drawn setup's own series and the check of each of its truncations,
+    folded into a running minimum per order."""
+    rng = np.random.default_rng(seed)
+    mins = [np.inf] * (order + 1)
+    for _ in range(count):
+        setup = random_joint_setup(rng, scale=scale, dt=dt)
+        series = generator_series_from_joint(setup, order)
+        for k in range(order + 1):
+            mins[k] = min(mins[k], cp_differential_check(series.truncate(k, dt)).margin)
+    orders = [
+        {"order": k, "min_margin": mins[k], "all_cp": bool(mins[k] >= -CP_TOL)}
+        for k in range(order + 1)
+    ]
+    report = {"dt": dt, "count": count, "seed": seed, "orders": orders}
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_stacked_sweep_prints_what_a_setup_by_setup_sweep_does(
+    tmp_path, capsys, monkeypatch, count, order
+):
+    # chunks of 3 draws, each split by mode counts into stacks, so chunk
+    # boundaries and several stacks per chunk are crossed
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)
+    cfg = {"dt": 0.15, "sweep": {"count": count, "scale": 0.4}}
+    path = _write_config(tmp_path, cfg)
+    for seed in range(5):
+        args = ["--config", path, "--order", str(order), "--seed", str(seed)]
+        assert main(["check-cp", *args]) == 0
+        assert capsys.readouterr().out == _sweep_setup_by_setup(0.15, count, 0.4, order, seed)
 
 
 def test_check_cp_third_order_violation(tmp_path, capsys):

@@ -20,7 +20,6 @@ from rapidgauss.interpolation import (
     Generators,
     cp_differential_check,
     flow_states,
-    gap_channels,
     generators_from_channel,
     propagate,
 )
@@ -38,6 +37,7 @@ from rapidgauss.thermalization import (
 from helpers import (
     apply_loop,
     central_difference,
+    gap_channels,
     gauss_legendre_integral,
     logm_div_series,
     master_rhs,

@@ -158,3 +158,29 @@ def test_psd_margin_does_not_overflow_near_the_float_limit():
     big = 1.5e308
     assert psd_margin(big * np.eye(2), -big * OMEGA2) == pytest.approx(0.0, abs=1e-12 * big)
     assert psd_margin(big * np.eye(2), -OMEGA2) == pytest.approx(big)
+
+
+def test_batched_psd_margin_equals_the_per_matrix_call_bit_for_bit(rng):
+    for n in (1, 2, 4, 7):
+        for shape in ((5,), (2, 3)):
+            scales = 10.0 ** rng.uniform(-4, 4, size=shape + (1, 1))
+            noise = rng.normal(size=shape + (n, n)) * scales
+            twist = rng.normal(size=shape + (n, n))
+            margins = psd_margin(noise, twist)
+            assert isinstance(margins, np.ndarray) and margins.shape == shape
+            for index in np.ndindex(*shape):
+                single = psd_margin(noise[index], twist[index])
+                assert isinstance(single, float) and single == margins[index]
+    with pytest.raises(DimensionMismatchError):
+        psd_margin(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        psd_margin(np.zeros((3, 2, 2)), np.full((3, 2, 2), np.inf))
+
+
+def test_stacks_exponentiate_matrix_by_matrix_and_have_no_principal_log(rng):
+    stack = rng.normal(size=(3, 4, 4))
+    exps = mat_exp(stack)
+    for m, e in zip(stack, exps):
+        assert_allclose(e, mat_exp(m), rtol=1e-14, atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        mat_log_principal(exps)

@@ -23,7 +23,6 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply_runs,
-    apply_sequence,
     channel_power,
     compose,
     hamiltonian_flow,
@@ -36,7 +35,6 @@ from rapidgauss.interpolation import (
     LIFT_NORM_MAX,
     Generators,
     cp_differential_check,
-    gap_channels,
     gap_runs,
     generators_from_channel,
     propagate,
@@ -49,7 +47,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import apply_loop, row_errors
+from helpers import apply_loop, apply_sequence, gap_channels, row_errors
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 BRANCH_LIMIT = 0.9 * np.pi

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss.channels import apply_sequence, reduce_from_joint
+from rapidgauss.channels import reduce_from_joint
 from rapidgauss.errors import DimensionMismatchError, InvalidSetupError
 from rapidgauss.phasespace import GaussianState
 from rapidgauss.thermalization import (
@@ -18,7 +18,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import coefficient_rhs, master_rhs
+from helpers import apply_sequence, coefficient_rhs, master_rhs
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
