@@ -4,8 +4,9 @@ positivity, classify dynamics, or dump generator series.
 Configuration is a single JSON document (matrices as nested arrays, complex
 ladder couplings as {"re": .., "im": ..} pairs); all quantities are in the
 dimensionless units of the library ([q, p] = i, energies scale rotation
-rates).  Trajectories are written as CSV with 17-significant-digit floats so
-reruns with the same config and seed are byte-identical.
+rates).  Trajectories are written as CSV, each float exactly as Python's
+'%.17g' prints it, so reruns with the same config and seed are
+byte-identical.
 
 Exit codes: 0 success, 1 usage or config errors (non-finite config arrays
 included) and output errors (an --out file or stdout that cannot be
@@ -58,7 +59,9 @@ EXIT_INVARIANT = 3
 
 # Most values formatted into one string of trajectory rows; a string holds as
 # many rows as fit, at least one.  Output streams string by string, so memory
-# stays bounded on any grid: formatting takes about 110 bytes per value, and a
+# stays bounded on any grid: by tracemalloc, formatting a string peaks at
+# about 480 KB for the arrays of one chunk of values plus 20-30 bytes per
+# value for its text (650 KB, 81 bytes per value, at 2^13 values), and a
 # 10-column oscillator-bath trajectory of 401 rows is one string.
 BLOCK_VALUES = 2**13
 # Fewest rows stepped at a time.  Each block restarts state doubling, so
@@ -256,9 +259,24 @@ def _blocks(runs, rows):
         yield block
 
 
-def _csv_rows(kind, times, mean, cov, trajectories):
-    """CSV rows, one per time: t, then the state columns of each trajectory,
-    and max_abs_diff between them when there are two.
+def _csv_text(table):
+    """The rows of a C-contiguous 2-D float table as CSV text, each value
+    '%.17g' % value: made from whole arrays by _csvformat, or by '%' when
+    _csvformat cannot vouch for every byte of the table."""
+    # imported on first use, so that its compilation and its tables cost the
+    # import of the CLI nothing
+    from . import _csvformat
+
+    text = _csvformat.format_table(table)
+    if text is None:
+        line = ",".join(["%.17g"] * table.shape[1])
+        text = "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
+    return text
+
+
+def _csv_rows(kind, state_width, times, mean, cov, trajectories):
+    """CSV rows, one per time: t, then the state_width state columns of
+    each trajectory, and max_abs_diff between them when there are two.
 
     Each trajectory is an iterable of runs (channel, count), one row per
     application, applied in turn to the start (mean, cov).  The times and
@@ -270,7 +288,6 @@ def _csv_rows(kind, times, mean, cov, trajectories):
     when fewer than that fit in one string.
     Returns the last (mean, cov) of the first trajectory.
     """
-    state_width = len(_state_columns(kind, len(mean) // 2))
     width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
     rows = max(1, BLOCK_VALUES // width)
     step = max(rows, STEP_ROWS)
@@ -290,10 +307,8 @@ def _csv_rows(kind, times, mean, cov, trajectories):
             )
             parts.append(diff[:, None])
         table = np.hstack(parts)
-        line = ",".join(["%.17g"] * width)
         for first in range(0, len(table), rows):
-            piece = table[first : first + rows]
-            yield "\n".join([line] * len(piece)) % tuple(piece.ravel().tolist())
+            yield _csv_text(table[first : first + rows])
     return ends[0]
 
 
@@ -347,7 +362,8 @@ def cmd_evolve(cfg, out_path):
             # the interpolated column comes from the generators alone
             gen = generators_from_channel(channel, dt)
             trajectories.append(gap_runs(gen, marks, unit=dt / substeps))
-        _check_final(*(yield from _csv_rows(kind, times, mean0, cov0, trajectories)))
+        rows = _csv_rows(kind, len(cols), times, mean0, cov0, trajectories)
+        _check_final(*(yield from rows))
 
     _write_atomic(out_path, lines())
     return EXIT_OK
@@ -368,10 +384,11 @@ def cmd_thermalize(cfg, out_path):
     indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
     times = [n * dt for n in indices]
     gaps = gap_runs(first_order_generators(bath), indices, unit=dt)
+    cols = _state_columns("oscillator_bath", 1)
 
     def lines():
-        yield ",".join(["t", "nu_S", "s_cross", "s_plus", "purity"])
-        rows = _csv_rows("oscillator_bath", times, np.zeros(2), state0.cov, [gaps])
+        yield ",".join(["t"] + cols)
+        rows = _csv_rows("oscillator_bath", len(cols), times, np.zeros(2), state0.cov, [gaps])
         return _check_final(*(yield from rows))
 
     final = _write_atomic(out_path, lines())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss import cli
+from rapidgauss import _csvformat, cli
 from rapidgauss.bombardment import (
     closed_form_series,
     generator_series_from_joint,
@@ -738,3 +738,132 @@ def test_evolve_streams_its_time_grid(tmp_path, monkeypatch, extra):
         tracemalloc.stop()
     assert len(head) == 3
     assert peak < 2 * 2**20
+
+
+def _percent_g(table):
+    """The rows of a float table as CSV text made by '%.17g' value by value."""
+    rows = np.asarray(table).tolist()
+    return "\n".join(",".join("%.17g" % value for value in row) for row in rows)
+
+
+def _random_doubles(rng, shape, in_range):
+    """Doubles of random bits; with in_range, binary exponents within about
+    2^-132..2^133, inside the exact formatter's range of decimal exponents."""
+    if not in_range:
+        return rng.integers(-(2**63), 2**63 - 1, size=shape, dtype=np.int64).view(np.float64)
+    fields = rng.integers(1023 - 132, 1023 + 134, size=shape)
+    bits = rng.integers(0, 2**52, size=shape) | fields << 52 | rng.integers(0, 2, size=shape) << 63
+    return bits.view(np.float64)
+
+
+def test_random_bit_patterns_format_as_percent_17g(monkeypatch):
+    # string by string, so that both the exact formatter and its '%'
+    # backstop run; small chunks and gathers cut the larger tables
+    rng = np.random.default_rng(17)
+    outcomes = {"exact": 0, "backstop": 0}
+    for draw in range(4000):
+        table = _random_doubles(rng, (rng.integers(1, 4), rng.integers(1, 5)), draw % 2)
+        text = _csvformat.format_table(table)
+        outcomes["backstop" if text is None else "exact"] += 1
+        assert cli._csv_text(table) == _percent_g(table)
+    assert min(outcomes.values()) > 500
+    monkeypatch.setattr(_csvformat, "CHUNK_VALUES", 7)
+    monkeypatch.setattr(_csvformat, "GATHER_VALUES", 3)
+    for _ in range(20):
+        table = rng.uniform(-4, 4, (13, 5)) * 10.0 ** rng.integers(-30, 8, (13, 5))
+        assert _csvformat.format_table(table) == _percent_g(table)
+
+
+def test_powers_of_ten_and_their_neighbours_format_as_percent_17g():
+    for exponent in range(-45, 46):
+        power = float(f"1e{exponent}")
+        for value in (np.nextafter(power, 0), power, np.nextafter(power, np.inf)):
+            for table in (np.array([[value]]), np.array([[-value, 0.5]])):
+                text = _csvformat.format_table(table)
+                # a neighbour may round at a tie, as 1e15's lower one does
+                assert text in (None, _percent_g(table))
+                assert text is not None or value != power or not -40 < exponent <= 40
+                assert cli._csv_text(table) == _percent_g(table)
+
+
+@pytest.mark.parametrize(
+    "value,text,exact",
+    [
+        # exact ties of the significand's rounding
+        (999999999999999.875, "999999999999999.88", False),
+        (1395359479709308.25, "1395359479709308.2", False),
+        (-770729940246756.125, "-770729940246756.12", False),
+        (0.0, "0", True),
+        (-0.0, "-0", True),
+        (5e-324, "4.9406564584124654e-324", False),
+        (1e300, "1.0000000000000001e+300", False),
+        (-1e300, "-1.0000000000000001e+300", False),
+        (1e-300, "1e-300", False),
+        (-1e-300, "-1e-300", False),
+        (np.inf, "inf", False),
+        (np.nan, "nan", False),
+        (1e16 - 2, "9999999999999998", True),
+        (1e17, "1e+17", True),
+        (0.1, "0.10000000000000001", True),
+        (2.5, "2.5", True),
+        (1e-5, "1.0000000000000001e-05", True),
+        (0.0001, "0.0001", True),
+    ],
+)
+def test_special_values_format_as_percent_17g(value, text, exact):
+    table = np.array([[value]])
+    assert "%.17g" % value == text
+    assert _csvformat.format_table(table) == (text if exact else None)
+    assert cli._csv_text(table) == text
+
+
+def _joint_2mode_cfg():
+    return {
+        "setup": {
+            "kind": "joint",
+            "F_S": [[1.0, 0.1, 0.0, 0.0], [0.1, 0.9, 0.0, 0.05], [0.0, 0.0, 1.2, 0.0],
+                    [0.0, 0.05, 0.0, 1.1]],
+            "F_A": [[0.8, 0.0], [0.0, 0.8]],
+            "G": [[0.3, 0.1], [-0.1, 0.2], [0.05, 0.0], [0.0, 0.1]],
+            "alpha_S": [0.3, -0.1, 0.0, 0.2],
+            "sigma_A0": [[2.0, 0.0], [0.0, 2.0]],
+        },
+        "dt": 0.1,
+        "steps": 60,
+        "mode": "both",
+    }
+
+
+def test_csv_bytes_do_not_depend_on_the_formatter(tmp_path, monkeypatch, capsys):
+    # the exact formatter takes every string of these strobe-like tables, and
+    # its bytes equal those of '%', forced here for every string
+    bath = {"kind": "oscillator_bath", "E_S": 1.3, "E_A": 0.7, "nu_A": 2.5,
+            "G": {"ladder": {"g": {"re": 0.3, "im": 0.1}, "h": {"re": 0.1, "im": -0.05}}}}
+    initial = {"mean": [0.0, 0.0], "cov": [[1.7, 0.0], [0.0, 1.7]]}
+    runs = [
+        ("evolve", {"setup": bath, "dt": 0.4, "steps": 400, "mode": "both",
+                    "initial_state": initial}),
+        ("evolve", {"setup": bath, "dt": 0.4, "steps": 40, "substeps": 10,
+                    "mode": "interpolated", "initial_state": initial}),
+        ("thermalize", {"setup": bath, "dt": 0.4, "steps": 4000, "max_rows": 401,
+                        "initial_state": initial}),
+        ("evolve", _joint_2mode_cfg()),
+    ]
+    format_table, made = _csvformat.format_table, []
+
+    def recorded(table):
+        made.append(format_table(table))
+        return made[-1]
+
+    outputs = {}
+    for name, replacement in [("exact", recorded), ("backstop", lambda table: None)]:
+        monkeypatch.setattr(_csvformat, "format_table", replacement)
+        for i, (command, cfg) in enumerate(runs):
+            out = tmp_path / f"{name}{i}.csv"
+            path = _write_config(tmp_path, cfg, name=f"{i}.json")
+            code = main([command, "--config", path, "--out", str(out)])
+            outputs[name, i] = (code, capsys.readouterr(), out.read_bytes())
+    for i in range(len(runs)):
+        assert outputs["exact", i] == outputs["backstop", i]
+        assert outputs["exact", i][0] == 0
+    assert made and None not in made
