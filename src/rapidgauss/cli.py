@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from itertools import islice
 
 import numpy as np
 
@@ -274,15 +273,16 @@ def _csv_text(table):
     return text
 
 
-def _csv_rows(kind, state_width, times, mean, cov, trajectories):
-    """CSV rows, one per time: t, then the state_width state columns of
-    each trajectory, and max_abs_diff between them when there are two.
+def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
+    """count CSV rows, one per time: t, then the state_width state columns
+    of each trajectory, and max_abs_diff between them when there are two.
 
+    times(first, stop) gives the times of rows first..stop-1 as an array.
     Each trajectory is an iterable of runs (channel, count), one row per
-    application, applied in turn to the start (mean, cov).  The times and
-    the runs are read and stepped (:func:`rapidgauss.channels.apply_runs`)
-    a block of rows at a time, so they may stream in; a run that crosses a
-    block boundary is split there.  A block's rows are yielded as strings
+    application, applied in turn to the start (mean, cov).  The runs are
+    read and stepped (:func:`rapidgauss.channels.apply_runs`) a block of
+    rows at a time, so they may stream in; a run that crosses a block
+    boundary is split there.  A block's rows are yielded as strings
     of newline-separated rows, each string as many rows as fit in
     BLOCK_VALUES formatted values.  A block is one string, or STEP_ROWS rows
     when fewer than that fit in one string.
@@ -291,13 +291,12 @@ def _csv_rows(kind, state_width, times, mean, cov, trajectories):
     width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
     rows = max(1, BLOCK_VALUES // width)
     step = max(rows, STEP_ROWS)
-    times = iter(times)
     trajectories = [_blocks(runs, step) for runs in trajectories]
     ends = [(mean, cov)] * len(trajectories)
-    while block_times := list(islice(times, step)):
+    for start in range(0, count, step):
         block = [apply_runs(next(runs), *end) for runs, end in zip(trajectories, ends)]
         ends = [(means[-1], covs[-1]) for means, covs in block]
-        parts = [np.array(block_times)[:, None]]
+        parts = [times(start, min(start + step, count))[:, None]]
         parts += [_columns(kind, means, covs) for means, covs in block]
         if len(block) == 2:
             (means, covs), (other_means, other_covs) = block
@@ -339,7 +338,10 @@ def cmd_evolve(cfg, out_path):
     dt = setup.dt
     substeps = _count("substeps", cfg.get("substeps", 10), 1) if mode == "interpolated" else 1
     marks = range(steps * substeps + 1)
-    times = (k * dt / substeps for k in marks)
+
+    def times(first, stop):
+        return np.arange(first, stop) * dt / substeps
+
     state0 = _initial_state(cfg, setup.n_sys)
     channel = reduce_from_joint(setup)
     cols = _state_columns(kind, setup.n_sys)
@@ -362,7 +364,7 @@ def cmd_evolve(cfg, out_path):
             # the interpolated column comes from the generators alone
             gen = generators_from_channel(channel, dt)
             trajectories.append(gap_runs(gen, marks, unit=dt / substeps))
-        rows = _csv_rows(kind, len(cols), times, mean0, cov0, trajectories)
+        rows = _csv_rows(kind, len(cols), len(marks), times, mean0, cov0, trajectories)
         _check_final(*(yield from rows))
 
     _write_atomic(out_path, lines())
@@ -382,17 +384,22 @@ def cmd_thermalize(cfg, out_path):
     report = analyze(bath)
     count = min(steps + 1, max_rows)
     indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
-    times = [n * dt for n in indices]
+    times = np.asarray(indices) * dt
     gaps = gap_runs(first_order_generators(bath), indices, unit=dt)
     cols = _state_columns("oscillator_bath", 1)
 
     def lines():
         yield ",".join(["t"] + cols)
-        rows = _csv_rows("oscillator_bath", len(cols), times, np.zeros(2), state0.cov, [gaps])
+        rows = _csv_rows(
+            "oscillator_bath", len(cols), len(times), lambda first, stop: times[first:stop],
+            np.zeros(2), state0.cov, [gaps],
+        )
         return _check_final(*(yield from rows))
 
     final = _write_atomic(out_path, lines())
-    payload = dict(report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=times[-1])
+    payload = dict(
+        report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=float(times[-1])
+    )
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 

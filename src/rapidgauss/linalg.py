@@ -5,16 +5,52 @@ upper-triangular lift [[a, b], [0, c]] that both are taken of, and the
 margin of the uncertainty bound that states, channels and generators all
 satisfy.  Everything is pure, operates on small dense arrays, and is safe to
 call concurrently.
+
+The exponential is numpy's own: scaling and squaring with a Padé degree
+and a scaling chosen from exact 1-norms of matrix powers (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 31(3):970, 2009).  scipy is imported only where
+it is needed: by the Schur logarithm that mat_log_principal falls back to
+for an ill-conditioned eigenbasis.
 """
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, DimensionMismatchError, SingularMatrixError
 
 # Eigenvector condition number above which eigendecompositions are not
 # trusted and Schur-based fallbacks are used instead.
 EIG_COND_MAX = 1e8
+
+# The Padé degrees m tried before scaling, as (m, theta_m, coefficients,
+# 1/|c_{2m+1}|): the [m/m] approximant is used when the norm estimate eta of
+# A is at most theta_m and the backward error of the first term it omits is
+# below the unit roundoff (Al-Mohy & Higham, Table 3.1 and (5.1)).  The
+# coefficients b_0..b_m are held as two rows, the even ones and the odd ones.
+_PADE = tuple(
+    (m, theta, np.array(b).reshape(-1, 2).T, c)
+    for m, theta, b, c in (
+        (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0), 100800.0),
+        (5, 2.539398330063230e-1,
+         (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 10059033600.0),
+        (7, 9.504178996162932e-1,
+         (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+         4487938430976000.0),
+        (9, 2.097847961257068,
+         (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+          2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+         5914384781877411840000.0),
+    )
+)
+# Degree 13, taken of A 2^-s with the least s that makes eta 2^-s <= _THETA13.
+_THETA13 = 4.25
+_B13 = np.array((
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)).reshape(-1, 2).T
+_C13 = 113250775606021113483283660800000000.0
 
 
 def _as_square(m, name="matrix"):
@@ -28,23 +64,107 @@ def _as_square(m, name="matrix"):
     return a
 
 
+def _as_matrix(m):
+    """m as one nonempty square matrix with finite entries."""
+    a = _as_square(m)
+    if a.ndim != 2 or not len(a):
+        raise DimensionMismatchError(
+            f"matrix must be one nonempty square matrix, got shape {a.shape}"
+        )
+    return a
+
+
+def _norm1(a):
+    """The 1-norm of a matrix, or the 1-norms of a stack of them."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _extra_squarings(abs_norm, norm, degree, c):
+    """ell of Al-Mohy & Higham (5.1): the squarings to add so that the
+    first term the degree-m approximant omits stays below the unit roundoff,
+    from the 1-norms of |A|^(2m+1) and of A."""
+    if not abs_norm:
+        return 0
+    alpha = abs_norm / (norm * c)
+    return max(math.ceil(math.log2(alpha * 2.0**53) / (2 * degree)), 0)
+
+
+def _pade_quotient(u, v, squarings):
+    """(V - U)^-1 (V + U), formed as I + 2 (V - U)^-1 U, squared."""
+    x = 2.0 * np.linalg.solve(v - u, u)
+    x.flat[:: len(x) + 1] += 1.0
+    for _ in range(squarings):
+        x = x @ x
+    return x
+
+
 def mat_exp(m):
-    """Matrix exponential, of one matrix or of each matrix of a stack."""
-    return scipy.linalg.expm(_as_square(m))
+    """Matrix exponential of one square matrix with finite entries.
+
+    Scaling and squaring with a Padé approximant of degree 3, 5, 7, 9 or
+    13 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3):970, 2009), its
+    degree and scaling chosen from exact 1-norms of A^2, A^4, A^6, A^8 and
+    A^10, so that a large but nearly nilpotent A is not overscaled.  Raises
+    DimensionMismatchError for an empty or non-square matrix or a stack.
+    """
+    a = _as_matrix(m)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    n = len(a)
+    # I, A^2, A^4, A^6, and A^8 once a degree above 5 is tried
+    powers = np.zeros((5, n, n), a.dtype)
+    powers[0].flat[:: n + 1] = 1.0
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    d4, d6 = (_norm1(powers[2:4]) ** (1 / 4, 1 / 6)).tolist()
+    eta = max(d4, d6)
+    # abs_row holds the column sums of |A|^k, k = 3, 7, 11, ...: ell's norms
+    abs_a = np.abs(a)
+    abs_a2 = abs_a @ abs_a
+    col_sums = abs_a.sum(axis=0)
+    norm = float(col_sums.max())
+    abs_a4, abs_row, k = abs_a2 @ abs_a2, col_sums @ abs_a2, 3
+    for degree, theta, coef, c in _PADE:
+        if degree == 7:
+            np.matmul(powers[2], powers[2], out=powers[4])
+            d8 = float(_norm1(powers[4])) ** (1 / 8)
+            eta = max(d6, d8)
+        if eta > theta:
+            continue
+        while k < 2 * degree + 1:
+            abs_row, k = abs_row @ abs_a4, k + 4
+        if _extra_squarings(float(abs_row.max()), norm, degree, c) == 0:
+            h = (degree + 1) // 2
+            v, w = (coef @ powers[:h].reshape(h, -1)).reshape(2, n, n)
+            return _pade_quotient(a @ w, v, 0)
+    eta = min(eta, max(d8, float(_norm1(powers[2] @ powers[3])) ** (1 / 10)))
+    s = max(math.ceil(math.log2(eta / _THETA13)), 0) if eta else 0
+    abs_row *= 2.0 ** (-k * s)
+    abs_a4 *= 2.0 ** (-4 * s)
+    while k < 27:
+        abs_row, k = abs_row @ abs_a4, k + 4
+    s += _extra_squarings(float(abs_row.max()), 2.0**-s * norm, 13, _C13)
+    # (A 2^-s)^2i = A^2i 2^-2is: the scaling goes into the coefficients
+    scales = 2.0 ** (-2 * s * np.arange(4))
+    low = (_B13[:, :4] * scales) @ powers[:4].reshape(4, -1)
+    high = (_B13[:, 4:] * scales[1:]) @ powers[1:4].reshape(3, -1)
+    v, w = (powers[3] * scales[3]) @ high.reshape(2, n, n) + low.reshape(2, n, n)
+    return _pade_quotient((a * 2.0**-s) @ w, v, s)
 
 
 def mat_log_principal(m):
     """Principal matrix logarithm, with Log(identity) = 0 exactly.
 
     Uses a complex eigendecomposition when the eigenvector matrix is well
-    conditioned and falls back to inverse scaling and squaring otherwise.
+    conditioned and falls back to inverse scaling and squaring otherwise
+    (scipy's Schur logm, the one use of scipy in the package's CLI paths).
 
-    Raises SingularMatrixError for singular input and BranchCutError when an
-    eigenvalue lies on the closed negative real axis.
+    Raises SingularMatrixError for singular input, or when the fallback's
+    logarithm is not finite, and BranchCutError when an eigenvalue lies on
+    the closed negative real axis.
     """
-    a = _as_square(m)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"matrix must be one square matrix, got shape {a.shape}")
+    a = _as_matrix(m)
     evals, vecs = np.linalg.eig(a)
     mags = np.abs(evals)
     if float(mags.min()) <= 1e-14 * max(float(mags.max()), 1.0):
@@ -61,7 +181,15 @@ def mat_log_principal(m):
     if np.linalg.cond(vecs) <= EIG_COND_MAX:
         out = (vecs * np.log(evals)) @ np.linalg.inv(vecs)
     else:
-        out = scipy.linalg.logm(a)
+        import scipy.linalg  # only this rare fallback needs scipy
+
+        # logm's 1-norm estimator divides by the moduli of entries, which
+        # overflows for subnormal ones; a logarithm that is not finite is
+        # reported below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = scipy.linalg.logm(a)
+        if not np.isfinite(out).all():
+            raise SingularMatrixError("mat_log_principal: the logarithm is not finite")
     if np.isrealobj(a):
         return np.ascontiguousarray(out.real)
     return out

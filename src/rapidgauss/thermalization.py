@@ -20,7 +20,6 @@ point in closed form.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bombardment import closed_form_series
 from .channels import JointSetup, apply_runs, reduce_from_joint
@@ -211,5 +210,7 @@ def discrete_asymptote(setup):
     t = channel.T
     if np.abs(np.linalg.eigvals(t)).max() >= 1.0:
         return None
+    import scipy.linalg  # imported here only, so that importing the package does not load scipy
+
     sig = scipy.linalg.solve_discrete_lyapunov(t, channel.R)
     return (sig + sig.T) / 2

@@ -1,9 +1,13 @@
 """Shared test oracles, kept independent of the production code paths."""
 
+import os
+import subprocess
+import sys
 from itertools import groupby, repeat
 
 import numpy as np
 
+import rapidgauss
 from rapidgauss.channels import GaussianChannel, apply_runs
 from rapidgauss.interpolation import (
     LIFT_NORM_MAX,
@@ -330,3 +334,14 @@ def coefficient_rhs(coeffs, setup):
             - drive * float(np.trace(g.T @ z @ g))
         ),
     )
+
+
+def fresh_python(code, cwd):
+    """stdout of code run in a fresh interpreter that imports this copy of
+    rapidgauss, so that what the code imports starts from nothing."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rapidgauss.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return done.stdout

@@ -22,7 +22,7 @@ from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
 
-from helpers import row_errors
+from helpers import fresh_python, row_errors
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -867,3 +867,18 @@ def test_csv_bytes_do_not_depend_on_the_formatter(tmp_path, monkeypatch, capsys)
         assert outputs["exact", i] == outputs["backstop", i]
         assert outputs["exact", i][0] == 0
     assert made and None not in made
+
+
+def test_the_cli_runs_without_loading_scipy(tmp_path):
+    bath = _write_config(
+        tmp_path, _bath_cfg({"rwa": {"g1": 0.3, "gw": 0.0}}, steps=20, mode="both"), "bath.json"
+    )
+    joint = _write_config(tmp_path, _joint_2mode_cfg(), "joint.json")
+    code = (
+        "import sys\n"
+        "from rapidgauss import cli\n"
+        f"assert cli.main(['evolve', '--config', {bath!r}, '--out', 'bath.csv']) == 0\n"
+        f"assert cli.main(['series', '--config', {joint!r}, '--order', '3']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    assert fresh_python(code, tmp_path).splitlines()[-1] == "[]"

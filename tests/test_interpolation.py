@@ -37,6 +37,7 @@ from rapidgauss.thermalization import (
 from helpers import (
     apply_loop,
     central_difference,
+    fresh_python,
     gap_channels,
     gauss_legendre_integral,
     logm_div_series,
@@ -572,4 +573,26 @@ def test_cli_thermalize_rows_on_an_uneven_grid_match_the_per_row_loop(tmp_path, 
     assert rows[:, 0].tolist() == [n * dt for n in marks]
     want = _loop_rows(list(gap_channels(first_order_generators(bath), marks, unit=dt)))
     assert row_errors(rows[:, 1:], want).max() <= 1e-12
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["t_final"] == marks[-1] * dt
+
+
+def test_a_defective_channel_reaches_the_schur_logarithm_by_its_lazy_import(tmp_path):
+    # the free mode F_S = diag(1, 0) gives T = [[1, 0], [-dt, 1]], a Jordan
+    # block: its eigenvector matrix has cond(V) ~ 9e15, past EIG_COND_MAX
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rapidgauss.channels import JointSetup, reduce_from_joint\n"
+        "from rapidgauss.interpolation import generators_from_channel, propagate\n"
+        "setup = JointSetup(F_S=np.diag([1.0, 0.0]), F_A=np.eye(2), G=np.zeros((2, 2)),\n"
+        "                   alpha_S=np.array([0.3, -0.1]), dt=0.1)\n"
+        "channel = reduce_from_joint(setup)\n"
+        "before = 'scipy' in sys.modules\n"
+        "gen = generators_from_channel(channel, setup.dt)\n"
+        "again = propagate(gen, setup.dt)\n"
+        "err = max(np.abs(getattr(again, k) - getattr(channel, k)).max() for k in 'TdR')\n"
+        "print(before, 'scipy.linalg' in sys.modules, err)\n"
+    )
+    before, after, err = fresh_python(code, tmp_path).split()
+    assert (before, after) == ("False", "True")
+    assert float(err) <= 1e-14

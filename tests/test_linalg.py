@@ -1,13 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import rapidgauss.linalg as linalg
+from rapidgauss.channels import reduce_from_joint
 from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMatrixError
+from rapidgauss.interpolation import channel_lift, generators_from_channel
 from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal, psd_margin
+from rapidgauss.phasespace import symplectic_form
+from rapidgauss.thermalization import OscillatorBathSetup, ladder_coupling, to_joint_setup
 
 from helpers import expm1_div_series, logm_div_series
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+EPS = np.finfo(float).eps
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
 
 
 def test_mat_exp_zero_and_rotation():
@@ -23,6 +36,98 @@ def test_mat_exp_inverse_identity(rng):
     for _ in range(10):
         m = rng.uniform(-1.5, 1.5, (4, 4))
         assert_allclose(mat_exp(m) @ mat_exp(-m), np.eye(4), atol=1e-12)
+
+
+def test_mat_exp_of_zero_is_exactly_the_identity():
+    for n in (1, 2, 5, 13):
+        assert np.array_equal(mat_exp(np.zeros((n, n))), np.eye(n))
+
+
+def test_mat_exp_rotations_through_many_squarings():
+    # theta = 1e3 is scaled by 2^8 and squared back; the error stays at the
+    # rounding of the angle, about eps * theta
+    for theta in np.concatenate([np.logspace(-3, 3, 61), [1e3]]):
+        err = np.abs(mat_exp(theta * OMEGA2) - _rotation(theta)).max()
+        assert err <= 10 * EPS * max(1.0, theta)
+
+
+def test_mat_exp_jordan_block():
+    lam, n = 0.5, 5
+    nil = np.eye(n, k=1)
+    expected = np.exp(lam) * sum(
+        np.linalg.matrix_power(nil, k) / math.factorial(k) for k in range(n)
+    )
+    got = mat_exp(lam * np.eye(n) + nil)
+    assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+def test_mat_exp_is_not_overscaled_by_a_large_off_diagonal():
+    # A^2 = I, so the exact norms of the powers of A keep the degree at 9
+    # with no scaling however large b is; scaling by ||A|| would lose about
+    # log2(b) bits (Al-Mohy & Higham 2009, Sec. 1)
+    for b in 10.0 ** np.arange(9):
+        got = mat_exp(np.array([[1.0, b], [0.0, -1.0]]))
+        expected = np.array([[np.e, b * np.sinh(1.0)], [0.0, 1.0 / np.e]])
+        assert got[1, 0] == 0.0
+        assert_allclose(got, expected, rtol=4 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("nu_a", [1.0, 1e3, 1e6])
+def test_mat_exp_of_the_generator_lift(nu_a):
+    bath = OscillatorBathSetup(E_S=1.0, E_A=0.8, nu_A=nu_a, G=ladder_coupling(0.3, 0.1), dt=0.2)
+    gen = generators_from_channel(reduce_from_joint(to_joint_setup(bath)), bath.dt)
+    omega = symplectic_form(1)
+    m = omega @ gen.A
+    top = np.column_stack([-m, gen.C, -omega @ gen.b])
+    for t in (0.1, 1.0, 10.0):
+        lift = channel_lift(top, m, 0.0) * t
+        got, oracle = mat_exp(lift), scipy.linalg.expm(lift)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        # the zero blocks of the block upper-triangular lift stay exact
+        assert not got[2:, :2].any() and not got[4, :4].any() and got[4, 4] == 1.0
+
+
+def test_mat_exp_matches_scipy_on_random_matrices(rng):
+    for n in (1, 2, 3, 5, 9, 13, 25, 49):
+        for norm in 10.0 ** np.arange(-8, 3):
+            m = rng.normal(size=(n, n))
+            m *= norm / np.abs(m).sum(axis=0).max()
+            oracle = scipy.linalg.expm(m)
+            err = np.abs(mat_exp(m) - oracle).max() / np.abs(oracle).max()
+            assert err <= 2000 * EPS * max(1.0, norm), (n, norm, err)
+
+
+@pytest.mark.parametrize(
+    "m, degree, squarings",
+    [
+        (0.01 * OMEGA2, 3, 0),
+        (0.2 * OMEGA2, 5, 0),
+        (0.9 * OMEGA2, 7, 0),
+        (2.0 * OMEGA2, 9, 0),
+        (3.0 * OMEGA2, 13, 0),
+        (50.0 * OMEGA2, 13, 4),
+        # eta = 0.014 admits degree 3, but the backward error of its first
+        # omitted term (ell) does not; with A^2 = a^2 I the result is exact
+        (np.array([[0.014, 10.0], [0.0, -0.014]]), 5, 0),
+    ],
+)
+def test_mat_exp_each_pade_degree(monkeypatch, m, degree, squarings):
+    tried, used = [], []
+    extra, quotient = linalg._extra_squarings, linalg._pade_quotient
+    monkeypatch.setattr(
+        linalg, "_extra_squarings", lambda *args: tried.append(args[2]) or extra(*args)
+    )
+    monkeypatch.setattr(
+        linalg, "_pade_quotient", lambda u, v, s: used.append(s) or quotient(u, v, s)
+    )
+    got = mat_exp(m)
+    assert (tried[-1], used) == (degree, [squarings])
+    if m[1, 0]:
+        expected = _rotation(m[0, 1])
+    else:
+        a, b = m[0, 0], m[0, 1]
+        expected = np.array([[np.exp(a), b * np.sinh(a) / a], [0.0, np.exp(-a)]])
+    assert np.abs(got - expected).max() <= 10 * EPS * max(1.0, np.abs(m).max())
 
 
 def test_mat_log_identity_exact():
@@ -177,10 +282,12 @@ def test_batched_psd_margin_equals_the_per_matrix_call_bit_for_bit(rng):
         psd_margin(np.zeros((3, 2, 2)), np.full((3, 2, 2), np.inf))
 
 
-def test_stacks_exponentiate_matrix_by_matrix_and_have_no_principal_log(rng):
-    stack = rng.normal(size=(3, 4, 4))
-    exps = mat_exp(stack)
-    for m, e in zip(stack, exps):
-        assert_allclose(e, mat_exp(m), rtol=1e-14, atol=1e-14)
-    with pytest.raises(DimensionMismatchError):
-        mat_log_principal(exps)
+def test_stacks_have_no_exponential_and_no_principal_log(rng):
+    stack = mat_exp(rng.normal(size=(4, 4)))[None].repeat(3, axis=0)
+    for function in (mat_exp, mat_log_principal):
+        with pytest.raises(DimensionMismatchError):
+            function(stack)
+        with pytest.raises(DimensionMismatchError):
+            function(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            function(np.zeros((0, 0)))
