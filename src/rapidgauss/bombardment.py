@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import CP_TOL, CpReport, channel_taylor_stack
 from .errors import MalformedSeriesError
-from .interpolation import Generators, cp_margins, read_generators
+from .interpolation import Generators, channel_lift, cp_margins, read_generators
 from .phasespace import symplectic_form
 
 # how far below zero a purification value must fall to count; absorbs roundoff
@@ -55,16 +55,24 @@ class GeneratorSeries:
         """Partial sum sum_k coeff_k dt^k up to the given order, as Generators."""
         if order > self.order:
             raise ValueError(f"series only carries orders up to {self.order}")
-        a = sum(self.A[k] * dt**k for k in range(order + 1))
-        b = sum(self.b[k] * dt**k for k in range(order + 1))
-        c = sum(self.C[k] * dt**k for k in range(order + 1))
-        return Generators(A=a, b=b, C=(c + c.T) / 2)
+        coeffs = self.A[: order + 1], self.b[: order + 1, :, None], self.C[: order + 1]
+        a, b, c = (_partial_sums(x, dt)[-1] for x in coeffs)
+        return Generators(A=a, b=b[:, 0], C=(c + c.T) / 2)
 
     def to_json_obj(self):
         return [
             {"k": k, "A": self.A[k].tolist(), "b": self.b[k].tolist(), "C": self.C[k].tolist()}
             for k in range(self.order + 1)
         ]
+
+
+def _partial_sums(coeffs, dt):
+    """Partial sums sum_{j<=k} coeff_j dt^j of every order k of stacks (...,
+    K+1, n, m), by one cumulative sum: it adds in increasing j, as sum() does."""
+    powers = np.array([dt**k for k in range(np.shape(coeffs)[-3])])[:, None, None]
+    # + 0.0 turns the -0.0 a cumulative sum keeps into the +0.0 of a sum from
+    # 0, for both callers; the sign of a zero can steer a CP margin's eigen-solve
+    return np.cumsum(coeffs * powers, axis=-3) + 0.0
 
 
 def _log_series_rows(x, rows):
@@ -109,24 +117,22 @@ def _series_of_stacks(t, d, r, order):
     setups gives each setup the bits it gets on its own.
     """
     kc, n = order + 1, t.shape[-1]
-    # T^-1 by the Neumann recurrence: inv_k = -T_k - sum_{0<i<k} T_i inv_(k-i)
-    inv = np.empty(t.shape[:1] + (kc + 1, n, n))
+    # the top block row [T^-1, T^-1 [R, -d]] of every lift coefficient, T^-1
+    # by the Neumann recurrence: inv_k = -T_k - sum_{0<i<k} T_i inv_(k-i)
+    top = np.empty(t.shape[:1] + (kc + 1, n, 2 * n + 1))
+    inv = top[..., :n]
     inv[:, 0] = np.eye(n)
     for k in range(1, kc + 1):
         acc = 0
         for term in (t[:, 1:k] @ inv[:, k - 1 : 0 : -1]).swapaxes(0, 1):
             acc = acc + term
         inv[:, k] = -t[:, k] - acc
-    # the top block row [T^-1, T^-1 [R, -d]] of every lift coefficient
     rd = np.concatenate([r, -d[..., None]], axis=3)
     acc = np.zeros_like(rd)
     for i in range(1, kc):
         acc[:, i + 1 :] += inv[:, i : i + 1] @ rd[:, 1 : kc - i + 1]
-    lift = np.zeros(t.shape[:1] + (kc + 1, 2 * n + 1, 2 * n + 1))
-    lift[:, :, :n, :n] = inv
-    lift[:, :, :n, n:] = rd + acc
-    lift[:, :, n:-1, n:-1] = t.swapaxes(2, 3)
-    return read_generators(_log_series_rows(lift, n)[:, 1:])
+    np.add(rd, acc, out=top[..., n:])
+    return read_generators(_log_series_rows(channel_lift(top, t, 0.0), n)[:, 1:])
 
 
 def generator_series_stack(setups, order):
@@ -238,11 +244,7 @@ def truncated_cp_margins(a, c, dt):
     (:func:`rapidgauss.interpolation.cp_margins`).  Returns an array
     (..., K+1).
     """
-    powers = np.array([dt**k for k in range(np.shape(a)[-3])])[:, None, None]
-    # + 0.0 turns the -0.0 a cumulative sum keeps into the +0.0 of a sum
-    # started from 0; the sign of a zero can steer the eigen-solve
-    a_sum = np.cumsum(a * powers, axis=-3) + 0.0
-    c_sum = np.cumsum(c * powers, axis=-3) + 0.0
+    a_sum, c_sum = _partial_sums(a, dt), _partial_sums(c, dt)
     return cp_margins(a_sum, (c_sum + c_sum.swapaxes(-1, -2)) / 2)
 
 

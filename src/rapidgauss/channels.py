@@ -24,6 +24,7 @@ from .phasespace import (
     _check_uncertainty,
     _frozen_array,
     _frozen_arrays,
+    affine_lift,
     symplectic_form,
 )
 
@@ -161,10 +162,7 @@ def _double_run(t, d, r, means, covs):
     # preallocated, as fresh temporaries of this size cost page faults
     work = np.empty((count // 2, n, n))
     while filled < count:
-        d = t.dot(d) + d
-        r = t.dot(r).dot(t.T) + r
-        r = (r + r.T) / 2
-        t = t.dot(t)
+        t, d, r = _square(t, d, r)
         k = min(filled, count - filled)
         new_means, new_covs, tc = means[filled : filled + k], covs[filled : filled + k], work[:k]
         np.matmul(means[:k], t.T, out=new_means)
@@ -176,6 +174,13 @@ def _double_run(t, d, r, means, covs):
         np.multiply(tc, 0.5, out=new_covs)
         filled += k
     return means[-1], covs[-1]
+
+
+def _square(t, d, r):
+    """The channel (t, d, r) applied twice, as arrays: (T^2, T d + d,
+    sym(T R T^T + R)), by the operations of :func:`compose` in its order."""
+    r = t.dot(r).dot(t.T) + r
+    return t.dot(t), t.dot(d) + d, (r + r.T) / 2
 
 
 def is_cptp(channel):
@@ -278,10 +283,10 @@ class JointSetup:
 def hamiltonian_flow(hamiltonian, t):
     """Noiseless channel (R = 0) of a quadratic Hamiltonian over time t.
 
-    One exponential of the affine lift (QuadraticHamiltonian.affine_generator)
-    times t gives the symplectic T = exp(Omega F t) as its top-left block and
-    d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last column, with
-    no special casing of singular Omega F (free or partial Hamiltonians).
+    One exponential of the affine lift (phasespace.affine_lift) times t gives
+    the symplectic T = exp(Omega F t) as its top-left block and d = [(exp(Omega
+    F t) - 1)/(Omega F)] Omega alpha as its last column, with no special
+    casing of singular Omega F (free or partial Hamiltonians).
     """
     n = hamiltonian.F.shape[0]
     flow = mat_exp(hamiltonian.affine_generator() * t)
@@ -333,10 +338,7 @@ def channel_taylor_stack(setups, order):
     f = np.empty((len(setups), dim, dim))
     f[:, :ds, :ds], f[:, :ds, ds:] = stack("F_S"), g
     f[:, ds:, :ds], f[:, ds:, ds:] = g.swapaxes(1, 2), stack("F_A")
-    omega = symplectic_form(dim // 2)
-    lift = np.zeros((len(setups), dim + 1, dim + 1))
-    lift[:, :dim, :dim] = omega @ f
-    lift[:, :dim, dim] = np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1) @ omega.T
+    lift = affine_lift(f, np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1))
     rows = np.empty((len(setups), order + 1, ds, dim + 1))
     rows[:, 0] = np.eye(ds, dim + 1)
     for k in range(1, order + 1):

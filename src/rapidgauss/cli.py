@@ -37,8 +37,7 @@ from .errors import (
     NonFiniteStateError,
     SingularMatrixError,
 )
-# propagate is imported, not called: bench/test_bench.py expects the binding
-from .interpolation import gap_runs, generators_from_channel, propagate  # noqa: F401
+from .interpolation import gap_runs, generators_from_channel, propagate
 from .phasespace import GaussianState, validate_state
 from .sampling import random_joint_setup
 from .thermalization import (
@@ -337,7 +336,6 @@ def cmd_evolve(cfg, out_path):
         raise ConfigError(f"unknown mode '{mode}'")
     dt = setup.dt
     substeps = _count("substeps", cfg.get("substeps", 10), 1) if mode == "interpolated" else 1
-    marks = range(steps * substeps + 1)
 
     def times(first, stop):
         return np.arange(first, stop) * dt / substeps
@@ -357,14 +355,14 @@ def cmd_evolve(cfg, out_path):
             )
         else:
             yield ",".join(["t"] + cols)
-        trajectories = []
+        start, trajectories = (identity_channel(setup.n_sys), 1), []
         if mode != "interpolated":
-            trajectories.append([(identity_channel(setup.n_sys), 1), (channel, steps)])
+            trajectories.append([start, (channel, steps)])
         if mode != "discrete":
             # the interpolated column comes from the generators alone
-            gen = generators_from_channel(channel, dt)
-            trajectories.append(gap_runs(gen, marks, unit=dt / substeps))
-        rows = _csv_rows(kind, len(cols), len(marks), times, mean0, cov0, trajectories)
+            sub = propagate(generators_from_channel(channel, dt), dt / substeps)
+            trajectories.append([start, (sub, steps * substeps)])
+        rows = _csv_rows(kind, len(cols), steps * substeps + 1, times, mean0, cov0, trajectories)
         _check_final(*(yield from rows))
 
     _write_atomic(out_path, lines())

@@ -31,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CP_TOL,
-    CpReport,
-    GaussianChannel,
-    apply_runs,
-    channel_power,
-    identity_channel,
-)
+from .channels import CP_TOL, CpReport, GaussianChannel, _square, apply_runs, identity_channel
 from .errors import SingularMatrixError
-from .linalg import block_upper, mat_exp, mat_log_principal, psd_margin
+from .linalg import mat_exp, mat_log_principal, psd_margin
 from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
@@ -61,10 +54,13 @@ def channel_lift(top, forward, corner):
 
     A channel lifts with top = T^-1 [1, R, -d], forward = T and corner = 1;
     its generators with top = [-M, C, -Omega b], forward = M and corner = 0.
+    Stacks of top and forward give the stack of their members' lifts.
     """
-    n = forward.shape[0]
-    tail = block_upper(forward.T, np.zeros((n, 1)), np.full((1, 1), corner))
-    return block_upper(top[:, :n], top[:, n:], tail)
+    n = np.shape(forward)[-1]
+    lift = np.zeros(np.shape(forward)[:-2] + (2 * n + 1, 2 * n + 1))
+    lift[..., :n, :], lift[..., n:-1, n:-1] = top, np.swapaxes(forward, -1, -2)
+    lift[..., -1, -1] = corner
+    return lift
 
 
 def read_generators(log_lift):
@@ -118,8 +114,8 @@ def propagate(gen, t):
     [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
     s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  The
     step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; as the
-    flow is a semigroup, the channel over t is its 2^k-th power
-    (:func:`rapidgauss.channels.channel_power`), k squarings.
+    flow is a semigroup, the channel over t is its 2^k-th power, k
+    squarings of the step's arrays, bit for bit those of channel_power.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -132,8 +128,10 @@ def propagate(gen, t):
     lifted = mat_exp(channel_lift(top, m, 0.0) * (t / 2**doublings))
     step = lifted[n:-1, n:-1].T
     r = step @ lifted[:n, n:-1]
-    channel = GaussianChannel(T=step, d=-step @ lifted[:n, -1], R=(r + r.T) / 2)
-    return channel_power(channel, 2**doublings)
+    d, r = -step @ lifted[:n, -1], (r + r.T) / 2
+    for _ in range(doublings):
+        step, d, r = _square(step, d, r)
+    return GaussianChannel(T=step, d=d, R=r)
 
 
 def gap_runs(gen, marks, unit=1.0):
@@ -145,11 +143,12 @@ def gap_runs(gen, marks, unit=1.0):
     The marks are nondecreasing and measured from 0, so the first gap runs
     from 0.  A gap of 0 is carried by the identity channel, and each other
     distinct mark difference is propagated once.  On a grid of integer
-    marks, such as the row indices of an evenly spaced trajectory, that is
-    one exponential per distinct step count, however long the grid; float
-    times with unit 1 give one exponential per distinct float gap.  The
-    marks are read one at a time, and a run is yielded once the gap after
-    it differs or the marks end.
+    marks, such as the collision counts of an uneven grid, that is one
+    exponential per distinct step count, however long the grid; float times
+    with unit 1 give one exponential per distinct float gap.  An even grid
+    is one run, which a caller can name directly.  The marks are read one
+    at a time, and a run is yielded once the gap after it differs or the
+    marks end.
 
     Raises ValueError on reaching a mark that decreases.
     """

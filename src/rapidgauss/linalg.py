@@ -1,10 +1,10 @@
 """Dense matrix kernels used throughout the package.
 
-Provides the matrix exponential, the principal matrix logarithm, the block
-upper-triangular lift [[a, b], [0, c]] that both are taken of, and the
-margin of the uncertainty bound that states, channels and generators all
-satisfy.  Everything is pure, operates on small dense arrays, and is safe to
-call concurrently.
+Provides the matrix exponential and the principal matrix logarithm, taken
+of the lifts that phasespace.affine_lift and interpolation.channel_lift
+build, and the margin of the uncertainty bound that states, channels and
+generators all satisfy.  Everything is pure, operates on small dense arrays,
+and is safe to call concurrently.
 
 The exponential is numpy's own: scaling and squaring with a Padé degree
 and a scaling chosen from exact 1-norms of matrix powers (Al-Mohy & Higham,
@@ -192,22 +192,6 @@ def mat_log_principal(m):
             raise SingularMatrixError("mat_log_principal: the logarithm is not finite")
     if np.isrealobj(a):
         return np.ascontiguousarray(out.real)
-    return out
-
-
-def block_upper(a, b, c):
-    """The block upper-triangular lift [[a, b], [0, c]].
-
-    The top-right block of exp([[a, b], [0, c]] t) is the integral of
-    exp(a s) b exp(c (t - s)) over [0, t] (Van Loan, IEEE TAC 23(3):395,
-    1978).  With c = 0 and b one column, it is the shift of the affine flow
-    dX/dt = a X + b over time t.
-    """
-    n, m = a.shape[0], c.shape[0]
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = a
-    out[:n, n:] = b
-    out[n:, n:] = c
     return out
 
 

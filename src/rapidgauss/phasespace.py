@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
-from .linalg import block_upper, psd_margin
+from .linalg import psd_margin
 
 # min eigenvalue of (cov + i Omega) may dip this far below zero, relative to
 # max(1, |cov|), before a state is called invalid; absorbs roundoff
@@ -37,6 +37,17 @@ def symplectic_form(n_modes):
     flat[1 :: 2 * n + 2] = 1.0
     flat[n :: 2 * n + 2] = -1.0
     return out
+
+
+def affine_lift(f, alpha):
+    """The lift [[Omega F, Omega alpha], [0, 0]] that generates the flow of
+    the Hamiltonian (F, alpha) on (X, 1) (Van Loan, IEEE TAC 23(3):395,
+    1978).  Stacks of F and alpha give the stack of their members' lifts."""
+    n = np.shape(f)[-1]
+    omega = symplectic_form(n // 2)
+    lift = np.zeros(np.shape(f)[:-2] + (n + 1, n + 1))
+    lift[..., :n, :n], lift[..., :n, n] = omega @ f, alpha @ omega.T
+    return lift
 
 
 def _frozen_array(obj, field, value):
@@ -129,10 +140,8 @@ class QuadraticHamiltonian(_PhaseSpaceRecord):
         _frozen_arrays(self, "alpha", {"F": True})
 
     def affine_generator(self):
-        """The affine lift [[Omega F, Omega alpha], [0, 0]], generator of the
-        flow on (X, 1)."""
-        omega = symplectic_form(self.n_modes)
-        return block_upper(omega @ self.F, (omega @ self.alpha)[:, None], np.zeros((1, 1)))
+        """The affine lift (:func:`affine_lift`), generator of the flow on (X, 1)."""
+        return affine_lift(self.F, self.alpha)
 
 
 @dataclass(frozen=True)

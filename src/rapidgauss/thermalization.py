@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bombardment import closed_form_series
-from .channels import JointSetup, apply_runs, reduce_from_joint
+from .channels import JointSetup, _square, apply_runs, reduce_from_joint
 from .errors import DimensionMismatchError, InvalidSetupError
 # propagate is imported, not called: bench/test_bench.py expects the binding
 from .interpolation import gap_runs, propagate  # noqa: F401
@@ -204,13 +204,18 @@ def discrete_asymptote(setup):
     """Fixed covariance of the exact one-collision channel, or None.
 
     Solves sigma = T sigma T^T + R for the reduced channel at the setup's dt;
-    only contractive channels (spectral radius of T below one) have one.
+    only contractive channels (spectral radius rho of T below one) have one.
+    Smith's doubling squares the channel until its R, the noise of 2^k
+    collisions, no longer changes; that is None past 64 squarings, as for
+    rho >= 1.  The relative error is about eps / (1 - rho).
     """
     channel = reduce_from_joint(to_joint_setup(setup))
-    t = channel.T
+    t, d, r = channel.T, channel.d, channel.R
     if np.abs(np.linalg.eigvals(t)).max() >= 1.0:
         return None
-    import scipy.linalg  # imported here only, so that importing the package does not load scipy
-
-    sig = scipy.linalg.solve_discrete_lyapunov(t, channel.R)
-    return (sig + sig.T) / 2
+    for _ in range(64):
+        t, d, summed = _square(t, d, r)
+        if np.array_equal(summed, r):
+            return summed
+        r = summed
+    return None

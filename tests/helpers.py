@@ -16,7 +16,7 @@ from rapidgauss.interpolation import (
     gap_runs,
     read_generators,
 )
-from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal
+from rapidgauss.linalg import mat_exp, mat_log_principal
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_symmetric
 from rapidgauss.thermalization import CovCoefficients
@@ -158,15 +158,6 @@ def log_series_cauchy(t_series, order):
     return out
 
 
-def inverse_series_lists(t_series, order):
-    """Coefficients of T(dt)^-1 for T(dt) = 1 + sum_k dt^k T_k, one matrix
-    per order (the Neumann series: inv_k = -T_k - sum_{0<i<k} T_i inv_(k-i))."""
-    inv = [np.eye(t_series[0].shape[0])]
-    for k in range(1, order + 1):
-        inv.append(-t_series[k] - sum(t_series[i] @ inv[k - i] for i in range(1, k)))
-    return inv
-
-
 def channel_taylor_lists(setup, order):
     """Taylor coefficients (T_k, d_k, R_k), k = 0..order, of the reduced
     channel, one matrix per order, from the full powers L^k / k! of the joint
@@ -187,13 +178,18 @@ def channel_taylor_lists(setup, order):
     return [term[:ds, :ds] for term in terms], d_list, r_list
 
 
-def series_from_channel_lists(t_series, d_series, r_series, order):
-    """Generator coefficients (A_k, b_k, C_k), k = 0..order, of a channel
-    series, one matrix per order: the whole (4N + 1)-dimensional channel
-    lift of every order, its logarithm series by full Cauchy products
-    (:func:`log_series_cauchy`), and the generators read off it."""
+def series_from_joint_lists(setup, order):
+    """Generator coefficients (A_k, b_k, C_k), k = 0..order, of a bombardment
+    setup by the list route, one matrix per order: the channel series of
+    :func:`channel_taylor_lists`, T^-1 by the Neumann series, the whole
+    (4N + 1)-dimensional channel lift of every order, its logarithm series
+    by full Cauchy products (:func:`log_series_cauchy`), and the generators
+    read off it."""
     kc = order + 1
-    t_inv = inverse_series_lists(t_series, kc)
+    t_series, d_series, r_series = channel_taylor_lists(setup, kc)
+    t_inv = [np.eye(len(t_series[0]))]
+    for k in range(1, kc + 1):
+        t_inv.append(-t_series[k] - sum(t_series[i] @ t_inv[k - i] for i in range(1, k)))
     rd = [np.column_stack([r, -d]) for r, d in zip(r_series, d_series)]
     tops = [np.column_stack([t_inv[k], rd[k] + sum(t_inv[i] @ rd[k - i] for i in range(1, k))])
             for k in range(1, kc + 1)]
@@ -203,21 +199,16 @@ def series_from_channel_lists(t_series, d_series, r_series, order):
     return read_generators(np.array(log_series_cauchy(lifted, kc)[1:]))
 
 
-def series_from_joint_lists(setup, order):
-    """Generator coefficients of a bombardment setup by the list route:
-    :func:`channel_taylor_lists` into :func:`series_from_channel_lists`."""
-    return series_from_channel_lists(*channel_taylor_lists(setup, order + 1), order)
-
-
 def two_lift_generators(channel, dt):
     """Generators of a channel from two lifts: A and b from the principal Log
     of the affine lift [[T, d], [0, 1]], C from that of the noise lift
     [[T^-1, T^-1 R], [0, T^T]]."""
     t, n = channel.T, channel.T.shape[0]
     omega = symplectic_form(channel.n_modes)
-    affine = mat_log_principal(block_upper(t, channel.d[:, None], np.ones((1, 1)))) / dt
+    affine = mat_log_principal(np.block([[t, channel.d[:, None]], [np.zeros((1, n)), 1.0]])) / dt
     t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
-    c = mat_log_principal(block_upper(t_inv[:, :n], t_inv[:, n:], t.T))[:n, n:] / dt
+    noise = np.block([[t_inv[:, :n], t_inv[:, n:]], [np.zeros((n, n)), t.T]])
+    c = mat_log_principal(noise)[:n, n:] / dt
     return Generators(
         A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
     )
@@ -230,10 +221,10 @@ def two_lift_propagate(gen, t):
     n = gen.A.shape[0]
     omega = symplectic_form(gen.n_modes)
     m = omega @ gen.A
-    flow = mat_exp(block_upper(m, (omega @ gen.b)[:, None], np.zeros((1, 1))) * t)
+    flow = mat_exp(np.block([[m, (omega @ gen.b)[:, None]], [np.zeros((1, n + 1))]]) * t)
     norm = np.abs(m).sum(axis=0).max() * t
     doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
-    lifted = mat_exp(block_upper(-m, gen.C, m.T) * (t / 2**doublings))
+    lifted = mat_exp(np.block([[-m, gen.C], [np.zeros((n, n)), m.T]]) * (t / 2**doublings))
     step = lifted[n:, n:].T
     r = step @ lifted[:n, n:]
     for _ in range(doublings):

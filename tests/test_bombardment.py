@@ -345,6 +345,32 @@ def test_series_json_shape(rng):
     assert np.asarray(obj[1]["A"]).shape == (2, 2)
 
 
+def test_truncate_is_the_sum_over_orders_signs_of_zero_included(rng):
+    # the cumulative route equals a Python sum over k of coeff_k dt^k, a sum
+    # started from 0, on coefficients seeded with zeros of both signs
+    for _ in range(200):
+        order, n = int(rng.integers(0, 6)), 2 * int(rng.integers(1, 3))
+
+        def draw(shape):
+            x = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+            x[rng.random(shape) < 0.4] = -0.0
+            return x
+
+        a, b, c = draw((order + 1, n, n)), draw((order + 1, n)), draw((order + 1, n, n))
+        series = GeneratorSeries(A=a, b=b, C=c)
+        for k in range(order + 1):
+            for dt in (0.3, -0.7, 0.0, 1e-200):
+                got = series.truncate(k, dt)
+                want_c = sum(c[j] * dt**j for j in range(k + 1))
+                want = (
+                    sum(a[j] * dt**j for j in range(k + 1)),
+                    sum(b[j] * dt**j for j in range(k + 1)),
+                    (want_c + want_c.T) / 2,
+                )
+                for g, w in zip((got.A, got.b, got.C), want):
+                    assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
+
+
 def test_truncate_guard(rng):
     series = closed_form_series(random_joint_setup(rng), 1)
     with pytest.raises(ValueError):

@@ -8,18 +8,22 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
+    apply_runs,
     channel_power,
     hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
 )
-from rapidgauss.cli import main
+from rapidgauss.cli import _csv_rows, main
 from rapidgauss.errors import BranchCutError, SingularMatrixError
 from rapidgauss.interpolation import (
+    LIFT_NORM_MAX,
     Generators,
+    channel_lift,
     cp_differential_check,
     flow_states,
+    gap_runs,
     generators_from_channel,
     propagate,
 )
@@ -49,6 +53,56 @@ from helpers import (
 )
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _same_channel(a, b):
+    # equal arrays of equal bits, signs of zero included
+    return all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in "TdR")
+
+
+def test_channel_lift_is_the_block_matrix_and_stacks_member_by_member(rng):
+    for n in (2, 4, 6):
+        top = rng.normal(size=(3, 2, n, 2 * n + 1))
+        forward = rng.normal(size=(3, 2, n, n))
+        for corner in (0.0, 1.0):
+            lifts = channel_lift(top, forward, corner)
+            assert lifts.shape == (3, 2, 2 * n + 1, 2 * n + 1)
+            for i in np.ndindex(3, 2):
+                one = channel_lift(top[i], forward[i], corner)
+                want = np.block([
+                    [top[i]],
+                    [np.zeros((n, n)), forward[i].T, np.zeros((n, 1))],
+                    [np.zeros((1, 2 * n)), np.full((1, 1), corner)],
+                ])
+                assert one.tobytes() == want.tobytes()
+                assert lifts[i].tobytes() == one.tobytes()
+
+
+def test_propagate_is_the_power_of_its_short_step_bit_for_bit(rng):
+    # t chosen so that propagate takes exactly k squarings of the channel
+    # over t / 2^k; channel_power takes the same squarings through compose
+    for n_modes in (1, 2):
+        gen = random_generators(rng, n_modes)
+        norm = np.abs(symplectic_form(n_modes) @ gen.A).sum(axis=0).max()
+        for k in range(7):
+            t = 0.75 * LIFT_NORM_MAX / norm * 2**k
+            short = propagate(gen, t / 2**k)
+            assert _same_channel(propagate(gen, t), channel_power(short, 2**k))
+
+
+def test_evolve_runs_are_the_gap_runs_of_the_row_indices(rng):
+    # evolve hands over [(identity, 1), (channel over one row, rows - 1)],
+    # the runs gap_runs finds on the row indices 0..steps * substeps
+    gen = generators_from_channel(reduce_from_joint(random_joint_setup(rng, dt=0.2)), 0.2)
+    for steps, substeps in ((1, 1), (40, 1), (3, 7), (40, 10)):
+        unit = 0.2 / substeps
+        found = list(gap_runs(gen, range(steps * substeps + 1), unit))
+        explicit = [(identity_channel(gen.n_modes), 1), (propagate(gen, unit), steps * substeps)]
+        assert [count for _, count in found] == [count for _, count in explicit]
+        assert all(_same_channel(a, b) for (a, _), (b, _) in zip(found, explicit))
+        cov, mean = random_state_cov(rng, gen.n_modes), rng.normal(size=2 * gen.n_modes)
+        got, want = apply_runs(explicit, mean, cov), apply_runs(found, mean, cov)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_generators_invert_pure_hamiltonian_flow(rng):
@@ -460,6 +514,7 @@ def test_cli_trajectories_propagate_once_per_distinct_gap(tmp_path, monkeypatch,
         return propagate(gen, t)
 
     monkeypatch.setattr("rapidgauss.interpolation.propagate", counting)
+    monkeypatch.setattr("rapidgauss.cli.propagate", counting)
     dt = 0.37
     setup = {"kind": "oscillator_bath", "E_S": 1.2, "E_A": 1.0, "nu_A": 2.0,
              "G": {"rwa": {"g1": 0.3, "gw": 0.1}}}
@@ -495,6 +550,7 @@ def test_cli_trajectories_propagate_once_per_step_size(tmp_path, monkeypatch, ca
         return propagate(gen, t)
 
     monkeypatch.setattr("rapidgauss.interpolation.propagate", counting)
+    monkeypatch.setattr("rapidgauss.cli.propagate", counting)
     runs = [
         ("evolve", {"steps": 40, "substeps": 10, "mode": "interpolated"}),
         ("evolve", {"steps": 400, "mode": "both"}),
@@ -555,6 +611,30 @@ def test_cli_trajectory_rows_are_the_one_step_channel_repeated(tmp_path, monkeyp
     assert rows[:, 0].tolist() == [int(n) * dt for n in range(0, 4001, 10)]
     want = _bath_rows(first_order_generators(bath), 10 * dt, 401)
     assert row_errors(rows[:, 1:], want).max() <= 1e-12
+    capsys.readouterr()
+
+
+def test_cli_evolve_bytes_are_those_of_the_gap_runs_of_the_row_indices(tmp_path, capsys):
+    # evolve names its runs; the CSV is the one that gap_runs on the row
+    # indices 0..steps * substeps gives through the same writer
+    dt, steps, substeps = 0.37, 30, 7
+    bath = OscillatorBathSetup(E_S=1.2, E_A=1.0, nu_A=2.0, G=rwa_coupling(0.3, 0.1), dt=dt)
+    channel = reduce_from_joint(to_joint_setup(bath))
+    gen = generators_from_channel(channel, dt)
+    for mode, sub in (("interpolated", substeps), ("both", 1)):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"setup": _CLI_BATH, "dt": dt, "steps": steps,
+                                   "mode": mode, "substeps": substeps}))
+        out = tmp_path / f"{mode}.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        count = steps * sub + 1
+        trajectories = [gap_runs(gen, range(count), unit=dt / sub)]
+        if mode == "both":
+            trajectories.insert(0, [(identity_channel(1), 1), (channel, steps)])
+        times = lambda first, stop: np.arange(first, stop) * dt / sub
+        # four state columns, from the vacuum
+        body = _csv_rows("oscillator_bath", 4, count, times, np.zeros(2), np.eye(2), trajectories)
+        assert out.read_text().split("\n", 1)[1] == "".join(text + "\n" for text in body)
     capsys.readouterr()
 
 

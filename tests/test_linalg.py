@@ -9,7 +9,7 @@ import rapidgauss.linalg as linalg
 from rapidgauss.channels import reduce_from_joint
 from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMatrixError
 from rapidgauss.interpolation import channel_lift, generators_from_channel
-from rapidgauss.linalg import block_upper, mat_exp, mat_log_principal, psd_margin
+from rapidgauss.linalg import mat_exp, mat_log_principal, psd_margin
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.thermalization import OscillatorBathSetup, ladder_coupling, to_joint_setup
 
@@ -169,7 +169,7 @@ def expm1_div(x, t):
     Omega alpha.
     """
     n = x.shape[0]
-    return mat_exp(block_upper(x, np.eye(n), np.zeros((n, n))) * t)[:n, n:]
+    return mat_exp(np.block([[x, np.eye(n)], [np.zeros((n, 2 * n))]]) * t)[:n, n:]
 
 
 def test_expm1_div_zero_matrix():

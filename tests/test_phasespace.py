@@ -8,6 +8,7 @@ from rapidgauss.interpolation import Generators
 from rapidgauss.phasespace import (
     GaussianState,
     QuadraticHamiltonian,
+    affine_lift,
     beta_from_nu,
     nu_from_beta,
     purity,
@@ -20,6 +21,37 @@ from rapidgauss.sampling import random_symplectic
 from helpers import central_difference
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _bits(a):
+    # equal arrays of equal bits, signs of zero included
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_affine_lift_is_the_block_matrix_signs_of_zero_included(rng):
+    for n_modes in (1, 2, 3):
+        n = 2 * n_modes
+        omega = symplectic_form(n_modes)
+        for _ in range(5):
+            f = rng.normal(size=(n, n))
+            alpha = rng.normal(size=n)
+            # zeros of both signs in F and alpha
+            f[rng.random((n, n)) < 0.3] = 0.0
+            f[rng.random((n, n)) < 0.3] = -0.0
+            alpha[rng.random(n) < 0.3] = -0.0
+            want = np.block([[omega @ f, (omega @ alpha)[:, None]], [np.zeros((1, n + 1))]])
+            assert _bits(affine_lift(f, alpha)) == _bits(want)
+            ham = QuadraticHamiltonian(F=(f + f.T) / 2, alpha=alpha)
+            assert _bits(ham.affine_generator()) == _bits(affine_lift(ham.F, ham.alpha))
+
+
+def test_affine_lift_of_a_stack_is_its_members_lifts(rng):
+    f = rng.normal(size=(3, 4, 4, 4))
+    alpha = rng.normal(size=(3, 4, 4))
+    lifts = affine_lift(f, alpha)
+    assert lifts.shape == (3, 4, 5, 5)
+    for i in np.ndindex(3, 4):
+        assert _bits(lifts[i]) == _bits(affine_lift(f[i], alpha[i]))
 
 
 def test_symplectic_form_shapes():

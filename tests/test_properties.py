@@ -6,7 +6,10 @@ step like the per-row loop however they are grouped and cut into blocks.
 
 Setups have 1-3 system and 1-3 ancilla modes, ancillas squeezed by up to
 e^2 in either quadrature, and steps dt up to where the largest |arg mu| of
-the reduced T reaches 0.9 pi.
+the reduced T reaches 0.9 pi.  Corners are pinned as explicit examples,
+since the floats drawn depend on the literals of the modules loaded: a
+collision with subnormal entries, a nearly defective T (cond(V) ~ 1e7),
+and entries near 1e-300 and 1e300.
 """
 
 import json
@@ -15,7 +18,7 @@ from itertools import groupby
 
 import numpy as np
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -104,6 +107,38 @@ def _off_the_cut(setup, dt):
     return channel, dt
 
 
+# Corners pinned as explicit examples, so that they are tried whatever
+# floats the strategies happen to draw:
+# a collision with a subnormal-scale entry in T and subnormal d
+SUBNORMAL = (
+    GaussianChannel(
+        T=np.array([[1.0, 3.6e-202], [-4.2e-3, 1.0]]),
+        d=np.array([2.5e-310, -7e-315]),
+        R=np.zeros((2, 2)),
+    ),
+    0.01,
+)
+# a nearly free mode, F_S = diag(1, 1e-14), weakly coupled: the eigenvectors
+# of T have cond(V) ~ 1e7, just inside the eigenbasis route of the logarithm
+NEAR_DEFECTIVE = (
+    reduce_from_joint(
+        JointSetup(
+            F_S=np.diag([1.0, 1e-14]), F_A=np.eye(2), G=np.diag([1e-3, 0.0]),
+            alpha_S=np.array([0.3, -0.1]), sigma_A0=2.0 * np.eye(2), dt=0.1,
+        )
+    ),
+    0.1,
+)
+# a rotation whose shift and noise are of order 1e-300, near the float limit
+ROTATION = np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]])
+TINY = (
+    GaussianChannel(
+        T=ROTATION, d=np.array([1e-300, -3e-300]), R=np.array([[2.0, 0.5], [0.5, 1.0]]) * 1e-300
+    ),
+    0.5,
+)
+
+
 def _assert_channels_close(got, want, rtol=1e-9):
     for g, w in ((got.T, want.T), (got.d, want.d), (got.R, want.R)):
         assert np.abs(g - w).max() <= rtol * max(1.0, np.abs(w).max())
@@ -111,6 +146,9 @@ def _assert_channels_close(got, want, rtol=1e-9):
 
 @PROPERTY
 @given(_collisions())
+@example(SUBNORMAL)
+@example(NEAR_DEFECTIVE)
+@example(TINY)
 def test_collisions_are_cptp_with_symmetric_noise(collision):
     channel, dt = collision
     gen = generators_from_channel(channel, dt)
@@ -126,6 +164,9 @@ def test_collisions_are_cptp_with_symmetric_noise(collision):
 
 @PROPERTY
 @given(_collisions())
+@example(SUBNORMAL)
+@example(NEAR_DEFECTIVE)
+@example(TINY)
 def test_interpolation_meets_every_collision(collision):
     channel, dt = collision
     gen = generators_from_channel(channel, dt)
@@ -135,6 +176,9 @@ def test_interpolation_meets_every_collision(collision):
 
 @PROPERTY
 @given(_collisions(), st.floats(2.0, 8.0), st.floats(0.25, 4.0))
+@example(SUBNORMAL, 2.0, 0.25)
+@example(NEAR_DEFECTIVE, 8.0, 4.0)
+@example(TINY, 3.0, 1.0)
 def test_flow_is_a_semigroup(collision, t_norms, s_norms):
     # t and s in units of the longest time one exponential covers; t > 1
     # of them, so propagate(t) doubles
@@ -189,6 +233,7 @@ def _hamiltonians(draw):
 
 @PROPERTY
 @given(_hamiltonians(), st.floats(0.0, 3.0))
+@example(QuadraticHamiltonian(F=np.diag([1e-300, 2e-300]), alpha=np.array([1e300, -1e300])), 3.0)
 def test_hamiltonian_flow_is_a_noiseless_symplectic_channel(hamiltonian, t):
     flow = hamiltonian_flow(hamiltonian, t)
     assert not flow.R.any()
@@ -226,6 +271,16 @@ def _channel_runs(draw):
 
 @PROPERTY
 @given(_channel_runs())
+@example((
+    [(GaussianChannel(T=0.8 * ROTATION, d=np.array([1e300, -1e300]),
+                      R=np.array([[2.0, 0.5], [0.5, 1.0]]) * 1e300), 300)],
+    128,
+))
+@example((
+    [(GaussianChannel(T=0.8 * ROTATION, d=np.array([1e-300, 0.0]), R=1e-300 * np.eye(2)), 7),
+     (GaussianChannel(T=ROTATION, d=np.zeros(2), R=np.zeros((2, 2))), 40)],
+    5,
+))
 def test_runs_step_like_the_per_row_loop_in_any_blocks(drawn):
     runs, size = drawn
     channels = [ch for ch, count in runs for _ in range(count)]

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from rapidgauss.channels import reduce_from_joint
 from rapidgauss.errors import DimensionMismatchError, InvalidSetupError
 from rapidgauss.phasespace import GaussianState
+import rapidgauss.thermalization as thermalization
 from rapidgauss.thermalization import (
     CovCoefficients,
     OscillatorBathSetup,
@@ -18,7 +19,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import apply_sequence, coefficient_rhs, master_rhs
+from helpers import apply_sequence, coefficient_rhs, fresh_python, master_rhs
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -257,3 +258,59 @@ def test_decompose_cov_of_a_stack_matches_each_matrix(rng):
         assert (coeffs.nu[k], coeffs.s_cross[k], coeffs.s_plus[k]) == (
             single.nu, single.s_cross, single.s_plus,
         )
+
+
+# (g, h, dt, E_A) of ladder baths at E_S = 1, nu_A = 3, whose collision
+# channels have 1 - rho(T) from 5e-13 to 0.93; h = 0 with E_A = 1 is a
+# resonant exchange coupling, whose exact fixed point is nu_A * 1
+_ASYMPTOTE_BATHS = (
+    (1e-5, 0.0, 0.1, 1.0), (1e-4, 0.0, 0.1, 1.0), (1e-3, 3e-4, 0.1, 1.3),
+    (0.05, 0.02, 0.1, 1.3), (0.5, 0.15, 0.1, 1.3), (0.5, 0.0, 0.5, 1.0),
+    (0.5, 0.3j, 1.0, 1.3), (1.0, 0.5, 0.5, 0.7), (2.0, 0.0, 0.5, 1.0),
+    (1.5, 0.4, 1.0, 1.0), (3.0, 0.0, 0.5, 1.0), (1.2, 0.0, 1.0, 1.0),
+)
+
+
+def test_discrete_asymptote_matches_scipy_within_eps_over_the_spectral_gap():
+    import scipy.linalg
+
+    eps = np.finfo(float).eps
+    gaps = []
+    for g, h, dt, e_a in _ASYMPTOTE_BATHS:
+        bath = _bath(ladder_coupling(g, h), nu_A=3.0, dt=dt, E_A=e_a)
+        channel = reduce_from_joint(to_joint_setup(bath))
+        gap = 1.0 - np.abs(np.linalg.eigvals(channel.T)).max()
+        sigma = discrete_asymptote(bath)
+        want = scipy.linalg.solve_discrete_lyapunov(channel.T, channel.R)
+        bound = 10 * eps / gap * np.abs(want).max()
+        assert np.array_equal(sigma, sigma.T)
+        assert np.abs(sigma - want).max() <= bound
+        if h == 0 and e_a == 1.0:
+            assert np.abs(sigma - 3.0 * np.eye(2)).max() <= bound
+        gaps.append(gap)
+    assert min(gaps) < 1e-12 and max(gaps) > 0.9
+
+
+def test_discrete_asymptote_gives_up_after_64_squarings(monkeypatch):
+    # a sum that never settles: every squaring changes R
+    calls = []
+
+    def unsettled(t, d, r):
+        calls.append(1)
+        return t, d, r + 1.0
+
+    monkeypatch.setattr(thermalization, "_square", unsettled)
+    assert discrete_asymptote(_bath(rwa_coupling(0.3, 0.0))) is None
+    assert len(calls) == 64
+
+
+def test_discrete_asymptote_does_not_load_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rapidgauss.thermalization import OscillatorBathSetup, discrete_asymptote\n"
+        "bath = OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=3.0, G=np.diag([0.2, 0.1]), dt=0.05)\n"
+        "assert discrete_asymptote(bath) is not None\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    assert fresh_python(code, tmp_path).splitlines()[-1] == "[]"
