@@ -15,18 +15,17 @@ gather of source-row bytes per value.  So every byte equals
 :func:`format_table` returns None for a table that holds a value outside
 0 and |X| <= EXP_MAX (non-finite, subnormal, below about 1e-40 or from
 about 1e41) or one that rounds near a tie; the caller then formats it with
-'%'.  The command-line interface imports this module on its first CSV
-table, so that compiling it and building its tables add nothing to the
-interface's own import.
+'%'.  A table is formatted in one pass, so its size bounds the memory:
+the command-line interface hands over strings of at most its BLOCK_VALUES
+values, and only the byte gather goes GATHER_VALUES values at a time.  The
+interface imports this module on its first CSV table, so that compiling it
+and building its tables add nothing to the interface's own import.
 """
 
 import math
 
 import numpy as np
 
-# Values formatted at a time: a table is cut into chunks of whole rows of
-# about this many values.
-CHUNK_VALUES = 2**11
 # Values whose bytes are gathered at a time, to bound the memory of the
 # byte indices.
 GATHER_VALUES = 2**9
@@ -203,16 +202,10 @@ def _format_values(values, separators):
 def format_table(table):
     """The rows of a C-contiguous 2-D float table as CSV text, each value
     exactly '%.17g' % value, fields joined by ',' and rows by newlines;
-    None when a value is out of range or rounds near a tie."""
-    values = table.ravel()
+    None when a value is out of range or rounds near a tie.  The whole
+    table is formatted in one pass."""
     separators = np.full(table.shape[1], ord(","), np.uint8)
     separators[-1] = ord("\n")
-    step = max(1, CHUNK_VALUES // len(separators)) * len(separators)
-    parts = []
-    for first in range(0, len(values), step):
-        part = _format_values(values[first : first + step], separators)
-        if part is None:
-            return None
-        # no separator after the last row
-        parts.append(part[: -1 if first + step >= len(values) else None].tobytes().decode())
-    return "".join(parts)
+    text = _format_values(table.ravel(), separators)
+    # no separator after the last row
+    return None if text is None else text[:-1].tobytes().decode()

@@ -120,15 +120,17 @@ def apply_runs(runs, mean, cov):
     covs = np.empty((total, n, n))
     tc, c = np.empty((n, n)), np.empty((n, n))
     c_t, add = c.T, np.add
-    rows, first = zip(means, covs), 0
+    first = 0
     # overflow is reported below, once, as a non-finite state
     with np.errstate(over="ignore", invalid="ignore"):
         for ch, count in runs:
             t, d, r = ch.T, ch.d, ch.R
             if t.shape[0] != n:
                 raise DimensionMismatchError("channel and state dimensions differ")
-            single = 2 if count > 1 else 1
-            for m, s in rows:
+            end = first + count
+            # the run's first one or two rows are single updates
+            single = slice(first, min(first + 2, end))
+            for m, s in zip(means[single], covs[single]):
                 t.dot(mean, m)
                 add(m, d, m)
                 t.dot(cov, tc)
@@ -137,13 +139,8 @@ def apply_runs(runs, mean, cov):
                 add(c, c_t, s)
                 s /= 2
                 mean, cov = m, s
-                single -= 1
-                if not single:
-                    break
-            end = first + count
             if count > 2:
                 mean, cov = _double_run(t, d, r, means[first:end], covs[first:end])
-                rows = zip(means[end:], covs[end:])
             first = end
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteStateError("state has non-finite entries")

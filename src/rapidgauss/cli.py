@@ -55,16 +55,18 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INVARIANT = 3
 
-# Most values formatted into one string of trajectory rows; a string holds as
-# many rows as fit, at least one.  Output streams string by string, so memory
-# stays bounded on any grid: by tracemalloc, formatting a string peaks at
-# about 480 KB for the arrays of one chunk of values plus 20-30 bytes per
-# value for its text (650 KB, 81 bytes per value, at 2^13 values), and a
-# 10-column oscillator-bath trajectory of 401 rows is one string.
-BLOCK_VALUES = 2**13
-# Fewest rows stepped at a time.  Each block restarts state doubling, so
-# blocks of only the 12 rows that fit in one string cost 12-mode trajectories
-# in mode both about 5 % of their run time; 128 rows of them peak near 4 MB.
+# Most values formatted into one string of trajectory rows, in one pass; a
+# string holds as many rows as fit, at least one.  Output streams string by
+# string, so memory stays bounded on any grid: by tracemalloc, formatting a
+# string of 2^12 values peaks at about 760 KB, 186 bytes per value of which
+# 22 are its text, and a 10-column oscillator-bath trajectory of 401 rows is
+# one string.
+BLOCK_VALUES = 2**12
+# Fewest rows stepped at a time: rows are stepped in blocks of the rows of
+# 2 * BLOCK_VALUES values, or of STEP_ROWS rows when fewer fit.  Each block
+# restarts state doubling, so the block size sets how the rows round, and
+# blocks of only the 12 rows of a 12-mode trajectory in mode both that fit
+# in 2^13 values cost it about 5 % of its run time; 128 rows peak near 4 MB.
 STEP_ROWS = 128
 # Setups drawn at a time by a check-cp sweep and evaluated together, one
 # stacked series and CP-margin call per mode-count pair among them, so the
@@ -283,13 +285,13 @@ def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
     rows at a time, so they may stream in; a run that crosses a block
     boundary is split there.  A block's rows are yielded as strings
     of newline-separated rows, each string as many rows as fit in
-    BLOCK_VALUES formatted values.  A block is one string, or STEP_ROWS rows
-    when fewer than that fit in one string.
+    BLOCK_VALUES formatted values.  A block is the rows of 2 * BLOCK_VALUES
+    values, or STEP_ROWS rows when fewer than that fit.
     Returns the last (mean, cov) of the first trajectory.
     """
     width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
     rows = max(1, BLOCK_VALUES // width)
-    step = max(rows, STEP_ROWS)
+    step = max(2 * BLOCK_VALUES // width, STEP_ROWS)
     trajectories = [_blocks(runs, step) for runs in trajectories]
     ends = [(mean, cov)] * len(trajectories)
     for start in range(0, count, step):
@@ -318,6 +320,21 @@ def _check_final(mean, cov):
     return state
 
 
+def _trajectory_csv(kind, count, times, mean, cov, trajectories):
+    """The lines of a trajectory CSV, for :func:`_write_atomic`: the header,
+    then the strings of :func:`_csv_rows`.  The header is t and the state
+    columns, or, for two trajectories, the state columns suffixed _discrete
+    and then _interpolated, and max_abs_diff.  Returns the final state of the
+    first trajectory, checked against the uncertainty bound."""
+    cols = _state_columns(kind, len(mean) // 2)
+    rows = _csv_rows(kind, len(cols), count, times, mean, cov, trajectories)
+    if len(trajectories) == 2:
+        cols = [f"{c}_{name}" for name in ("discrete", "interpolated") for c in cols]
+        cols.append("max_abs_diff")
+    yield ",".join(["t", *cols])
+    return _check_final(*(yield from rows))
+
+
 def _count(key, value, low):
     """A count from the config: an integral number (not a bool) >= low."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -342,30 +359,16 @@ def cmd_evolve(cfg, out_path):
 
     state0 = _initial_state(cfg, setup.n_sys)
     channel = reduce_from_joint(setup)
-    cols = _state_columns(kind, setup.n_sys)
-    mean0, cov0 = state0.mean, state0.cov
-
-    def lines():
-        if mode == "both":
-            yield ",".join(
-                ["t"]
-                + [f"{c}_discrete" for c in cols]
-                + [f"{c}_interpolated" for c in cols]
-                + ["max_abs_diff"]
-            )
-        else:
-            yield ",".join(["t"] + cols)
-        start, trajectories = (identity_channel(setup.n_sys), 1), []
-        if mode != "interpolated":
-            trajectories.append([start, (channel, steps)])
-        if mode != "discrete":
-            # the interpolated column comes from the generators alone
-            sub = propagate(generators_from_channel(channel, dt), dt / substeps)
-            trajectories.append([start, (sub, steps * substeps)])
-        rows = _csv_rows(kind, len(cols), steps * substeps + 1, times, mean0, cov0, trajectories)
-        _check_final(*(yield from rows))
-
-    _write_atomic(out_path, lines())
+    start, trajectories = (identity_channel(setup.n_sys), 1), []
+    if mode != "interpolated":
+        trajectories.append([start, (channel, steps)])
+    if mode != "discrete":
+        # the interpolated column comes from the generators alone
+        sub = propagate(generators_from_channel(channel, dt), dt / substeps)
+        trajectories.append([start, (sub, steps * substeps)])
+    count = steps * substeps + 1
+    lines = _trajectory_csv(kind, count, times, state0.mean, state0.cov, trajectories)
+    _write_atomic(out_path, lines)
     return EXIT_OK
 
 
@@ -384,17 +387,12 @@ def cmd_thermalize(cfg, out_path):
     indices = np.unique(np.linspace(0, steps, count).round().astype(int)).tolist()
     times = np.asarray(indices) * dt
     gaps = gap_runs(first_order_generators(bath), indices, unit=dt)
-    cols = _state_columns("oscillator_bath", 1)
-
-    def lines():
-        yield ",".join(["t"] + cols)
-        rows = _csv_rows(
-            "oscillator_bath", len(cols), len(times), lambda first, stop: times[first:stop],
-            np.zeros(2), state0.cov, [gaps],
-        )
-        return _check_final(*(yield from rows))
-
-    final = _write_atomic(out_path, lines())
+    # the bath's columns read only the covariance, so the mean starts at zero
+    lines = _trajectory_csv(
+        "oscillator_bath", len(times), lambda first, stop: times[first:stop],
+        np.zeros(2), state0.cov, [gaps],
+    )
+    final = _write_atomic(out_path, lines)
     payload = dict(
         report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=float(times[-1])
     )
@@ -402,13 +400,26 @@ def cmd_thermalize(cfg, out_path):
     return EXIT_OK
 
 
+def _cp_margins(setups, order, dt):
+    """Differential CP margins (len(setups), order + 1) of each setup's
+    generator series truncated at every order, at step dt: one stacked
+    series and CP-margin call per mode-count pair among the setups."""
+    shapes = {}
+    for i, setup in enumerate(setups):
+        shapes.setdefault((setup.n_sys, setup.n_anc), []).append(i)
+    margins = np.empty((len(setups), order + 1))
+    for members in shapes.values():
+        a, _, c = generator_series_stack([setups[i] for i in members], order)
+        margins[members] = truncated_cp_margins(a, c, dt)
+    return margins
+
+
 def cmd_check_cp(cfg, order, seed):
     dt = _dt(cfg)
     sweep = cfg.get("sweep")
     if sweep is None:
         setup, _ = _joint_from_config(cfg)
-        series = generator_series_from_joint(setup, order)
-        margins = truncated_cp_margins(series.A, series.C, dt).tolist()
+        margins = _cp_margins([setup], order, dt)[0].tolist()
         orders = [
             {"order": k, "margin": margin, "cp": margin >= -CP_TOL}
             for k, margin in enumerate(margins)
@@ -426,13 +437,7 @@ def cmd_check_cp(cfg, order, seed):
             random_joint_setup(rng, scale=scale, dt=dt)
             for _ in range(min(SWEEP_CHUNK, count - first))
         ]
-        shapes = {}
-        for i, setup in enumerate(setups):
-            shapes.setdefault((setup.n_sys, setup.n_anc), []).append(i)
-        margins = np.empty((len(setups), order + 1))
-        for members in shapes.values():
-            a, _, c = generator_series_stack([setups[i] for i in members], order)
-            margins[members] = truncated_cp_margins(a, c, dt)
+        margins = _cp_margins(setups, order, dt)
         # the minimum of each order over the draws in draw order, as a
         # running minimum over the setups one at a time would keep it
         mins = [min(low, *column) for low, column in zip(mins, margins.T.tolist())]

@@ -82,10 +82,11 @@ def _norm1(a):
 def _extra_squarings(abs_norm, norm, degree, c):
     """ell of Al-Mohy & Higham (5.1): the squarings to add so that the
     first term the degree-m approximant omits stays below the unit roundoff,
-    from the 1-norms of |A|^(2m+1) and of A."""
-    if not abs_norm:
+    from the 1-norms of |A|^(2m+1) and of A.  A ratio that underflows to 0
+    puts that term below the unit roundoff as well."""
+    alpha = abs_norm / (norm * c) if abs_norm else 0.0
+    if not alpha:
         return 0
-    alpha = abs_norm / (norm * c)
     return max(math.ceil(math.log2(alpha * 2.0**53) / (2 * degree)), 0)
 
 

@@ -23,7 +23,7 @@ from rapidgauss.errors import (
     InvalidSetupError,
     NonFiniteStateError,
 )
-from rapidgauss.interpolation import generators_from_channel, propagate
+from rapidgauss.interpolation import Generators, generators_from_channel, propagate
 from rapidgauss.phasespace import (
     GaussianState,
     QuadraticHamiltonian,
@@ -158,6 +158,31 @@ def test_reduce_decoupled_setup(rng):
     assert_allclose(channel.T, flow.T, atol=1e-13)
     assert_allclose(channel.d, flow.d, atol=1e-13)
     assert_allclose(channel.R, np.zeros((2, 2)), atol=1e-14)
+
+
+def test_flow_with_a_shift_near_1e100_is_finite():
+    # the lift's 1-norms make the exponential's ratio for extra squarings
+    # underflow; the flow is the rotation by t and its shift scaled by
+    # alpha.  T's symplectic residual is 4.5e-8 here, as the affine lift is
+    # not balanced
+    t = 3.0
+    flow = hamiltonian_flow(QuadraticHamiltonian(F=np.eye(2), alpha=(0.0, 1e100)), t)
+    for m in (flow.T, flow.d, flow.R):
+        assert np.isfinite(m).all()
+    rotation = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    assert np.abs(flow.T - rotation).max() <= 1e-7
+    assert_allclose(flow.d, 1e100 * np.array([np.sin(t), np.cos(t) - 1]), rtol=1e-7)
+
+
+def test_propagate_with_shift_and_noise_near_1e100_is_finite():
+    # the generator lift's ratio for extra squarings underflows too
+    gen = Generators(
+        A=np.array([[0.0, 1.0], [1.0, 0.0]]), b=np.array([0.0, 1e100]), C=1e100 * np.eye(2)
+    )
+    channel = propagate(gen, 0.7)
+    for m in (channel.T, channel.d, channel.R):
+        assert np.isfinite(m).all()
+    assert np.linalg.eigvalsh(channel.R).min() > 0
 
 
 def test_reduce_zero_duration_is_identity(rng):

@@ -14,7 +14,13 @@ from rapidgauss.bombardment import (
     generator_series_from_joint,
     truncated_cp_check,
 )
-from rapidgauss.channels import CP_TOL, apply, hamiltonian_flow
+from rapidgauss.channels import (
+    CP_TOL,
+    GaussianChannel,
+    apply,
+    hamiltonian_flow,
+    identity_channel,
+)
 from rapidgauss.classifier import table_availability
 from rapidgauss.cli import main
 from rapidgauss.interpolation import Generators, cp_differential_check
@@ -100,6 +106,10 @@ def test_evolve_both_mode_stroboscopic_agreement(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
     header, data = _read_csv(out)
+    cols = ["nu_S", "s_cross", "s_plus", "purity"]
+    assert header == [
+        "t", *(f"{c}_discrete" for c in cols), *(f"{c}_interpolated" for c in cols), "max_abs_diff"
+    ]
     diff_col = header.index("max_abs_diff")
     assert np.abs(data[:, diff_col]).max() <= 1e-8
 
@@ -182,6 +192,10 @@ def test_check_cp_single_setup(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [entry["cp"] for entry in report["orders"]] == [True, True, True]
     assert report["orders"][0]["margin"] == pytest.approx(0.0, abs=1e-12)
+    # the margins of the setup's own series, truncation by truncation
+    series = generator_series_from_joint(cli._joint_from_config(cfg)[0], 2)
+    margins = [cp_differential_check(series.truncate(k, 0.01)).margin for k in range(3)]
+    assert [entry["margin"] for entry in report["orders"]] == margins
 
 
 def test_check_cp_sweep_is_deterministic(tmp_path, capsys):
@@ -626,6 +640,35 @@ def test_bath_near_the_float_limit_keeps_a_finite_uncertainty_margin(tmp_path, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["discrete", "interpolated", "both"])
+def test_joint_shift_near_1e100_is_no_configuration_error(tmp_path, capsys, mode):
+    # the shift's exponential is finite; the discrete trajectory is written,
+    # and the generators may still fail as a numerical precondition
+    cfg = {
+        "setup": {
+            "kind": "joint",
+            "F_S": [[1.0, 0.0], [0.0, 1.0]],
+            "F_A": [[0.8, 0.0], [0.0, 0.8]],
+            "G": [[0.3, 0.1], [-0.1, 0.2]],
+            "alpha_S": [0.0, 1e100],
+            "sigma_A0": [[2.0, 0.0], [0.0, 2.0]],
+        },
+        "dt": 0.1,
+        "steps": 5,
+        "mode": mode,
+    }
+    out = tmp_path / "t.csv"
+    code = main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "configuration error" not in err
+    if mode == "discrete":
+        assert (code, err) == (0, "")
+        _, data = _read_csv(out)
+        assert data.shape == (6, 6) and np.isfinite(data).all()
+    else:
+        assert code == 0 or (code == 2 and err.startswith("numerical precondition failed"))
+
+
 @pytest.mark.parametrize("count", [2.5, True, 0, -3])
 def test_sweep_count_must_be_a_positive_integer(tmp_path, capsys, count):
     cfg = {"dt": 0.1, "sweep": {"count": count}}
@@ -758,7 +801,7 @@ def _random_doubles(rng, shape, in_range):
 
 def test_random_bit_patterns_format_as_percent_17g(monkeypatch):
     # string by string, so that both the exact formatter and its '%'
-    # backstop run; small chunks and gathers cut the larger tables
+    # backstop run; small gathers cut the larger tables
     rng = np.random.default_rng(17)
     outcomes = {"exact": 0, "backstop": 0}
     for draw in range(4000):
@@ -767,11 +810,47 @@ def test_random_bit_patterns_format_as_percent_17g(monkeypatch):
         outcomes["backstop" if text is None else "exact"] += 1
         assert cli._csv_text(table) == _percent_g(table)
     assert min(outcomes.values()) > 500
-    monkeypatch.setattr(_csvformat, "CHUNK_VALUES", 7)
     monkeypatch.setattr(_csvformat, "GATHER_VALUES", 3)
     for _ in range(20):
         table = rng.uniform(-4, 4, (13, 5)) * 10.0 ** rng.integers(-30, 8, (13, 5))
         assert _csvformat.format_table(table) == _percent_g(table)
+
+
+@pytest.mark.parametrize("shape", [(cli.BLOCK_VALUES // 8, 8), (1, cli.BLOCK_VALUES + 3)])
+def test_a_string_of_block_values_formats_as_percent_17g(shape):
+    # a table is formatted in one pass, so the largest string, of exactly
+    # BLOCK_VALUES values, and a row wider than BLOCK_VALUES, which a string
+    # holds alone, are each one pass; this draw holds no near tie, so the
+    # exact route formats all of it
+    rng = np.random.default_rng(shape[1])
+    table = rng.uniform(-4, 4, shape) * 10.0 ** rng.integers(-30, 9, shape)
+    assert _csvformat.format_table(table) == _percent_g(table)
+    assert cli._csv_text(table) == _percent_g(table)
+
+
+@pytest.mark.parametrize("n_modes,count,blocks", [(1, 2000, [1365, 635]), (45, 3, [3])])
+def test_a_string_of_rows_holds_at_most_block_values(monkeypatch, n_modes, count, blocks):
+    # as many rows as fit in BLOCK_VALUES values, or one row when a row is
+    # wider: a 45-mode state is 4185 columns.  Rows are stepped in blocks of
+    # the rows of 2 * BLOCK_VALUES values, at least STEP_ROWS; each block
+    # restarts state doubling, so the block sets how the rows round
+    stepped, apply_runs = [], cli.apply_runs
+    monkeypatch.setattr(
+        cli, "apply_runs", lambda runs, *start: stepped.append(runs) or apply_runs(runs, *start)
+    )
+    n = 2 * n_modes
+    channel = GaussianChannel(T=0.99 * np.eye(n), d=np.full(n, 0.5), R=0.01 * np.eye(n))
+    runs = [(identity_channel(n_modes), 1), (channel, count - 1)]
+    width = 1 + n + n * (n + 1) // 2
+    times = lambda first, stop: np.arange(first, stop) * 0.1
+    texts = cli._csv_rows("joint", width - 1, count, times, np.zeros(n), np.eye(n), [runs])
+    strings = [text.split("\n") for text in texts]
+    assert [sum(c for _, c in block) for block in stepped] == blocks
+    assert sum(map(len, strings)) == count
+    assert max(map(len, strings)) == max(1, cli.BLOCK_VALUES // width)
+    fields = [line.split(",") for lines in strings for line in lines]
+    assert {len(row) for row in fields} == {width}
+    assert all(field == "%.17g" % float(field) for row in fields for field in row)
 
 
 def test_powers_of_ten_and_their_neighbours_format_as_percent_17g():
