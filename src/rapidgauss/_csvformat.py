@@ -12,11 +12,12 @@ Its digits come from a table of 4-digit groups, and the %g layout from one
 gather of source-row bytes per value.  So every byte equals
 ``'%.17g' % x``.
 
-:func:`format_table` returns None for a table that holds a value outside
-0 and |X| <= EXP_MAX (non-finite, subnormal, below about 1e-40 or from
-about 1e41) or one that rounds near a tie; the caller then formats it with
-'%'.  A table is formatted in one pass, so its size bounds the memory:
-the command-line interface hands over strings of at most its BLOCK_VALUES
+:func:`format_table` formats every value so, then formats the values it
+cannot vouch for with '%', all in one call, and splices their text into
+their rows: those outside 0 and |X| <= EXP_MAX (non-finite, subnormal,
+below about 1e-40 or from about 1e41) and those that round near a tie.  A
+table is formatted in one pass, so its size bounds the memory: the
+command-line interface hands over strings of at most its BLOCK_VALUES
 values, and only the byte gather goes GATHER_VALUES values at a time.  The
 interface imports this module on its first CSV table, so that compiling it
 and building its tables add nothing to the interface's own import.
@@ -41,7 +42,8 @@ ALPHABET = b"-.e+0123456789"
 MINUS, DOT, E, PLUS, ZERO = (20 + ALPHABET.index(c) for c in b"-.e+0")
 DROP = 20 + len(ALPHABET)
 # Bytes per formatted value: at most 23 (as '-0.00012345678901234567' or
-# '-1.2345678901234567e-05') and a separator.
+# '-1.2345678901234567e-05') and a separator.  A spliced '%' text may take
+# 24 (as '-2.2250738585072014e-308'); the rows then take one byte more.
 FIELD = 24
 VELTKAMP = 2.0**27 + 1
 
@@ -132,7 +134,7 @@ LAYOUTS = _layouts()
 
 def _significands(mag, cls):
     """D = round(mag 10^(16-X)) of each value, X given by its class, as
-    int64; None when a residual is within 2^-40 of a tie."""
+    int64, and a mask of those whose residual is within 2^-40 of a tie."""
     hi, lo, hi_big, hi_small = np.take(POWERS, cls, axis=1)
     product = mag * hi
     big = mag * VELTKAMP
@@ -141,11 +143,9 @@ def _significands(mag, cls):
     residual = ((big * hi_big - product) + big * hi_small + small * hi_big) + small * hi_small
     residual += mag * lo
     rounded = np.rint(residual)
-    if np.any(np.abs(residual - rounded) > 0.5 - 2.0**-40):
-        return None
     value = product.astype(np.int64)
     value += rounded.astype(np.int64)
-    return value
+    return value, np.abs(residual - rounded) > 0.5 - 2.0**-40
 
 
 def _digit_rows(value):
@@ -182,30 +182,36 @@ def _layout(value, signed_class):
 
 def _format_values(values, separators):
     """The '%.17g' bytes of a 1-D float array, each value followed by its
-    separator (separators repeat along the array), without drop bytes;
-    None when a value is out of range or rounds near a tie."""
+    separator (separators repeat along the array), without drop bytes."""
     mag = np.abs(values)
-    # each value is 0 or has an exponent within EXP_MAX of 0 (NaN fails both)
-    if not np.all((mag < FLOORS[CLASSES]) & ((mag >= FLOORS[1]) | (mag == 0))):
-        return None
+    # mark the values neither 0 nor of an exponent within EXP_MAX of 0 (NaN
+    # included), and class them as zeros so that the table lookups stay valid
+    marked = ~((mag < FLOORS[CLASSES]) & ((mag >= FLOORS[1]) | (mag == 0)))
+    mag[marked] = 0
     cls = np.take(BINADE_CLASS, mag.view(np.int64) >> 52)
     cls = np.where(mag >= np.take(FLOORS, cls + 1), cls + 1, cls)
-    value = _significands(mag, cls)
-    if value is None:
-        return None
+    value, near_tie = _significands(mag, cls)
     out = _layout(value, np.where(np.signbit(values), cls + CLASSES, cls))
-    out.reshape(-1, len(separators), FIELD)[:, :, -1] = separators
+    marked |= near_tie
+    if marked.any():
+        # their text by '%', in one call, each left-justified in FIELD bytes
+        count = np.count_nonzero(marked)
+        texts = (f"%-{FIELD}.17g" * count % tuple(values[marked].tolist())).encode()
+        texts = np.frombuffer(texts.replace(b" ", b"\0"), np.uint8).reshape(count, FIELD)
+        # a text of FIELD bytes leaves no byte for its separator
+        if texts[:, -1].any():
+            out = np.pad(out, ((0, 0), (0, 1)))
+        out[marked, :FIELD] = texts
+    out.reshape(-1, len(separators), out.shape[1])[:, :, -1] = separators
     out = out.ravel()
     return out[out != 0]
 
 
 def format_table(table):
     """The rows of a C-contiguous 2-D float table as CSV text, each value
-    exactly '%.17g' % value, fields joined by ',' and rows by newlines;
-    None when a value is out of range or rounds near a tie.  The whole
-    table is formatted in one pass."""
+    exactly '%.17g' % value, fields joined by ',' and rows by newlines.
+    The whole table is formatted in one pass."""
     separators = np.full(table.shape[1], ord(","), np.uint8)
     separators[-1] = ord("\n")
-    text = _format_values(table.ravel(), separators)
     # no separator after the last row
-    return None if text is None else text[:-1].tobytes().decode()
+    return _format_values(table.ravel(), separators)[:-1].tobytes().decode()

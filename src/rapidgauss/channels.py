@@ -58,7 +58,8 @@ def identity_channel(n_modes):
 
 
 def apply(channel, state):
-    """Apply a channel to a state: T mean + d and T cov T^T + R symmetrised.
+    """Apply a channel to a state: T mean + d and T cov T^T + R symmetrised,
+    as the one row of :func:`apply_runs` for the run (channel, 1).
 
     The result is a GaussianState, so it is checked like any other: finite
     entries and a symmetric covariance.  To push a state through many
@@ -68,16 +69,8 @@ def apply(channel, state):
     Raises NonFiniteStateError("state has non-finite entries") when the
     moments overflow, as :func:`apply_runs` does.
     """
-    if channel.T.shape[0] != state.mean.size:
-        raise DimensionMismatchError("channel and state dimensions differ")
-    # overflow is reported below as a non-finite state
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = channel.T @ state.mean + channel.d
-        cov = channel.T @ state.cov @ channel.T.T + channel.R
-        cov = (cov + cov.T) / 2
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NonFiniteStateError("state has non-finite entries")
-    return GaussianState(mean=mean, cov=cov)
+    means, covs = apply_runs([(channel, 1)], state.mean, state.cov)
+    return GaussianState(mean=means[0], cov=covs[0])
 
 
 def apply_runs(runs, mean, cov):
@@ -173,11 +166,17 @@ def _double_run(t, d, r, means, covs):
     return means[-1], covs[-1]
 
 
+def _compose(second, first):
+    """Two channels given as arrays (t, d, r), `first` then `second`:
+    (t2 t1, t2 d1 + d2, sym(t2 r1 t2^T + r2))."""
+    (t, d, r), (t1, d1, r1) = second, first
+    r = t.dot(r1).dot(t.T) + r
+    return t.dot(t1), t.dot(d1) + d, (r + r.T) / 2
+
+
 def _square(t, d, r):
-    """The channel (t, d, r) applied twice, as arrays: (T^2, T d + d,
-    sym(T R T^T + R)), by the operations of :func:`compose` in its order."""
-    r = t.dot(r).dot(t.T) + r
-    return t.dot(t), t.dot(d) + d, (r + r.T) / 2
+    """The channel (t, d, r) applied twice, as arrays."""
+    return _compose((t, d, r), (t, d, r))
 
 
 def is_cptp(channel):
@@ -196,10 +195,8 @@ def compose(second, first):
     """Channel applying `first` then `second` (fresh-ancilla semantics)."""
     if second.T.shape != first.T.shape:
         raise DimensionMismatchError("channel dimensions differ")
-    t = second.T @ first.T
-    d = second.T @ first.d + second.d
-    r = second.T @ first.R @ second.T.T + second.R
-    return GaussianChannel(T=t, d=d, R=(r + r.T) / 2)
+    t, d, r = _compose((second.T, second.d, second.R), (first.T, first.d, first.R))
+    return GaussianChannel(T=t, d=d, R=r)
 
 
 def channel_power(channel, n):

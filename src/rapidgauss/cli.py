@@ -259,21 +259,6 @@ def _blocks(runs, rows):
         yield block
 
 
-def _csv_text(table):
-    """The rows of a C-contiguous 2-D float table as CSV text, each value
-    '%.17g' % value: made from whole arrays by _csvformat, or by '%' when
-    _csvformat cannot vouch for every byte of the table."""
-    # imported on first use, so that its compilation and its tables cost the
-    # import of the CLI nothing
-    from . import _csvformat
-
-    text = _csvformat.format_table(table)
-    if text is None:
-        line = ",".join(["%.17g"] * table.shape[1])
-        text = "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
-    return text
-
-
 def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
     """count CSV rows, one per time: t, then the state_width state columns
     of each trajectory, and max_abs_diff between them when there are two.
@@ -283,12 +268,17 @@ def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
     application, applied in turn to the start (mean, cov).  The runs are
     read and stepped (:func:`rapidgauss.channels.apply_runs`) a block of
     rows at a time, so they may stream in; a run that crosses a block
-    boundary is split there.  A block's rows are yielded as strings
-    of newline-separated rows, each string as many rows as fit in
-    BLOCK_VALUES formatted values.  A block is the rows of 2 * BLOCK_VALUES
-    values, or STEP_ROWS rows when fewer than that fit.
+    boundary is split there.  A block's rows are yielded as strings of
+    newline-separated rows of '%.17g' values (:func:`_csvformat.format_table`),
+    each string as many rows as fit in BLOCK_VALUES formatted values.  A
+    block is the rows of 2 * BLOCK_VALUES values, or STEP_ROWS rows when
+    fewer than that fit.
     Returns the last (mean, cov) of the first trajectory.
     """
+    # imported on first use, so that its compilation and its tables cost the
+    # import of the CLI nothing
+    from . import _csvformat
+
     width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
     rows = max(1, BLOCK_VALUES // width)
     step = max(2 * BLOCK_VALUES // width, STEP_ROWS)
@@ -308,7 +298,7 @@ def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
             parts.append(diff[:, None])
         table = np.hstack(parts)
         for first in range(0, len(table), rows):
-            yield _csv_text(table[first : first + rows])
+            yield _csvformat.format_table(table[first : first + rows])
     return ends[0]
 
 

@@ -185,10 +185,14 @@ def mat_log_principal(m):
         import scipy.linalg  # only this rare fallback needs scipy
 
         # logm's 1-norm estimator divides by the moduli of entries, which
-        # overflows for subnormal ones; a logarithm that is not finite is
+        # overflows for subnormal ones, and logm rejects an intermediate that
+        # overflowed with a ValueError; a logarithm that is not finite is
         # reported below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = scipy.linalg.logm(a)
+            try:
+                out = scipy.linalg.logm(a)
+            except ValueError:
+                out = np.array(np.nan)
         if not np.isfinite(out).all():
             raise SingularMatrixError("mat_log_principal: the logarithm is not finite")
     if np.isrealobj(a):

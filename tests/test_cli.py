@@ -640,6 +640,21 @@ def test_bath_near_the_float_limit_keeps_a_finite_uncertainty_margin(tmp_path, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize("nu_A", [1e200, 1e300])
+def test_overflowing_schur_log_is_a_numerical_precondition(tmp_path, capsys, nu_A):
+    # the generators' Schur logarithm overflows inside scipy, which raises a
+    # ValueError; that is a logarithm that is not finite, not a bad config
+    cfg = _bath_cfg({"rwa": {"g1": 0.3, "gw": 0.0}}, steps=7, dt=0.1, nu_A=nu_A, mode="both")
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical precondition failed: mat_log_principal: the logarithm is not finite\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["discrete", "interpolated", "both"])
 def test_joint_shift_near_1e100_is_no_configuration_error(tmp_path, capsys, mode):
     # the shift's exponential is finite; the discrete trajectory is written,
@@ -799,16 +814,38 @@ def _random_doubles(rng, shape, in_range):
     return bits.view(np.float64)
 
 
-def test_random_bit_patterns_format_as_percent_17g(monkeypatch):
-    # string by string, so that both the exact formatter and its '%'
-    # backstop run; small gathers cut the larger tables
+@pytest.fixture
+def near_ties(monkeypatch):
+    """The near-tie masks of format_table's significands, one per call."""
+    masks, significands = [], _csvformat._significands
+
+    def recorded(mag, cls):
+        value, near_tie = significands(mag, cls)
+        masks.append(near_tie)
+        return value, near_tie
+
+    monkeypatch.setattr(_csvformat, "_significands", recorded)
+    return masks
+
+
+def _out_of_range(table):
+    """Whether a table holds a value that is neither 0 nor of a decimal
+    exponent within EXP_MAX of 0 (NaN included): its text is spliced."""
+    mag = np.abs(table)
+    floors = _csvformat.FLOORS
+    return not np.all((mag == 0) | ((mag >= floors[1]) & (mag < floors[_csvformat.CLASSES])))
+
+
+def test_random_bit_patterns_format_as_percent_17g(monkeypatch, near_ties):
+    # both tables formatted from whole arrays alone and tables with values
+    # spliced in as '%' text; small gathers cut the larger tables
     rng = np.random.default_rng(17)
-    outcomes = {"exact": 0, "backstop": 0}
+    outcomes = {"arrays": 0, "spliced": 0}
     for draw in range(4000):
         table = _random_doubles(rng, (rng.integers(1, 4), rng.integers(1, 5)), draw % 2)
-        text = _csvformat.format_table(table)
-        outcomes["backstop" if text is None else "exact"] += 1
-        assert cli._csv_text(table) == _percent_g(table)
+        assert _csvformat.format_table(table) == _percent_g(table)
+        spliced = _out_of_range(table) or near_ties[-1].any()
+        outcomes["spliced" if spliced else "arrays"] += 1
     assert min(outcomes.values()) > 500
     monkeypatch.setattr(_csvformat, "GATHER_VALUES", 3)
     for _ in range(20):
@@ -820,12 +857,10 @@ def test_random_bit_patterns_format_as_percent_17g(monkeypatch):
 def test_a_string_of_block_values_formats_as_percent_17g(shape):
     # a table is formatted in one pass, so the largest string, of exactly
     # BLOCK_VALUES values, and a row wider than BLOCK_VALUES, which a string
-    # holds alone, are each one pass; this draw holds no near tie, so the
-    # exact route formats all of it
+    # holds alone, are each one pass
     rng = np.random.default_rng(shape[1])
     table = rng.uniform(-4, 4, shape) * 10.0 ** rng.integers(-30, 9, shape)
     assert _csvformat.format_table(table) == _percent_g(table)
-    assert cli._csv_text(table) == _percent_g(table)
 
 
 @pytest.mark.parametrize("n_modes,count,blocks", [(1, 2000, [1365, 635]), (45, 3, [3])])
@@ -853,20 +888,19 @@ def test_a_string_of_rows_holds_at_most_block_values(monkeypatch, n_modes, count
     assert all(field == "%.17g" % float(field) for row in fields for field in row)
 
 
-def test_powers_of_ten_and_their_neighbours_format_as_percent_17g():
+def test_powers_of_ten_and_their_neighbours_format_as_percent_17g(near_ties):
     for exponent in range(-45, 46):
         power = float(f"1e{exponent}")
         for value in (np.nextafter(power, 0), power, np.nextafter(power, np.inf)):
             for table in (np.array([[value]]), np.array([[-value, 0.5]])):
-                text = _csvformat.format_table(table)
+                assert _csvformat.format_table(table) == _percent_g(table)
                 # a neighbour may round at a tie, as 1e15's lower one does
-                assert text in (None, _percent_g(table))
-                assert text is not None or value != power or not -40 < exponent <= 40
-                assert cli._csv_text(table) == _percent_g(table)
+                spliced = _out_of_range(table) or near_ties[-1].any()
+                assert not spliced or value != power or not -40 < exponent <= 40
 
 
 @pytest.mark.parametrize(
-    "value,text,exact",
+    "value,text,arrays",
     [
         # exact ties of the significand's rounding
         (999999999999999.875, "999999999999999.88", False),
@@ -880,6 +914,7 @@ def test_powers_of_ten_and_their_neighbours_format_as_percent_17g():
         (1e-300, "1e-300", False),
         (-1e-300, "-1e-300", False),
         (np.inf, "inf", False),
+        (-np.inf, "-inf", False),
         (np.nan, "nan", False),
         (1e16 - 2, "9999999999999998", True),
         (1e17, "1e+17", True),
@@ -889,11 +924,25 @@ def test_powers_of_ten_and_their_neighbours_format_as_percent_17g():
         (0.0001, "0.0001", True),
     ],
 )
-def test_special_values_format_as_percent_17g(value, text, exact):
+def test_special_values_format_as_percent_17g(near_ties, value, text, arrays):
+    # arrays: formatted from whole arrays, not spliced in as '%' text
     table = np.array([[value]])
     assert "%.17g" % value == text
-    assert _csvformat.format_table(table) == (text if exact else None)
-    assert cli._csv_text(table) == text
+    assert _csvformat.format_table(table) == text
+    assert (_out_of_range(table) or near_ties[-1].any()) != arrays
+    # mid-row and at both row ends, among values formatted from arrays
+    table = np.array([[value, 0.5, value], [1.0, value, -3.0]])
+    assert _csvformat.format_table(table) == f"{text},0.5,{text}\n1,{text},-3"
+
+
+@pytest.mark.parametrize("value", [-5e-324, -1e300, -2.2250738585072014e-308])
+def test_a_text_of_a_whole_field_widens_the_rows(value):
+    # a spliced text of FIELD bytes leaves no byte of its row for the
+    # separator, so every row of the table takes one more byte
+    assert len("%.17g" % value) == _csvformat.FIELD
+    widest = -0.00012345678901234567  # 23 bytes, formatted from arrays
+    for table in ([[value]], [[value, widest]], [[widest, value], [value, 0.0]]):
+        assert _csvformat.format_table(np.array(table)) == _percent_g(table)
 
 
 def _joint_2mode_cfg():
@@ -913,9 +962,11 @@ def _joint_2mode_cfg():
     }
 
 
-def test_csv_bytes_do_not_depend_on_the_formatter(tmp_path, monkeypatch, capsys):
-    # the exact formatter takes every string of these strobe-like tables, and
-    # its bytes equal those of '%', forced here for every string
+def test_csv_bytes_do_not_depend_on_the_formatter(tmp_path, monkeypatch, capsys, near_ties):
+    # every value of these strobe-like tables is formatted from whole
+    # arrays, and their bytes equal those of '%', forced here for every
+    # value by marking each one near a tie; the arrays' digits are made
+    # wrong then, so that only the spliced text can give the same bytes
     bath = {"kind": "oscillator_bath", "E_S": 1.3, "E_A": 0.7, "nu_A": 2.5,
             "G": {"ladder": {"g": {"re": 0.3, "im": 0.1}, "h": {"re": 0.1, "im": -0.05}}}}
     initial = {"mean": [0.0, 0.0], "cov": [[1.7, 0.0], [0.0, 1.7]]}
@@ -928,24 +979,48 @@ def test_csv_bytes_do_not_depend_on_the_formatter(tmp_path, monkeypatch, capsys)
                         "initial_state": initial}),
         ("evolve", _joint_2mode_cfg()),
     ]
-    format_table, made = _csvformat.format_table, []
-
-    def recorded(table):
-        made.append(format_table(table))
-        return made[-1]
+    format_table, tables = _csvformat.format_table, []
+    monkeypatch.setattr(
+        _csvformat, "format_table", lambda table: tables.append(table) or format_table(table)
+    )
+    every_value = lambda mag, cls: (np.full(len(mag), 10**16), np.ones(len(mag), bool))
 
     outputs = {}
-    for name, replacement in [("exact", recorded), ("backstop", lambda table: None)]:
-        monkeypatch.setattr(_csvformat, "format_table", replacement)
+    for name in ["arrays", "percent"]:
+        if name == "percent":
+            monkeypatch.setattr(_csvformat, "_significands", every_value)
         for i, (command, cfg) in enumerate(runs):
             out = tmp_path / f"{name}{i}.csv"
             path = _write_config(tmp_path, cfg, name=f"{i}.json")
             code = main([command, "--config", path, "--out", str(out)])
             outputs[name, i] = (code, capsys.readouterr(), out.read_bytes())
+        if name == "arrays":
+            assert tables and not any(map(_out_of_range, tables))
+            assert len(near_ties) == len(tables) and not any(mask.any() for mask in near_ties)
     for i in range(len(runs)):
-        assert outputs["exact", i] == outputs["backstop", i]
-        assert outputs["exact", i][0] == 0
-    assert made and None not in made
+        assert outputs["arrays", i] == outputs["percent", i]
+        assert outputs["arrays", i][0] == 0
+
+
+def test_damped_trajectory_splices_values_below_the_arrays_range(tmp_path):
+    # a damped joint evolve: its means fall to about 1e-143, far below the
+    # values formatted from arrays, and every field is still '%.17g'
+    cfg = {
+        "setup": {"kind": "joint", "F_S": [[1.0, 0.0], [0.0, 1.0]],
+                  "F_A": [[1.0, 0.0], [0.0, 1.0]], "G": [[0.8, 0.0], [0.0, 0.8]],
+                  "sigma_A0": [[1.0, 0.0], [0.0, 1.0]]},
+        "dt": 0.5,
+        "steps": 4000,
+        "mode": "both",
+        "initial_state": {"mean": [1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+    out = tmp_path / "damped.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4002
+    fields = [field for line in lines[1:] for field in line.split(",")]
+    assert all(field == "%.17g" % float(field) for field in fields)
+    assert 0 < min(abs(float(field)) for field in fields if float(field)) < 1e-100
 
 
 def test_the_cli_runs_without_loading_scipy(tmp_path):

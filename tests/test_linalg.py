@@ -11,7 +11,12 @@ from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMa
 from rapidgauss.interpolation import channel_lift, generators_from_channel
 from rapidgauss.linalg import mat_exp, mat_log_principal, psd_margin
 from rapidgauss.phasespace import symplectic_form
-from rapidgauss.thermalization import OscillatorBathSetup, ladder_coupling, to_joint_setup
+from rapidgauss.thermalization import (
+    OscillatorBathSetup,
+    ladder_coupling,
+    rwa_coupling,
+    to_joint_setup,
+)
 
 from helpers import expm1_div_series, logm_div_series
 
@@ -148,6 +153,16 @@ def test_mat_log_branch_cut_and_singular():
         mat_log_principal(np.diag([-1.0, 2.0]))
     with pytest.raises(SingularMatrixError):
         mat_log_principal(np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("nu_a", [1e200, 1e300])
+def test_mat_log_of_an_overflowing_schur_fallback_is_not_finite(nu_a):
+    # a hot bath's channel lift takes the Schur fallback, and scipy's logm
+    # rejects an intermediate of it that overflowed with a ValueError
+    bath = OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=nu_a, G=rwa_coupling(0.3, 0.0), dt=0.1)
+    channel = reduce_from_joint(to_joint_setup(bath))
+    with pytest.raises(SingularMatrixError, match="the logarithm is not finite"):
+        generators_from_channel(channel, bath.dt)
 
 
 def test_exp_log_round_trip(rng):
