@@ -64,7 +64,7 @@ from .interpolation import (
     generators_from_channel,
     propagate,
 )
-from .linalg import mat_exp, mat_log_principal, psd_margin
+from .linalg import mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
     QuadraticHamiltonian,

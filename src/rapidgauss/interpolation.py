@@ -8,16 +8,13 @@ time-independent generators (A, b, C) whose continuous flow
 
 reproduces the discrete dynamics exactly at every stroboscopic time n*dt.
 
-Both directions go through one block upper-triangular lift of size 4N + 1,
-
-    L = [[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]].
-
-In the block order (1, 3, 2) it is led by [[T^-1, -T^-1 d], [0, 1]], the
-inverse of the mean update on (X, 1), so with M = Omega A the principal
-logarithm is Log L = dt [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] (Van
-Loan, IEEE TAC 23(3):395, 1978).  It gives all three generators, which stay
-finite as dt -> 0 and exist whenever T has no eigenvalue on the closed
-negative real axis; propagation is one exponential of the same block.
+The generators are read off one eigendecomposition of T
+(:func:`generators_from_channel`); they stay finite as dt -> 0 and exist
+whenever T has no eigenvalue on the closed negative real axis.  With
+M = Omega A, the exponential of their block upper-triangular lift of size
+4N + 1, [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] dt, is the channel lift
+[[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]] (Van Loan, IEEE TAC
+23(3):395, 1978), so propagation is one exponential.
 
 The generators are constant, so the flow is a semigroup: the channel over
 t + s is the channel over s composed with the channel over t.  Trajectories
@@ -32,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CP_TOL, CpReport, GaussianChannel, _square, apply_runs, identity_channel
-from .errors import SingularMatrixError
-from .linalg import mat_exp, mat_log_principal, psd_margin
+from .errors import BranchCutError, SingularMatrixError
+from .linalg import mat_exp, psd_margin
 from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
@@ -76,28 +73,68 @@ def read_generators(log_lift):
     return a, b, (c + c.swapaxes(-1, -2)) / 2
 
 
+def _log_ratio(x):
+    """x / expm1(x) elementwise, with its limit 1 at x = 0."""
+    zero = x == 0
+    return np.where(zero, 1.0, x / np.expm1(np.where(zero, 1.0, x)))
+
+
+# cond(V) of T's eigenvectors past which the generators come from the Schur
+# Log of the lift: near a Jordan block the eigenbasis loses ~eps cond(V)^2
+EIGENBASIS_COND_MAX = 1e2
+
+
 def generators_from_channel(channel, dt):
     """Interpolation generators of a discrete channel applied every dt.
 
-    One solve gives T^-1 [1, R, -d], and one principal logarithm of the
-    channel lift (:func:`channel_lift`), divided by dt, gives the generators:
+    With T = V diag(mu) W, W = V^-1, the principal lambda = Log mu and
+    f(x) = x / expm1(x), the generators are, elementwise in that basis,
 
-        Log L = dt [[-Omega A, C, -Omega b], [0, (Omega A)^T, 0], [0, 0, 0]]
+        Omega A dt = V diag(lambda) W,   Omega b dt = V diag(f(lambda)) W d,
+        C dt = V [(W R W^T) * f(lambda_i + lambda_j)] V^T,
+
+    the last being vec C = [Log(T x T) / (T x T - 1)] vec R / dt.  Past
+    EIGENBASIS_COND_MAX they are read off scipy's Schur logarithm of the
+    channel lift (:func:`channel_lift`, :func:`read_generators`).
 
     Raises BranchCutError when T has an eigenvalue on the closed negative
     real axis, which signals that dt is too large, and SingularMatrixError
-    for singular T.
+    for T singular to working precision or a logarithm that is not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     t, n = channel.T, channel.T.shape[0]
-    try:
-        t_inv = np.linalg.solve(t, np.column_stack([np.eye(n), channel.R, -channel.d]))
-    except np.linalg.LinAlgError:
-        t_inv = None
-    if t_inv is None or not np.isfinite(t_inv).all():  # a subnormal pivot gives inf
-        raise SingularMatrixError("generators_from_channel: T is singular")
-    log = mat_log_principal(channel_lift(t_inv, t, 1.0))
+    mu, v = np.linalg.eig(t)
+    mags = np.abs(mu)
+    # the lift's spectrum mu^-1, mu, 1 spans a modulus ratio of 1e14 or more
+    if mags.min() <= 1e-7 or mags.max() >= 1e7:
+        raise SingularMatrixError("generators_from_channel: T is singular to working precision")
+    if np.any((mu.real < 0) & (np.abs(mu.imag) <= 1e-12 * np.maximum(mags, 1.0))):
+        raise BranchCutError(
+            "generators_from_channel: eigenvalue of T on the closed negative real axis; "
+            "reduce the step duration and retry"
+        )
+    if np.linalg.cond(v) <= EIGENBASIS_COND_MAX:
+        w, lam = np.linalg.inv(v), np.log(mu.astype(complex))
+        m = ((v * lam) @ w).real
+        shift = (v @ (_log_ratio(lam) * (w @ channel.d))).real
+        c = (v @ ((w @ channel.R @ w.T) * _log_ratio(lam[:, None] + lam)) @ v.T).real
+        omega = symplectic_form(channel.n_modes)
+        return Generators(A=omega @ m / -dt, b=omega @ shift / -dt, C=(c + c.T) / (2 * dt))
+    import scipy.linalg  # only this rare fallback needs scipy
+
+    # logm's 1-norm estimator divides by the moduli of entries, which
+    # overflows for subnormal ones, and logm rejects an intermediate that
+    # overflowed with a ValueError; a logarithm that is not finite is
+    # reported below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = np.linalg.solve(t, np.column_stack([np.eye(n), channel.R, -channel.d]))
+        try:
+            log = scipy.linalg.logm(channel_lift(top, t, 1.0)).real
+        except ValueError:
+            log = np.array(np.nan)
+    if not np.isfinite(log).all():
+        raise SingularMatrixError("generators_from_channel: the logarithm is not finite")
     return Generators(*read_generators(log / dt))
 
 
@@ -112,8 +149,11 @@ def propagate(gen, t):
 
     With M = Omega A, the exponential E of the generator lift
     [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
-    s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  The
-    step s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; as the
+    s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  C
+    and Omega b enter scaled by powers of two to the size of max(|M|, 1),
+    and E_12 and E_13 leave scaled back: an exact similarity, so the
+    exponential's scaling follows M however large C and b are.  The step
+    s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; as the
     flow is a semigroup, the channel over t is its 2^k-th power, k
     squarings of the step's arrays, bit for bit those of channel_power.
     """
@@ -124,11 +164,13 @@ def propagate(gen, t):
     m = omega @ gen.A
     norm = np.abs(m).sum(axis=0).max() * t
     doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
-    top = np.column_stack([-m, gen.C, -omega @ gen.b])
+    shift, scale = -omega @ gen.b, max(np.abs(m).max(), 1.0)
+    kc, kb = (np.frexp(np.abs(x).max() / scale)[1] for x in (gen.C, shift))
+    top = np.column_stack([-m, np.ldexp(gen.C, -kc), np.ldexp(shift, -kb)])
     lifted = mat_exp(channel_lift(top, m, 0.0) * (t / 2**doublings))
     step = lifted[n:-1, n:-1].T
-    r = step @ lifted[:n, n:-1]
-    d, r = -step @ lifted[:n, -1], (r + r.T) / 2
+    r = step @ np.ldexp(lifted[:n, n:-1], kc)
+    d, r = -step @ np.ldexp(lifted[:n, -1], kb), (r + r.T) / 2
     for _ in range(doublings):
         step, d, r = _square(step, d, r)
     return GaussianChannel(T=step, d=d, R=r)

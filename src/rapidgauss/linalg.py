@@ -1,27 +1,23 @@
 """Dense matrix kernels used throughout the package.
 
-Provides the matrix exponential and the principal matrix logarithm, taken
-of the lifts that phasespace.affine_lift and interpolation.channel_lift
-build, and the margin of the uncertainty bound that states, channels and
-generators all satisfy.  Everything is pure, operates on small dense arrays,
-and is safe to call concurrently.
+Provides the matrix exponential, taken of the lifts that
+phasespace.affine_lift and interpolation.channel_lift build, and the margin
+of the uncertainty bound that states, channels and generators all satisfy.
+Everything is pure, operates on small dense arrays, and is safe to call
+concurrently.
 
 The exponential is numpy's own: scaling and squaring with a Padé degree
 and a scaling chosen from exact 1-norms of matrix powers (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31(3):970, 2009).  scipy is imported only where
-it is needed: by the Schur logarithm that mat_log_principal falls back to
-for an ill-conditioned eigenbasis.
+SIAM J. Matrix Anal. Appl. 31(3):970, 2009).  The logarithm has no kernel
+here: interpolation.generators_from_channel takes it in the eigenbasis of
+T, or through scipy's Schur logm for a nearly defective T.
 """
 
 import math
 
 import numpy as np
 
-from .errors import BranchCutError, DimensionMismatchError, SingularMatrixError
-
-# Eigenvector condition number above which eigendecompositions are not
-# trusted and Schur-based fallbacks are used instead.
-EIG_COND_MAX = 1e8
+from .errors import DimensionMismatchError
 
 # The Padé degrees m tried before scaling, as (m, theta_m, coefficients,
 # 1/|c_{2m+1}|): the [m/m] approximant is used when the norm estimate eta of
@@ -152,52 +148,6 @@ def mat_exp(m):
     high = (_B13[:, 4:] * scales[1:]) @ powers[1:4].reshape(3, -1)
     v, w = (powers[3] * scales[3]) @ high.reshape(2, n, n) + low.reshape(2, n, n)
     return _pade_quotient((a * 2.0**-s) @ w, v, s)
-
-
-def mat_log_principal(m):
-    """Principal matrix logarithm, with Log(identity) = 0 exactly.
-
-    Uses a complex eigendecomposition when the eigenvector matrix is well
-    conditioned and falls back to inverse scaling and squaring otherwise
-    (scipy's Schur logm, the one use of scipy in the package's CLI paths).
-
-    Raises SingularMatrixError for singular input, or when the fallback's
-    logarithm is not finite, and BranchCutError when an eigenvalue lies on
-    the closed negative real axis.
-    """
-    a = _as_matrix(m)
-    evals, vecs = np.linalg.eig(a)
-    mags = np.abs(evals)
-    if float(mags.min()) <= 1e-14 * max(float(mags.max()), 1.0):
-        raise SingularMatrixError(
-            "mat_log_principal: input is singular to working precision"
-        )
-    on_cut = (evals.real < 0) & (np.abs(evals.imag) <= 1e-12 * np.maximum(mags, 1.0))
-    if np.any(on_cut):
-        raise BranchCutError(
-            "mat_log_principal: eigenvalue on the closed negative real axis; "
-            "reduce the step duration and retry"
-        )
-    evals = evals.astype(complex)
-    if np.linalg.cond(vecs) <= EIG_COND_MAX:
-        out = (vecs * np.log(evals)) @ np.linalg.inv(vecs)
-    else:
-        import scipy.linalg  # only this rare fallback needs scipy
-
-        # logm's 1-norm estimator divides by the moduli of entries, which
-        # overflows for subnormal ones, and logm rejects an intermediate that
-        # overflowed with a ValueError; a logarithm that is not finite is
-        # reported below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            try:
-                out = scipy.linalg.logm(a)
-            except ValueError:
-                out = np.array(np.nan)
-        if not np.isfinite(out).all():
-            raise SingularMatrixError("mat_log_principal: the logarithm is not finite")
-    if np.isrealobj(a):
-        return np.ascontiguousarray(out.real)
-    return out
 
 
 def psd_margin(noise, twist):

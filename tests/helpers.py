@@ -6,6 +6,7 @@ import sys
 from itertools import groupby, repeat
 
 import numpy as np
+import scipy.linalg
 
 import rapidgauss
 from rapidgauss.channels import GaussianChannel, apply_runs
@@ -16,7 +17,7 @@ from rapidgauss.interpolation import (
     gap_runs,
     read_generators,
 )
-from rapidgauss.linalg import mat_exp, mat_log_principal
+from rapidgauss.linalg import mat_exp
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_symmetric
 from rapidgauss.thermalization import CovCoefficients
@@ -202,13 +203,14 @@ def series_from_joint_lists(setup, order):
 def two_lift_generators(channel, dt):
     """Generators of a channel from two lifts: A and b from the principal Log
     of the affine lift [[T, d], [0, 1]], C from that of the noise lift
-    [[T^-1, T^-1 R], [0, T^T]]."""
+    [[T^-1, T^-1 R], [0, T^T]], both Logs scipy's Schur logm."""
     t, n = channel.T, channel.T.shape[0]
     omega = symplectic_form(channel.n_modes)
-    affine = mat_log_principal(np.block([[t, channel.d[:, None]], [np.zeros((1, n)), 1.0]])) / dt
+    affine = np.block([[t, channel.d[:, None]], [np.zeros((1, n)), 1.0]])
+    affine = scipy.linalg.logm(affine).real / dt
     t_inv = np.linalg.solve(t, np.hstack([np.eye(n), channel.R]))
     noise = np.block([[t_inv[:, :n], t_inv[:, n:]], [np.zeros((n, n)), t.T]])
-    c = mat_log_principal(noise)[:n, n:] / dt
+    c = scipy.linalg.logm(noise)[:n, n:].real / dt
     return Generators(
         A=-omega @ affine[:n, :n], b=-omega @ affine[:n, n], C=(c + c.T) / 2
     )

@@ -34,6 +34,7 @@ from rapidgauss.thermalization import (
     OscillatorBathSetup,
     decompose_cov,
     first_order_generators,
+    ladder_coupling,
     rwa_coupling,
     to_joint_setup,
 )
@@ -400,20 +401,64 @@ def test_propagate_matches_the_two_lift_oracle(rng):
                 _assert_entrywise_close(g, w)
 
 
+@pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-6])
+def test_weak_ladder_bath_noise_is_relatively_exact(g):
+    # a nearly symplectic T: the noise R, of order g^2, is held to its own size
+    bath = OscillatorBathSetup(E_S=1.0, E_A=1.3, nu_A=3.0, G=ladder_coupling(g, 0.3 * g), dt=0.1)
+    channel = reduce_from_joint(to_joint_setup(bath))
+    gen = generators_from_channel(channel, bath.dt)
+    for n in (1, 3, 7):
+        got, want = propagate(gen, n * bath.dt).R, channel_power(channel, n).R
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nu_a", [1e7, 1e60, 1e150, 1e300])
+def test_hot_bath_strobes_are_exact_relative_to_the_noise(nu_a):
+    # W R W^T carries the scale of R into C, and propagate's balanced lift
+    # carries it back out, so nothing depends on nu_A but the noise itself
+    bath = OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=nu_a, G=rwa_coupling(0.3, 0.0), dt=0.1)
+    channel = reduce_from_joint(to_joint_setup(bath))
+    gen = generators_from_channel(channel, bath.dt)
+    got, want = propagate(gen, 7 * bath.dt), channel_power(channel, 7)
+    assert np.abs(got.R - want.R).max() <= 1e-14 * np.abs(want.R).max()
+    assert np.abs(got.T - want.T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+def test_a_nearly_defective_t_meets_its_strobes_through_the_schur_route(eps):
+    # a nearly free, weakly damped mode: cond(V) of T is 1e3 to 5e4, where
+    # the eigenbasis would lose about eps * cond(V)^2, up to 1e-7
+    setup = JointSetup(
+        F_S=np.diag([1.0, eps]), F_A=np.eye(2), G=1e-3 * np.array([[1.0, 0.3], [0.2, 0.5]]),
+        alpha_S=np.array([0.3, -0.1]), sigma_A0=2.0 * np.eye(2), dt=0.1,
+    )
+    channel = reduce_from_joint(setup)
+    assert np.linalg.cond(np.linalg.eig(channel.T)[1]) > 1e3
+    gen = generators_from_channel(channel, setup.dt)
+    for n in (1, 3, 7):
+        got, want = propagate(gen, n * setup.dt), channel_power(channel, n)
+        for g, w in ((got.T, want.T), (got.d, want.d), (got.R, want.R)):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
 def test_one_log_and_one_exponential_of_one_lift(rng, monkeypatch):
+    # the generators take one eigendecomposition of the 2N x 2N T and read
+    # no Schur logarithm; each propagate takes one exponential of the lift
     import rapidgauss.interpolation as interpolation
 
     calls = []
-    for name in ("mat_log_principal", "mat_exp"):
 
-        def counting(m, name=name, kernel=getattr(interpolation, name)):
-            calls.append((name, m.shape))
-            return kernel(m)
+    def counting(name, kernel):
+        return lambda m: calls.append((name, m.shape)) or kernel(m)
 
-        monkeypatch.setattr(interpolation, name, counting)
+    monkeypatch.setattr(interpolation, "mat_exp", counting("mat_exp", interpolation.mat_exp))
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(interpolation, "read_generators", counting("read_generators", None))
     setup = random_joint_setup(rng, n_sys=3, n_anc=2, dt=0.3)
-    gen = generators_from_channel(reduce_from_joint(setup), setup.dt)
-    assert calls == [("mat_log_principal", (13, 13))]
+    channel = reduce_from_joint(setup)
+    calls.clear()
+    gen = generators_from_channel(channel, setup.dt)
+    assert calls == [("eig", (6, 6))]
     for t in (0.0, 0.3, 30.0):  # 30 takes doublings
         calls.clear()
         propagate(gen, t)
@@ -658,7 +703,8 @@ def test_cli_thermalize_rows_on_an_uneven_grid_match_the_per_row_loop(tmp_path, 
 
 def test_a_defective_channel_reaches_the_schur_logarithm_by_its_lazy_import(tmp_path):
     # the free mode F_S = diag(1, 0) gives T = [[1, 0], [-dt, 1]], a Jordan
-    # block: its eigenvector matrix has cond(V) ~ 9e15, past EIG_COND_MAX
+    # block: its eigenvector matrix has cond(V) ~ 9e15, past
+    # EIGENBASIS_COND_MAX
     code = (
         "import sys\n"
         "import numpy as np\n"

@@ -6,11 +6,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import rapidgauss.linalg as linalg
-from rapidgauss.channels import reduce_from_joint
+from rapidgauss.channels import GaussianChannel, identity_channel, reduce_from_joint
 from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMatrixError
-from rapidgauss.interpolation import channel_lift, generators_from_channel
-from rapidgauss.linalg import mat_exp, mat_log_principal, psd_margin
+from rapidgauss.interpolation import channel_lift, generators_from_channel, propagate
+from rapidgauss.linalg import mat_exp, psd_margin
 from rapidgauss.phasespace import symplectic_form
+from rapidgauss.sampling import random_symmetric
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
     ladder_coupling,
@@ -135,45 +136,61 @@ def test_mat_exp_each_pade_degree(monkeypatch, m, degree, squarings):
     assert np.abs(got - expected).max() <= 10 * EPS * max(1.0, np.abs(m).max())
 
 
+# The principal logarithm has no kernel of its own: generators_from_channel
+# takes it in the eigenbasis of T, or through scipy's Schur logm of the
+# channel lift for a nearly defective T.  The tests below reach it there.
+
+
+def _log(t):
+    """Principal Log of T, read off the generators of the noiseless channel
+    (T, 0, 0) over dt = 1: Omega A = Log T."""
+    n = len(t)
+    gen = generators_from_channel(GaussianChannel(T=t, d=np.zeros(n), R=np.zeros((n, n))), 1.0)
+    return symplectic_form(n // 2) @ gen.A
+
+
 def test_mat_log_identity_exact():
-    out = mat_log_principal(np.eye(4))
-    assert np.all(out == 0.0)
+    gen = generators_from_channel(identity_channel(2), 0.1)
+    assert not gen.A.any() and not gen.b.any() and not gen.C.any()
 
 
 def test_mat_log_rotation():
     for theta in [-2.5, -0.3, 0.0, 1.0, 3.0]:
         rot = mat_exp(theta * OMEGA2)
-        assert_allclose(mat_log_principal(rot), theta * OMEGA2, atol=1e-12)
+        assert_allclose(_log(rot), theta * OMEGA2, atol=1e-12)
 
 
 def test_mat_log_branch_cut_and_singular():
+    with pytest.raises(BranchCutError, match="reduce the step duration"):
+        _log(mat_exp(np.pi * OMEGA2))  # rotation by pi: eigenvalues -1
     with pytest.raises(BranchCutError):
-        mat_log_principal(mat_exp(np.pi * OMEGA2))  # rotation by pi: eigenvalues -1
-    with pytest.raises(BranchCutError):
-        mat_log_principal(np.diag([-1.0, 2.0]))
+        _log(np.diag([-1.0, 2.0]))
     with pytest.raises(SingularMatrixError):
-        mat_log_principal(np.diag([0.0, 1.0]))
+        _log(np.diag([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("nu_a", [1e200, 1e300])
 def test_mat_log_of_an_overflowing_schur_fallback_is_not_finite(nu_a):
-    # a hot bath's channel lift takes the Schur fallback, and scipy's logm
-    # rejects an intermediate of it that overflowed with a ValueError
-    bath = OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=nu_a, G=rwa_coupling(0.3, 0.0), dt=0.1)
-    channel = reduce_from_joint(to_joint_setup(bath))
+    # a damped Jordan block in T takes the Schur fallback, and with noise
+    # near the float limit scipy's logm of the lift overflows
+    jordan = np.array([[0.5, 0.3], [0.0, 0.5]])
+    channel = GaussianChannel(T=jordan, d=np.zeros(2), R=nu_a * np.eye(2))
     with pytest.raises(SingularMatrixError, match="the logarithm is not finite"):
-        generators_from_channel(channel, bath.dt)
+        generators_from_channel(channel, 0.1)
 
 
 def test_exp_log_round_trip(rng):
     for _ in range(20):
-        m = mat_exp(rng.uniform(-0.6, 0.6, (4, 4)))
-        assert_allclose(mat_exp(mat_log_principal(m)), m, atol=1e-10)
+        t = mat_exp(rng.uniform(-0.6, 0.6, (4, 4)))
+        channel = GaussianChannel(T=t, d=rng.normal(size=4), R=random_symmetric(rng, 4))
+        again = propagate(generators_from_channel(channel, 1.0), 1.0)
+        for key in "TdR":
+            assert_allclose(getattr(again, key), getattr(channel, key), atol=1e-10)
 
 
 def test_mat_log_defective_input():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert_allclose(mat_log_principal(jordan), [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
+    assert_allclose(_log(jordan), [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
 
 def expm1_div(x, t):
@@ -215,26 +232,26 @@ def test_expm1_div_series_oracle_including_singular(rng):
 
 
 def logm_div(x):
-    """Log(x)/(x - 1), read off the principal Log of the lift [[x, 1], [0, 1]].
-
-    This is the block identity generators_from_channel uses for the drift:
-    the top-right block of Log([[T, d], [0, 1]]) is [Log(T)/(T - 1)] d.
-    """
-    n = x.shape[0]
-    eye = np.eye(n)
-    lift = np.block([[x, eye], [np.zeros((n, n)), eye]])
-    return mat_log_principal(lift)[:n, n:]
+    """Log(x)/(x - 1), read off the drift of generators_from_channel: with
+    T = x and R = 0, Omega b dt = [Log(T)/(T - 1)] d, so the unit shifts d
+    give its columns."""
+    n = len(x)
+    omega = symplectic_form(n // 2)
+    return np.column_stack([
+        omega @ generators_from_channel(GaussianChannel(T=x, d=d, R=np.zeros((n, n))), 1.0).b
+        for d in np.eye(n)
+    ])
 
 
 def test_logm_div_identity_and_diagonal():
-    assert_allclose(logm_div(np.eye(3)), np.eye(3), atol=1e-14)
+    assert_allclose(logm_div(np.eye(4)), np.eye(4), atol=1e-14)
     got = logm_div(np.diag([np.e, 1.0]))
     assert_allclose(got, np.diag([1.0 / (np.e - 1.0), 1.0]), atol=1e-12)
 
 
 def test_logm_div_series_oracle(rng):
     for _ in range(10):
-        x = np.eye(3) + rng.uniform(-0.1, 0.1, (3, 3))
+        x = np.eye(4) + rng.uniform(-0.1, 0.1, (4, 4))
         assert_allclose(logm_div(x), logm_div_series(x), atol=1e-10)
 
 
@@ -249,12 +266,20 @@ def test_logm_div_defective_input():
 
 
 def test_tensor_log_identity(rng):
+    # Log(T x T) = Log T x 1 + 1 x Log T is what lets generators_from_channel
+    # take vec C dt = [Log(T x T)/(T x T - 1)] vec R elementwise in the
+    # eigenbasis of T; scipy's Schur logm is the oracle
+    eye = np.eye(4)
     for _ in range(5):
-        t = np.eye(3) + rng.uniform(-0.15, 0.15, (3, 3))
-        lhs = mat_log_principal(np.kron(t, t))
-        log_t = mat_log_principal(t)
-        rhs = np.kron(log_t, np.eye(3)) + np.kron(np.eye(3), log_t)
-        assert_allclose(lhs, rhs, atol=1e-10)
+        t = eye + rng.uniform(-0.15, 0.15, (4, 4))
+        tt = np.kron(t, t)
+        lhs = scipy.linalg.logm(tt).real
+        log_t = _log(t)
+        assert_allclose(lhs, np.kron(log_t, eye) + np.kron(eye, log_t), atol=1e-10)
+        r = random_symmetric(rng, 4)
+        gen = generators_from_channel(GaussianChannel(T=t, d=np.zeros(4), R=r), 0.1)
+        vec_c = lhs @ np.linalg.solve(tt - np.eye(16), r.ravel()) / 0.1
+        assert_allclose(gen.C.ravel(), vec_c, atol=1e-10)
 
 
 def test_psd_margin():
@@ -298,11 +323,12 @@ def test_batched_psd_margin_equals_the_per_matrix_call_bit_for_bit(rng):
 
 
 def test_stacks_have_no_exponential_and_no_principal_log(rng):
+    # the principal logarithm is taken only inside generators_from_channel
+    assert not hasattr(linalg, "mat_log_principal")
     stack = mat_exp(rng.normal(size=(4, 4)))[None].repeat(3, axis=0)
-    for function in (mat_exp, mat_log_principal):
-        with pytest.raises(DimensionMismatchError):
-            function(stack)
-        with pytest.raises(DimensionMismatchError):
-            function(np.ones((2, 3)))
-        with pytest.raises(DimensionMismatchError):
-            function(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatchError):
+        mat_exp(stack)
+    with pytest.raises(DimensionMismatchError):
+        mat_exp(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        mat_exp(np.zeros((0, 0)))

@@ -9,7 +9,8 @@ e^2 in either quadrature, and steps dt up to where the largest |arg mu| of
 the reduced T reaches 0.9 pi.  Corners are pinned as explicit examples,
 since the floats drawn depend on the literals of the modules loaded: a
 collision with subnormal entries, a nearly defective T (cond(V) ~ 1e7),
-and entries near 1e-300 and 1e300.
+and entries near 1e-300 and 1e300.  Weak couplings, down to 1e-6, are
+drawn from a seeded numpy table instead, which no literal can shift.
 """
 
 import json
@@ -43,6 +44,7 @@ from rapidgauss.interpolation import (
     propagate,
 )
 from rapidgauss.phasespace import QuadraticHamiltonian, symplectic_form
+from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
     discrete_asymptote,
@@ -119,7 +121,7 @@ SUBNORMAL = (
     0.01,
 )
 # a nearly free mode, F_S = diag(1, 1e-14), weakly coupled: the eigenvectors
-# of T have cond(V) ~ 1e7, just inside the eigenbasis route of the logarithm
+# of T have cond(V) ~ 1e7, so the generators take the Schur route
 NEAR_DEFECTIVE = (
     reduce_from_joint(
         JointSetup(
@@ -172,6 +174,34 @@ def test_interpolation_meets_every_collision(collision):
     gen = generators_from_channel(channel, dt)
     for n in (1, 3, 7):
         _assert_channels_close(propagate(gen, n * dt), channel_power(channel, n))
+
+
+def _weak_collisions(count=40, seed=23):
+    """(channel, dt, scale) of `count` seeded random 1-3 + 1-3-mode setups,
+    each with its coupling G scaled by 1e-2, 1e-4 and 1e-6, and dt drawn in
+    [0.05, 1]; a draw whose T comes within 0.9 pi of the cut is skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_sys, n_anc = (int(k) for k in rng.integers(1, 4, 2))
+        setup = random_joint_setup(rng, n_sys=n_sys, n_anc=n_anc, dt=float(rng.uniform(0.05, 1.0)))
+        for scale in (1e-2, 1e-4, 1e-6):
+            channel = reduce_from_joint(replace(setup, G=setup.G * scale))
+            if np.abs(np.angle(np.linalg.eigvals(channel.T))).max() < BRANCH_LIMIT:
+                yield channel, setup.dt, scale
+
+
+def test_weak_coupling_noise_meets_every_collision_relative_to_its_size():
+    # the noise R is of order scale^2, so an error relative to T would hide
+    # in it; each strobe's R is held to its own largest entry
+    scales = set()
+    for channel, dt, scale in _weak_collisions():
+        gen = generators_from_channel(channel, dt)
+        for n in (1, 3, 7):
+            got, want = propagate(gen, n * dt), channel_power(channel, n)
+            _assert_channels_close(got, want)
+            assert np.abs(got.R - want.R).max() <= 1e-12 * np.abs(want.R).max(), (scale, n)
+        scales.add(scale)
+    assert scales == {1e-2, 1e-4, 1e-6}
 
 
 @PROPERTY
