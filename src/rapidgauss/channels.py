@@ -4,6 +4,10 @@ Hamiltonian evolution to a system-only channel.
 A channel is a triple (T, d, R) acting as mean -> T mean + d and
 cov -> T cov T^T + R.  It is completely positive and trace preserving (CPTP)
 exactly when R - i(T Omega T^T - Omega) is positive semi-definite.
+
+A collision's channel is sliced from one exponential of the joint affine
+lift, and its Taylor coefficients in dt from that lift's powers; one
+function assembles the joint lift for both.
 """
 
 from dataclasses import dataclass
@@ -16,10 +20,9 @@ from .errors import (
     InvalidSetupError,
     NonFiniteStateError,
 )
-from .linalg import mat_exp, psd_margin
+from .linalg import balancing_exponents, mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
-    QuadraticHamiltonian,
     _PhaseSpaceRecord,
     _check_uncertainty,
     _frozen_array,
@@ -264,47 +267,63 @@ class JointSetup:
     def n_anc(self):
         return self.F_A.shape[0] // 2
 
-    @property
-    def hamiltonian(self):
-        """The joint QuadraticHamiltonian: F_SA = [[F_S, G], [G^T, F_A]] and
-        alpha_SA = (alpha_S, alpha_A)."""
-        return QuadraticHamiltonian(
-            F=np.block([[self.F_S, self.G], [self.G.T, self.F_A]]),
-            alpha=np.concatenate([self.alpha_S, self.alpha_A]),
-        )
+
+def _joint_lifts(setups):
+    """The stack of the affine lifts (phasespace.affine_lift) of the joint
+    F_SA = [[F_S, G], [G^T, F_A]] and alpha_SA = (alpha_S, alpha_A) of
+    validated setups, which must share their mode counts."""
+    first = setups[0]
+    if any(s.F_S.shape != first.F_S.shape or s.F_A.shape != first.F_A.shape for s in setups):
+        raise DimensionMismatchError("the setups of one stack must share their mode counts")
+    stack = lambda name: np.array([getattr(s, name) for s in setups])
+    ds, dim = len(first.F_S), len(first.F_S) + len(first.F_A)
+    g = stack("G")
+    f = np.empty((len(setups), dim, dim))
+    f[:, :ds, :ds], f[:, :ds, ds:] = stack("F_S"), g
+    f[:, ds:, :ds], f[:, ds:, ds:] = g.swapaxes(1, 2), stack("F_A")
+    return affine_lift(f, np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1))
+
+
+def _affine_flow(lift, t):
+    """exp(lift t) of one affine lift [[M, v], [0, 0]] as exp(M t) and its
+    shift column; v enters balanced (linalg.balancing_exponents) and the
+    shift leaves scaled back, so exp(M t) keeps its digits however large v is."""
+    n = len(lift) - 1
+    (k,) = balancing_exponents(lift[:n, :n], lift[:n, n])
+    flow = mat_exp(np.ldexp(lift, np.repeat((0, -k), (n, 1))) * t)
+    return flow[:n, :n], np.ldexp(flow[:n, n], k)
 
 
 def hamiltonian_flow(hamiltonian, t):
     """Noiseless channel (R = 0) of a quadratic Hamiltonian over time t.
 
-    One exponential of the affine lift (phasespace.affine_lift) times t gives
-    the symplectic T = exp(Omega F t) as its top-left block and d = [(exp(Omega
-    F t) - 1)/(Omega F)] Omega alpha as its last column, with no special
-    casing of singular Omega F (free or partial Hamiltonians).
+    One balanced exponential of the affine lift (phasespace.affine_lift)
+    times t gives the symplectic T = exp(Omega F t) as its top-left block
+    and d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last
+    column, with no special casing of singular Omega F (free or partial
+    Hamiltonians).
     """
     n = hamiltonian.F.shape[0]
-    flow = mat_exp(hamiltonian.affine_generator() * t)
-    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=np.zeros((n, n)))
+    flow, shift = _affine_flow(affine_lift(hamiltonian.F, hamiltonian.alpha), t)
+    return GaussianChannel(T=flow, d=shift, R=np.zeros((n, n)))
 
 
 def reduce_from_joint(setup, dt=None):
     """Channel on the system alone from one joint evolution of duration dt.
 
-    Takes the joint flow X -> M X + shift of the setup's Hamiltonian over dt
-    (:func:`hamiltonian_flow`, M = flow.T), splits M into system/ancilla
-    blocks M_SS, M_SA, and returns T = M_SS, d = M_SA X_A0 + shift_S,
-    R = M_SA sigma_A0 M_SA^T.  The output is CPTP whenever the ancilla state
-    is valid.
+    Takes the joint flow X -> M X + shift over dt from one balanced
+    exponential of the setup's joint lift (as :func:`hamiltonian_flow`
+    does), splits M into system/ancilla blocks M_SS, M_SA, and returns
+    T = M_SS, d = M_SA X_A0 + shift_S, R = M_SA sigma_A0 M_SA^T.  The
+    output is CPTP whenever the ancilla state is valid.
     """
     if dt is None:
         dt = setup.dt
     ds = 2 * setup.n_sys
-    flow = hamiltonian_flow(setup.hamiltonian, dt)
-    m_ss = flow.T[:ds, :ds]
-    m_sa = flow.T[:ds, ds:]
-    d = m_sa @ setup.X_A0 + flow.d[:ds]
+    flow, shift = _affine_flow(_joint_lifts([setup])[0], dt)
+    m_sa = flow[:ds, ds:]
     r = m_sa @ setup.sigma_A0 @ m_sa.T
-    return GaussianChannel(T=m_ss, d=d, R=(r + r.T) / 2)
+    return GaussianChannel(T=flow[:ds, :ds], d=m_sa @ setup.X_A0 + shift[:ds], R=(r + r.T) / 2)
 
 
 def channel_taylor_stack(setups, order):
@@ -323,25 +342,17 @@ def channel_taylor_stack(setups, order):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    first = setups[0]
-    if any(s.F_S.shape != first.F_S.shape or s.F_A.shape != first.F_A.shape for s in setups):
-        raise DimensionMismatchError("the setups of one stack must share their mode counts")
-    stack = lambda name: np.array([getattr(s, name) for s in setups])
-    ds, dim = len(first.F_S), len(first.F_S) + len(first.F_A)
-    g = stack("G")
-    f = np.empty((len(setups), dim, dim))
-    f[:, :ds, :ds], f[:, :ds, ds:] = stack("F_S"), g
-    f[:, ds:, :ds], f[:, ds:, ds:] = g.swapaxes(1, 2), stack("F_A")
-    lift = affine_lift(f, np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1))
+    lift = _joint_lifts(setups)
+    ds, dim = 2 * setups[0].n_sys, lift.shape[-1] - 1
     rows = np.empty((len(setups), order + 1, ds, dim + 1))
     rows[:, 0] = np.eye(ds, dim + 1)
     for k in range(1, order + 1):
         rows[:, k] = rows[:, k - 1] @ lift / k
 
     m_sa = rows[..., ds:dim]
-    d = rows[..., dim] + (m_sa @ stack("X_A0")[:, None, :, None])[..., 0]
+    d = rows[..., dim] + (m_sa @ np.array([s.X_A0 for s in setups])[:, None, :, None])[..., 0]
     r = np.zeros((len(setups), order + 1, ds, ds))
-    m_sigma = m_sa[:, 1:order] @ stack("sigma_A0")[:, None]
+    m_sigma = m_sa[:, 1:order] @ np.array([s.sigma_A0 for s in setups])[:, None]
     for i in range(1, order):
         # the terms of R_(i+1), ..., R_order with left factor M_i, added in
         # increasing i as in a sum over i

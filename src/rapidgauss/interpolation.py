@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import CP_TOL, CpReport, GaussianChannel, _square, apply_runs, identity_channel
 from .errors import BranchCutError, SingularMatrixError
-from .linalg import mat_exp, psd_margin
+from .linalg import balancing_exponents, mat_exp, psd_margin
 from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
@@ -95,7 +95,8 @@ def generators_from_channel(channel, dt):
 
     the last being vec C = [Log(T x T) / (T x T - 1)] vec R / dt.  Past
     EIGENBASIS_COND_MAX they are read off scipy's Schur logarithm of the
-    channel lift (:func:`channel_lift`, :func:`read_generators`).
+    channel lift (:func:`channel_lift`, :func:`read_generators`), its R and
+    d columns balanced to the size of max(|T|, 1).
 
     Raises BranchCutError when T has an eigenvalue on the closed negative
     real axis, which signals that dt is too large, and SingularMatrixError
@@ -123,19 +124,23 @@ def generators_from_channel(channel, dt):
         return Generators(A=omega @ m / -dt, b=omega @ shift / -dt, C=(c + c.T) / (2 * dt))
     import scipy.linalg  # only this rare fallback needs scipy
 
-    # logm's 1-norm estimator divides by the moduli of entries, which
-    # overflows for subnormal ones, and logm rejects an intermediate that
-    # overflowed with a ValueError; a logarithm that is not finite is
-    # reported below
+    # R and d enter the lift balanced (linalg.balancing_exponents), and the
+    # logarithm's C and b columns leave scaled back.  logm's 1-norm
+    # estimator divides by the moduli of entries, which overflows for
+    # subnormal ones, and logm rejects an intermediate that overflowed with
+    # a ValueError; a logarithm not finite once scaled back is reported below
+    exponents = np.repeat((0, *balancing_exponents(t, channel.R, channel.d)), (n, n, 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        top = np.linalg.solve(t, np.column_stack([np.eye(n), channel.R, -channel.d]))
+        top = np.ldexp(np.column_stack([np.eye(n), channel.R, -channel.d]), -exponents)
+        top = np.linalg.solve(t, top)
         try:
-            log = scipy.linalg.logm(channel_lift(top, t, 1.0)).real
+            log = scipy.linalg.logm(channel_lift(top, t, 1.0))[:n].real
+            log = np.ldexp(log, exponents) / dt
         except ValueError:
             log = np.array(np.nan)
     if not np.isfinite(log).all():
         raise SingularMatrixError("generators_from_channel: the logarithm is not finite")
-    return Generators(*read_generators(log / dt))
+    return Generators(*read_generators(log))
 
 
 # Largest ||Omega A||_1 * s allowed in one exponential of the lift.  Its
@@ -150,9 +155,10 @@ def propagate(gen, t):
     With M = Omega A, the exponential E of the generator lift
     [[-M, C, -Omega b], [0, M^T, 0], [0, 0, 0]] s is the channel lift over
     s, so T(s) = E_22^T, R(s) = E_22^T E_12 and d(s) = -E_22^T E_13.  C
-    and Omega b enter scaled by powers of two to the size of max(|M|, 1),
-    and E_12 and E_13 leave scaled back: an exact similarity, so the
-    exponential's scaling follows M however large C and b are.  The step
+    and Omega b enter scaled by powers of two to the size of max(|M|, 1)
+    (linalg.balancing_exponents), and E_12 and E_13 leave scaled back: an
+    exact similarity, so the exponential's scaling follows M however large
+    C and b are.  The step
     s = t / 2^k is short enough that ||M||_1 s <= LIFT_NORM_MAX; as the
     flow is a semigroup, the channel over t is its 2^k-th power, k
     squarings of the step's arrays, bit for bit those of channel_power.
@@ -164,8 +170,8 @@ def propagate(gen, t):
     m = omega @ gen.A
     norm = np.abs(m).sum(axis=0).max() * t
     doublings = int(np.ceil(np.log2(norm / LIFT_NORM_MAX))) if norm > LIFT_NORM_MAX else 0
-    shift, scale = -omega @ gen.b, max(np.abs(m).max(), 1.0)
-    kc, kb = (np.frexp(np.abs(x).max() / scale)[1] for x in (gen.C, shift))
+    shift = -omega @ gen.b
+    kc, kb = balancing_exponents(m, gen.C, shift)
     top = np.column_stack([-m, np.ldexp(gen.C, -kc), np.ldexp(shift, -kb)])
     lifted = mat_exp(channel_lift(top, m, 0.0) * (t / 2**doublings))
     step = lifted[n:-1, n:-1].T

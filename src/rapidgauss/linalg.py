@@ -1,16 +1,19 @@
 """Dense matrix kernels used throughout the package.
 
 Provides the matrix exponential, taken of the lifts that
-phasespace.affine_lift and interpolation.channel_lift build, and the margin
-of the uncertainty bound that states, channels and generators all satisfy.
-Everything is pure, operates on small dense arrays, and is safe to call
-concurrently.
+phasespace.affine_lift and interpolation.channel_lift build, the one
+power-of-two balancing rule that every lift exponential and logarithm
+applies to its shift and noise blocks first (:func:`balancing_exponents`),
+and the margin of the uncertainty bound that states, channels and
+generators all satisfy.  Everything is pure, operates on small dense arrays,
+and is safe to call concurrently.
 
 The exponential is numpy's own: scaling and squaring with a Padé degree
 and a scaling chosen from exact 1-norms of matrix powers (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31(3):970, 2009).  The logarithm has no kernel
 here: interpolation.generators_from_channel takes it in the eigenbasis of
-T, or through scipy's Schur logm for a nearly defective T.
+T, or through scipy's Schur logm of the balanced lift for a nearly
+defective T.
 """
 
 import math
@@ -148,6 +151,17 @@ def mat_exp(m):
     high = (_B13[:, 4:] * scales[1:]) @ powers[1:4].reshape(3, -1)
     v, w = (powers[3] * scales[3]) @ high.reshape(2, n, n) + low.reshape(2, n, n)
     return _pade_quotient((a * 2.0**-s) @ w, v, s)
+
+
+def balancing_exponents(core, *blocks):
+    """The power of two k of each block that brings its largest entry to
+    within [1/2, 1] times max(|core|, 1); 0 for a zero block.  Scaling a
+    lift's shift and noise blocks by 2^-k is an exact diagonal similarity
+    (Parlett & Reinsch, Numer. Math. 13:293, 1969), so its exp or Log, those
+    blocks scaled back by 2^k, is unchanged, while its rounding follows the
+    core alone."""
+    scale = max(np.abs(core).max(), 1.0)
+    return tuple(int(np.frexp(np.abs(block).max() / scale)[1]) for block in blocks)
 
 
 def psd_margin(noise, twist):

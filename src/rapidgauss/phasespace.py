@@ -139,10 +139,6 @@ class QuadraticHamiltonian(_PhaseSpaceRecord):
     def __post_init__(self):
         _frozen_arrays(self, "alpha", {"F": True})
 
-    def affine_generator(self):
-        """The affine lift (:func:`affine_lift`), generator of the flow on (X, 1)."""
-        return affine_lift(self.F, self.alpha)
-
 
 @dataclass(frozen=True)
 class StateValidation:

@@ -162,9 +162,13 @@ def log_series_cauchy(t_series, order):
 def channel_taylor_lists(setup, order):
     """Taylor coefficients (T_k, d_k, R_k), k = 0..order, of the reduced
     channel, one matrix per order, from the full powers L^k / k! of the joint
-    affine lift."""
+    affine lift [[Omega F_SA, Omega alpha_SA], [0, 0]], built here with
+    np.block so that the oracle does not share the package's assembly."""
     ds = 2 * setup.n_sys
-    lift = setup.hamiltonian.affine_generator()
+    f_sa = np.block([[setup.F_S, setup.G], [setup.G.T, setup.F_A]])
+    omega = symplectic_form(len(f_sa) // 2)
+    shift = omega @ np.concatenate([setup.alpha_S, setup.alpha_A])
+    lift = np.block([[omega @ f_sa, shift[:, None]], [np.zeros((1, len(f_sa) + 1))]])
     terms = [np.eye(lift.shape[0])]
     for k in range(1, order + 1):
         terms.append(terms[-1] @ lift / k)

@@ -161,10 +161,9 @@ def test_reduce_decoupled_setup(rng):
 
 
 def test_flow_with_a_shift_near_1e100_is_finite():
-    # the lift's 1-norms make the exponential's ratio for extra squarings
-    # underflow; the flow is the rotation by t and its shift scaled by
-    # alpha.  T's symplectic residual is 4.5e-8 here, as the affine lift is
-    # not balanced
+    # a shift column left unbalanced makes the exponential's ratio for extra
+    # squarings underflow; the flow is the rotation by t and its shift
+    # scaled by alpha
     t = 3.0
     flow = hamiltonian_flow(QuadraticHamiltonian(F=np.eye(2), alpha=(0.0, 1e100)), t)
     for m in (flow.T, flow.d, flow.R):
@@ -172,6 +171,43 @@ def test_flow_with_a_shift_near_1e100_is_finite():
     rotation = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     assert np.abs(flow.T - rotation).max() <= 1e-7
     assert_allclose(flow.d, 1e100 * np.array([np.sin(t), np.cos(t) - 1]), rtol=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 1e16), (0.0, 1e50), (1e-300, 1e300)])
+def test_flow_is_symplectic_to_rounding_whatever_its_shift(alpha):
+    # the shift column enters the exponential scaled to the size of F, so
+    # T = exp(Omega F t), which does not depend on alpha, keeps its digits
+    flow = hamiltonian_flow(QuadraticHamiltonian(F=np.eye(2), alpha=alpha), 3.0)
+    omega = symplectic_form(1)
+    assert np.abs(flow.T @ omega @ flow.T.T - omega).max() <= 1e-15
+
+
+@pytest.mark.parametrize("alpha_s", [(0.0, 1e50), (1e-300, 1e300)])
+def test_a_decoupled_reduction_keeps_its_rotation_whatever_the_shift(alpha_s):
+    t = 3.0
+    setup = JointSetup(F_S=np.eye(2), F_A=np.eye(2), G=np.zeros((2, 2)), alpha_S=alpha_s, dt=t)
+    channel = reduce_from_joint(setup)
+    rotation = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    assert np.abs(channel.T - rotation).max() <= 1e-15
+    assert_allclose(channel.d, alpha_s[1] * np.array([np.sin(t), np.cos(t) - 1]), rtol=1e-14)
+
+
+def test_a_reduction_validates_one_channel_and_no_hamiltonian(rng, monkeypatch):
+    # the joint lift is exponentiated directly: the only record built, and
+    # so validated, is the reduced channel
+    built = []
+    for cls in (GaussianChannel, QuadraticHamiltonian):
+        post_init = cls.__post_init__
+
+        def counting(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    setup = random_joint_setup(rng, n_sys=2, n_anc=1)
+    built.clear()
+    reduce_from_joint(setup)
+    assert built == ["GaussianChannel"]
 
 
 def test_propagate_with_shift_and_noise_near_1e100_is_finite():

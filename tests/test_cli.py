@@ -17,13 +17,15 @@ from rapidgauss.bombardment import (
 from rapidgauss.channels import (
     CP_TOL,
     GaussianChannel,
+    JointSetup,
     apply,
     hamiltonian_flow,
     identity_channel,
+    reduce_from_joint,
 )
 from rapidgauss.classifier import table_availability
 from rapidgauss.cli import main
-from rapidgauss.interpolation import Generators, cp_differential_check
+from rapidgauss.interpolation import EIGENBASIS_COND_MAX, Generators, cp_differential_check
 from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
@@ -670,6 +672,31 @@ def test_overflowing_schur_log_is_a_numerical_precondition(tmp_path, capsys, nu_
     assert captured.err.startswith("numerical precondition failed: non-finite entries")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", [1e100, 1e200])
+def test_a_free_mode_with_a_hot_ancilla_interpolates_its_strobes(tmp_path, capsys, nu):
+    # F_S = diag(1, 0) leaves T near a Jordan block, cond(V_T) = 245, so the
+    # generators come from the Schur Log of the lift, balanced against the
+    # ancilla's noise
+    setup = {
+        "kind": "joint",
+        "F_S": [[1.0, 0.0], [0.0, 0.0]],
+        "F_A": [[1.0, 0.0], [0.0, 1.0]],
+        "G": [[0.1, 0.0], [0.0, 0.1]],
+        "sigma_A0": [[nu, 0.0], [0.0, nu]],
+    }
+    arrays = {key: np.array(value) for key, value in setup.items() if key != "kind"}
+    t = reduce_from_joint(JointSetup(dt=0.1, **arrays)).T
+    assert np.linalg.cond(np.linalg.eig(t)[1]) > EIGENBASIS_COND_MAX
+    cfg = {"setup": setup, "dt": 0.1, "steps": 7, "mode": "both"}
+    out = tmp_path / "t.csv"
+    code = main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    header, data = _read_csv(out)
+    assert data.shape == (8, 12) and np.isfinite(data).all()
+    cov = [i for i, name in enumerate(header) if name.startswith("cov_")]
+    assert (data[:, -1] <= 1e-13 * np.abs(data[:, cov]).max(axis=1)).all()
 
 
 @pytest.mark.parametrize("mode", ["discrete", "interpolated", "both"])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rapidgauss.channels import (
 from rapidgauss.cli import _csv_rows, main
 from rapidgauss.errors import BranchCutError, SingularMatrixError
 from rapidgauss.interpolation import (
+    EIGENBASIS_COND_MAX,
     LIFT_NORM_MAX,
     Generators,
     channel_lift,
@@ -439,6 +441,22 @@ def test_a_nearly_defective_t_meets_its_strobes_through_the_schur_route(eps):
         got, want = propagate(gen, n * setup.dt), channel_power(channel, n)
         for g, w in ((got.T, want.T), (got.d, want.d), (got.R, want.R)):
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("nu", [1e100, 1e200, 1e300])
+def test_a_damped_jordan_block_with_large_noise_takes_a_balanced_schur_log(nu):
+    # a Jordan block in T goes to the Schur Log of the lift, whose R and d
+    # enter scaled by powers of two to the size of T: logm neither warns
+    # nor overflows, and one propagate gives the channel back
+    jordan = np.array([[0.5, 0.3], [0.0, 0.5]])
+    channel = GaussianChannel(T=jordan, d=nu * np.array([1.0, -0.5]), R=nu * np.eye(2))
+    assert np.linalg.cond(np.linalg.eig(jordan)[1]) > EIGENBASIS_COND_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = propagate(generators_from_channel(channel, 0.1), 0.1)
+    assert np.abs(again.T - jordan).max() <= 1e-14 * np.abs(jordan).max()
+    for g, w in ((again.d, channel.d), (again.R, channel.R)):
+        assert np.abs(g - w).max() <= 1e-14 * nu
 
 
 def test_one_log_and_one_exponential_of_one_lift(rng, monkeypatch):

@@ -9,7 +9,7 @@ import rapidgauss.linalg as linalg
 from rapidgauss.channels import GaussianChannel, identity_channel, reduce_from_joint
 from rapidgauss.errors import BranchCutError, DimensionMismatchError, SingularMatrixError
 from rapidgauss.interpolation import channel_lift, generators_from_channel, propagate
-from rapidgauss.linalg import mat_exp, psd_margin
+from rapidgauss.linalg import balancing_exponents, mat_exp, psd_margin
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_symmetric
 from rapidgauss.thermalization import (
@@ -136,6 +136,16 @@ def test_mat_exp_each_pade_degree(monkeypatch, m, degree, squarings):
     assert np.abs(got - expected).max() <= 10 * EPS * max(1.0, np.abs(m).max())
 
 
+def test_balancing_exponents_bring_each_block_to_the_size_of_the_core():
+    core = np.array([[0.0, 3.0], [-1.0, 0.0]])
+    blocks = (np.array([1e300, -2.0]), np.array([[1e-300]]), np.array([-1.5, 0.5]))
+    for block, k in zip(blocks, balancing_exponents(core, *blocks)):
+        assert 0.5 <= np.abs(np.ldexp(block, -k)).max() / 3.0 <= 1.0
+    # a zero block stays, and a core below 1 counts as 1
+    assert balancing_exponents(core, np.zeros(2)) == (0,)
+    assert balancing_exponents(0.25 * core, np.array([0.75])) == (0,)
+
+
 # The principal logarithm has no kernel of its own: generators_from_channel
 # takes it in the eigenbasis of T, or through scipy's Schur logm of the
 # channel lift for a nearly defective T.  The tests below reach it there.
@@ -169,10 +179,11 @@ def test_mat_log_branch_cut_and_singular():
         _log(np.diag([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("nu_a", [1e200, 1e300])
+@pytest.mark.parametrize("nu_a", [1e307, 1.7e308])
 def test_mat_log_of_an_overflowing_schur_fallback_is_not_finite(nu_a):
-    # a damped Jordan block in T takes the Schur fallback, and with noise
-    # near the float limit scipy's logm of the lift overflows
+    # a damped Jordan block in T takes the Schur fallback; the lift is
+    # balanced, but with noise this near the float limit C itself,
+    # about 19 nu_a, overflows once scaled back
     jordan = np.array([[0.5, 0.3], [0.0, 0.5]])
     channel = GaussianChannel(T=jordan, d=np.zeros(2), R=nu_a * np.eye(2))
     with pytest.raises(SingularMatrixError, match="the logarithm is not finite"):

@@ -41,8 +41,6 @@ def test_affine_lift_is_the_block_matrix_signs_of_zero_included(rng):
             alpha[rng.random(n) < 0.3] = -0.0
             want = np.block([[omega @ f, (omega @ alpha)[:, None]], [np.zeros((1, n + 1))]])
             assert _bits(affine_lift(f, alpha)) == _bits(want)
-            ham = QuadraticHamiltonian(F=(f + f.T) / 2, alpha=alpha)
-            assert _bits(ham.affine_generator()) == _bits(affine_lift(ham.F, ham.alpha))
 
 
 def test_affine_lift_of_a_stack_is_its_members_lifts(rng):

@@ -9,7 +9,8 @@ e^2 in either quadrature, and steps dt up to where the largest |arg mu| of
 the reduced T reaches 0.9 pi.  Corners are pinned as explicit examples,
 since the floats drawn depend on the literals of the modules loaded: a
 collision with subnormal entries, a nearly defective T (cond(V) ~ 1e7),
-and entries near 1e-300 and 1e300.  Weak couplings, down to 1e-6, are
+entries near 1e-300 and 1e300, and shift and noise near 1e300 on a
+rotation and on a damped Jordan block.  Weak couplings, down to 1e-6, are
 drawn from a seeded numpy table instead, which no literal can shift.
 """
 
@@ -139,6 +140,12 @@ TINY = (
     ),
     0.5,
 )
+# shift and noise of order 1e300 on the same rotation (the eigenbasis route)
+# and on a damped Jordan block (the Schur route, through a balanced lift)
+HUGE_NOISE = np.array([[2.0, 0.5], [0.5, 1.0]]) * 1e300
+HUGE = (GaussianChannel(T=ROTATION, d=np.array([1e300, -3e300]), R=HUGE_NOISE), 0.5)
+JORDAN = np.array([[0.5, 0.3], [0.0, 0.5]])
+HUGE_JORDAN = (GaussianChannel(T=JORDAN, d=np.array([1e300, -3e300]), R=HUGE_NOISE), 0.5)
 
 
 def _assert_channels_close(got, want, rtol=1e-9):
@@ -151,6 +158,8 @@ def _assert_channels_close(got, want, rtol=1e-9):
 @example(SUBNORMAL)
 @example(NEAR_DEFECTIVE)
 @example(TINY)
+@example(HUGE)
+@example(HUGE_JORDAN)
 def test_collisions_are_cptp_with_symmetric_noise(collision):
     channel, dt = collision
     gen = generators_from_channel(channel, dt)
@@ -169,6 +178,8 @@ def test_collisions_are_cptp_with_symmetric_noise(collision):
 @example(SUBNORMAL)
 @example(NEAR_DEFECTIVE)
 @example(TINY)
+@example(HUGE)
+@example(HUGE_JORDAN)
 def test_interpolation_meets_every_collision(collision):
     channel, dt = collision
     gen = generators_from_channel(channel, dt)
@@ -209,6 +220,8 @@ def test_weak_coupling_noise_meets_every_collision_relative_to_its_size():
 @example(SUBNORMAL, 2.0, 0.25)
 @example(NEAR_DEFECTIVE, 8.0, 4.0)
 @example(TINY, 3.0, 1.0)
+@example(HUGE, 3.0, 1.0)
+@example(HUGE_JORDAN, 3.0, 1.0)
 def test_flow_is_a_semigroup(collision, t_norms, s_norms):
     # t and s in units of the longest time one exponential covers; t > 1
     # of them, so propagate(t) doubles
@@ -264,6 +277,7 @@ def _hamiltonians(draw):
 @PROPERTY
 @given(_hamiltonians(), st.floats(0.0, 3.0))
 @example(QuadraticHamiltonian(F=np.diag([1e-300, 2e-300]), alpha=np.array([1e300, -1e300])), 3.0)
+@example(QuadraticHamiltonian(F=np.eye(2), alpha=np.array([1e-300, 1e300])), 3.0)
 def test_hamiltonian_flow_is_a_noiseless_symplectic_channel(hamiltonian, t):
     flow = hamiltonian_flow(hamiltonian, t)
     assert not flow.R.any()
