@@ -18,7 +18,6 @@ from .bombardment import (
     generator_series_from_joint,
     generator_series_stack,
     rank_one_coupling,
-    series_from_channel_series,
     truncated_cp_check,
     truncated_cp_margins,
 )
@@ -30,14 +29,12 @@ from .channels import (
     channel_power,
     channel_taylor_stack,
     compose,
-    hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
 )
 from .classifier import (
     DYNAMICS_TYPES,
-    BlockDecomposition,
     DynamicsReport,
     allowed_types,
     block_decompose,
@@ -59,7 +56,6 @@ from .interpolation import (
     Generators,
     cp_differential_check,
     cp_margins,
-    flow_states,
     gap_runs,
     generators_from_channel,
     propagate,
@@ -67,7 +63,6 @@ from .interpolation import (
 from .linalg import mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
-    QuadraticHamiltonian,
     beta_from_nu,
     nu_from_beta,
     purity,

@@ -140,41 +140,12 @@ def generator_series_stack(setups, order):
     (S, order+1, 2N, 2N), b (S, order+1, 2N) and C (S, order+1, 2N, 2N):
     the exact channel Taylor coefficients of every setup
     (:func:`rapidgauss.channels.channel_taylor_stack`) fed into one
-    logarithm series of the lifted channel series (the kernel behind
-    :func:`series_from_channel_series`).  Any order >= 0.  Each setup's
-    coefficients are bit for bit those of its own stack of one."""
+    logarithm series of the lifted channel series (:func:`_series_of_stacks`).
+    Any order >= 0.  Each setup's coefficients are bit for bit those of its
+    own stack of one."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _series_of_stacks(*channel_taylor_stack(setups, order + 1), order)
-
-
-def series_from_channel_series(t_series, d_series, r_series, order):
-    """Generator series from a channel series (T_k, d_k, R_k).
-
-    Lifts the channel series to the series of the channel lift
-    [[T^-1, T^-1 R, -T^-1 d], [0, T^T, 0], [0, 0, 1]] and reads the
-    generators off its logarithm series, as :func:`generators_from_channel`
-    does for a single dt.  The channel series must start from the trivial
-    channel (T_0 = 1, d_0 = 0, R_0 = 0) and must carry one more order than
-    requested, since the k-th generator coefficient draws on the (k+1)-th
-    channel one.  Once checked, the order-0 terms are taken as exactly
-    trivial: no product with T_0, d_0 or R_0 is formed.  Any order >= 0 is
-    supported.
-    """
-    t_series, d_series, r_series = (
-        [np.asarray(m, dtype=float) for m in series] for series in (t_series, d_series, r_series)
-    )
-    n = t_series[0].shape[0]
-    if max(np.abs(m).max() for m in (t_series[0] - np.eye(n), d_series[0], r_series[0])) > 1e-12:
-        raise MalformedSeriesError("channel series must start from the trivial channel")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if min(len(t_series), len(d_series), len(r_series)) < order + 2:
-        raise MalformedSeriesError(
-            f"order-{order} generators need channel coefficients through order {order + 1}"
-        )
-    stacks = (np.array([series[: order + 2]]) for series in (t_series, d_series, r_series))
-    return GeneratorSeries(*(coeffs[0] for coeffs in _series_of_stacks(*stacks, order)))
 
 
 def generator_series_from_joint(setup, order):

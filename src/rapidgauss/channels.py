@@ -284,46 +284,26 @@ def _joint_lifts(setups):
     return affine_lift(f, np.concatenate([stack("alpha_S"), stack("alpha_A")], axis=1))
 
 
-def _affine_flow(lift, t):
-    """exp(lift t) of one affine lift [[M, v], [0, 0]] as exp(M t) and its
-    shift column; v enters balanced (linalg.balancing_exponents) and the
-    shift leaves scaled back, so exp(M t) keeps its digits however large v is."""
-    n = len(lift) - 1
+def reduce_from_joint(setup):
+    """Channel on the system alone from one joint evolution of duration
+    setup.dt.
+
+    One exponential of the setup's joint affine lift times dt gives the
+    joint flow X -> M X + shift; the shift column enters balanced
+    (linalg.balancing_exponents) and leaves scaled back, so M keeps its
+    digits however large alpha is.  With M split into system/ancilla blocks
+    M_SS, M_SA, the channel is T = M_SS, d = M_SA X_A0 + shift_S and
+    R = M_SA sigma_A0 M_SA^T.  The output is CPTP whenever the ancilla state
+    is valid.
+    """
+    lift = _joint_lifts([setup])[0]
+    n, ds = len(lift) - 1, 2 * setup.n_sys
     (k,) = balancing_exponents(lift[:n, :n], lift[:n, n])
-    flow = mat_exp(np.ldexp(lift, np.repeat((0, -k), (n, 1))) * t)
-    return flow[:n, :n], np.ldexp(flow[:n, n], k)
-
-
-def hamiltonian_flow(hamiltonian, t):
-    """Noiseless channel (R = 0) of a quadratic Hamiltonian over time t.
-
-    One balanced exponential of the affine lift (phasespace.affine_lift)
-    times t gives the symplectic T = exp(Omega F t) as its top-left block
-    and d = [(exp(Omega F t) - 1)/(Omega F)] Omega alpha as its last
-    column, with no special casing of singular Omega F (free or partial
-    Hamiltonians).
-    """
-    n = hamiltonian.F.shape[0]
-    flow, shift = _affine_flow(affine_lift(hamiltonian.F, hamiltonian.alpha), t)
-    return GaussianChannel(T=flow, d=shift, R=np.zeros((n, n)))
-
-
-def reduce_from_joint(setup, dt=None):
-    """Channel on the system alone from one joint evolution of duration dt.
-
-    Takes the joint flow X -> M X + shift over dt from one balanced
-    exponential of the setup's joint lift (as :func:`hamiltonian_flow`
-    does), splits M into system/ancilla blocks M_SS, M_SA, and returns
-    T = M_SS, d = M_SA X_A0 + shift_S, R = M_SA sigma_A0 M_SA^T.  The
-    output is CPTP whenever the ancilla state is valid.
-    """
-    if dt is None:
-        dt = setup.dt
-    ds = 2 * setup.n_sys
-    flow, shift = _affine_flow(_joint_lifts([setup])[0], dt)
-    m_sa = flow[:ds, ds:]
+    flow = mat_exp(np.ldexp(lift, np.repeat((0, -k), (n, 1))) * setup.dt)
+    m_sa = flow[:ds, ds:n]
     r = m_sa @ setup.sigma_A0 @ m_sa.T
-    return GaussianChannel(T=flow[:ds, :ds], d=m_sa @ setup.X_A0 + shift[:ds], R=(r + r.T) / 2)
+    d = m_sa @ setup.X_A0 + np.ldexp(flow[:ds, n], k)
+    return GaussianChannel(T=flow[:ds, :ds], d=d, R=(r + r.T) / 2)
 
 
 def channel_taylor_stack(setups, order):

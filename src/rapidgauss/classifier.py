@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .interpolation import Generators
 
-_BASIS_NAMES = ("id", "omega", "x", "z")
 # basis[k] is the k-th 2x2 basis matrix; every entry is 0 or +-1
 _BASIS = np.array(
     [
@@ -80,39 +79,22 @@ def allowed_types(order):
     return out
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Coefficients of every 2x2 block over {1, omega, X, Z}.
-
-    coefficients[i, j] holds the four coefficients of block (i, j).
-    """
-
-    coefficients: np.ndarray
-    basis_names: tuple = _BASIS_NAMES
-
-    def block(self, i, j):
-        return {name: float(c) for name, c in zip(self.basis_names, self.coefficients[i, j])}
-
-    def reconstruct(self):
-        nb = self.coefficients.shape[0]
-        return np.einsum("ijk,kab->iajb", self.coefficients, _BASIS).reshape(2 * nb, 2 * nb)
-
-
 def block_decompose(m):
-    """Exact expansion of each 2x2 block over the orthogonal basis.
+    """Exact expansion of each 2x2 block over the orthogonal basis: an array
+    (N, N, 4) whose entry [i, j] holds the coefficients of block (i, j) over
+    {1, omega, X, Z}, in that order.
 
     The basis is orthogonal under (1/2) Tr(P^T Q), so coefficients are plain
-    trace projections and the round trip is exact.  All blocks are projected
-    by one einsum over m viewed as (block row, row, block column, column);
-    the basis entries are 0 and +-1, so each coefficient is exactly
+    trace projections and the blocks are their exact sums.  All blocks are
+    projected by one einsum over m viewed as (block row, row, block column,
+    column); the basis entries are 0 and +-1, so each coefficient is exactly
     (1/2)(m_ab +- m_cd).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
         raise DimensionMismatchError("expected a square matrix of even dimension")
     nb = m.shape[0] // 2
-    coeffs = 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BASIS)
-    return BlockDecomposition(coefficients=coeffs)
+    return 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BASIS)
 
 
 @dataclass(frozen=True)
@@ -152,9 +134,9 @@ def classify(gen):
     thr = CLASSIFY_EPS * scale
 
     # per block and basis element: is the coefficient above the threshold?
-    sym = np.abs(block_decompose((a + a.T) / 2).coefficients) > thr
-    anti = np.abs(block_decompose((a - a.T) / 2).coefficients) > thr
-    noise = np.abs(block_decompose((c + c.T) / 2).coefficients) > thr
+    sym = np.abs(block_decompose((a + a.T) / 2)) > thr
+    anti = np.abs(block_decompose((a - a.T) / 2)) > thr
+    noise = np.abs(block_decompose((c + c.T) / 2)) > thr
     eye = np.eye(sym.shape[0], dtype=bool)
     # basis order: id, omega, x, z; diagonal blocks act on one mode, the
     # off-diagonal ones couple two

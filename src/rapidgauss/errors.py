@@ -41,4 +41,5 @@ class InvalidSetupError(RapidGaussError, ValueError):
 
 
 class MalformedSeriesError(RapidGaussError, ValueError):
-    """A channel power series does not start from the trivial channel."""
+    """A generator series does not hold one coefficient of A, b and C per
+    order."""

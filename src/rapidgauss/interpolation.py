@@ -17,21 +17,21 @@ M = Omega A, the exponential of their block upper-triangular lift of size
 23(3):395, 1978), so propagation is one exponential.
 
 The generators are constant, so the flow is a semigroup: the channel over
-t + s is the channel over s composed with the channel over t.  Trajectories
-(:func:`flow_states`) therefore step from one requested time to the next
-with the channel of the gap between them, one run (channel, count) per
-stretch of equal gaps (:func:`gap_runs`); an evenly spaced grid is one run
-of one channel.
+t + s is the channel over s composed with the channel over t.  A trajectory
+therefore steps from one requested time to the next with the channel of the
+gap between them, one run (channel, count) per stretch of equal gaps
+(:func:`gap_runs`), which rapidgauss.channels.apply_runs applies; an evenly
+spaced grid is one run of one channel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CP_TOL, CpReport, GaussianChannel, _square, apply_runs, identity_channel
+from .channels import CP_TOL, CpReport, GaussianChannel, _square, identity_channel
 from .errors import BranchCutError, SingularMatrixError
 from .linalg import balancing_exponents, mat_exp, psd_margin
-from .phasespace import GaussianState, _PhaseSpaceRecord, _frozen_arrays, symplectic_form
+from .phasespace import _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -216,25 +216,6 @@ def gap_runs(gen, marks, unit=1.0):
         previous = mark
     if count:
         yield cache[run_gap], count
-
-
-def flow_states(gen, state, times):
-    """Yield the states of the master-equation flow from `state` at `times`.
-
-    The times are nondecreasing and measured from the moment `state` holds.
-    The state at times[k] is the channel over the float gap
-    times[k] - times[k-1] applied to the state at times[k-1]
-    (:func:`gap_runs` with unit 1), so each distinct float gap costs one
-    exponential.  The steps run in :func:`rapidgauss.channels.apply_runs`,
-    which fills each run of equal gaps by state doubling, so the states
-    agree with a loop of :func:`rapidgauss.channels.apply` to rounding; each
-    yielded state is then built, and so checked, as a GaussianState.
-
-    Raises ValueError when the times decrease, as soon as iteration starts.
-    """
-    means, covs = apply_runs(gap_runs(gen, times), state.mean, state.cov)
-    for mean, cov in zip(means, covs):
-        yield GaussianState(mean=mean, cov=cov)
 
 
 def cp_margins(a, c):

@@ -8,12 +8,12 @@ and the margin of the uncertainty bound that states, channels and
 generators all satisfy.  Everything is pure, operates on small dense arrays,
 and is safe to call concurrently.
 
-The exponential is numpy's own: scaling and squaring with a Padé degree
-and a scaling chosen from exact 1-norms of matrix powers (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31(3):970, 2009).  The logarithm has no kernel
-here: interpolation.generators_from_channel takes it in the eigenbasis of
-T, or through scipy's Schur logm of the balanced lift for a nearly
-defective T.
+The exponential (:func:`mat_exp`) is this module's own, in numpy: scaling
+and squaring with a Padé degree and a scaling chosen from exact 1-norms of
+matrix powers (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3):970,
+2009).  The logarithm has no kernel here:
+interpolation.generators_from_channel takes it in the eigenbasis of T, or
+through scipy's Schur logm of the balanced lift for a nearly defective T.
 """
 
 import math

@@ -1,11 +1,13 @@
-"""Gaussian states on phase space and the quadratic Hamiltonians that move them.
+"""Gaussian states on phase space and the lift of the quadratic
+Hamiltonians that move them.
 
 A state of N modes is a mean vector of length 2N and a real symmetric 2N x 2N
 covariance matrix, in the quadrature ordering (q1, p1, ..., qN, pN) with
 dimensionless units in which [q, p] = i.  Valid states satisfy the
-uncertainty bound: cov + i*Omega is positive semi-definite.  The flow of a
-quadratic Hamiltonian over a time t is the noiseless Gaussian channel
-:func:`rapidgauss.channels.hamiltonian_flow`.
+uncertainty bound: cov + i*Omega is positive semi-definite.  A quadratic
+Hamiltonian (F, alpha) moves them by the exponential of its affine lift
+(:func:`affine_lift`), which rapidgauss.channels.reduce_from_joint takes of
+the joint system-ancilla Hamiltonian.
 """
 
 import math
@@ -101,19 +103,12 @@ def _frozen_arrays(
 
 class _PhaseSpaceRecord:
     """Base of the frozen dataclasses of phase-space arrays, such as states
-    (mean, cov), channels (T, d, R) and generators (A, b, C).  The first
-    field has length 2N, and the JSON form maps each field name to lists."""
+    (mean, cov), channels (T, d, R) and generators (A, b, C), whose first
+    field has length 2N."""
 
     @property
     def n_modes(self):
         return len(getattr(self, fields(self)[0].name)) // 2
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(**{f.name: np.asarray(obj[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -127,17 +122,6 @@ class GaussianState(_PhaseSpaceRecord):
         _frozen_arrays(
             self, "mean", {"cov": True}, asymmetric=InvalidStateError, nonfinite=ValueError
         )
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian(_PhaseSpaceRecord):
-    """Quadratic generator: symmetric matrix F plus linear vector alpha."""
-
-    F: np.ndarray
-    alpha: np.ndarray = None
-
-    def __post_init__(self):
-        _frozen_arrays(self, "alpha", {"F": True})
 
 
 @dataclass(frozen=True)

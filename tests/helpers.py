@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 import rapidgauss
-from rapidgauss.channels import GaussianChannel, apply_runs
+from rapidgauss.channels import GaussianChannel, JointSetup, apply_runs
 from rapidgauss.interpolation import (
     LIFT_NORM_MAX,
     Generators,
@@ -119,6 +119,19 @@ def block_trace_projection(m):
     return coeffs
 
 
+def block_sum(coeffs):
+    """The matrix whose 2x2 block (i, j) is sum_k coeffs[i, j, k] times the
+    k-th block basis element: the inverse of :func:`block_trace_projection`."""
+    nb = len(coeffs)
+    m = np.zeros((2 * nb, 2 * nb))
+    for i in range(nb):
+        for j in range(nb):
+            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = sum(
+                c * basis for c, basis in zip(coeffs[i, j], _BLOCK_BASIS)
+            )
+    return m
+
+
 def classify_flags_loop(a, b, c, eps=1e-10):
     """Dynamics-type flags of generators (A, b, C), block by block: a type is
     present when one of its coefficients, on a diagonal block for the
@@ -181,6 +194,27 @@ def channel_taylor_lists(setup, order):
             acc += m_sa[i] @ setup.sigma_A0 @ m_sa[k - i].T
         r_list.append((acc + acc.T) / 2)
     return [term[:ds, :ds] for term in terms], d_list, r_list
+
+
+def noiseless_flow(f, t, alpha=None):
+    """Noiseless channel (R = 0) of the quadratic Hamiltonian (F, alpha)
+    over time t: scipy's expm of the affine lift
+    [[Omega F, Omega alpha], [0, 0]] t, built with np.block as in
+    :func:`channel_taylor_lists`, so that it shares no code with the
+    package's balanced exponential of the joint lift."""
+    f = np.asarray(f, dtype=float)
+    n = len(f)
+    omega = symplectic_form(n // 2)
+    shift = omega @ (np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float))
+    flow = scipy.linalg.expm(np.block([[omega @ f, shift[:, None]], [np.zeros((1, n + 1))]]) * t)
+    return GaussianChannel(T=flow[:n, :n], d=flow[:n, n], R=np.zeros((n, n)))
+
+
+def decoupled_setup(f, alpha, dt=0.0):
+    """A setup whose system Hamiltonian is (F, alpha) and whose one-mode
+    ancilla is decoupled (G = 0), so that its reduction is the Hamiltonian's
+    noiseless flow over dt."""
+    return JointSetup(F_S=f, F_A=np.eye(2), G=np.zeros((len(f), 2)), alpha_S=alpha, dt=dt)
 
 
 def series_from_joint_lists(setup, order):

@@ -4,6 +4,8 @@ Every test finishes by printing a single PASS line (visible under -s); a
 failing criterion fails its test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_criterion_01_interpolation_exactness():
     for trial in range(100):
         setup = random_joint_setup(rng)
         for dt in (0.01, 0.1):
-            channel = reduce_from_joint(setup, dt=dt)
+            channel = reduce_from_joint(replace(setup, dt=dt))
             gens = generators_from_channel(channel, dt)
             running = channel
             for n in range(1, 21):
@@ -89,7 +91,7 @@ def test_criterion_02_series_cross_route():
         steps = [1e-2, 5e-3, 2.5e-3]
         sampled = []
         for dt in steps:
-            gens = generators_from_channel(reduce_from_joint(setup, dt=dt), dt)
+            gens = generators_from_channel(reduce_from_joint(replace(setup, dt=dt)), dt)
             sampled.append(
                 np.concatenate([gens.A.reshape(-1), gens.b, gens.C.reshape(-1)])
             )

@@ -16,16 +16,15 @@ from rapidgauss.interpolation import Generators
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import OscillatorBathSetup, to_joint_setup
 
-from helpers import block_trace_projection, classify_flags_loop
+from helpers import block_sum, block_trace_projection, classify_flags_loop
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_block_decompose_basis_elements():
-    dec = block_decompose(OMEGA2)
-    assert dec.block(0, 0) == {"id": 0.0, "omega": 1.0, "x": 0.0, "z": 0.0}
-    dec = block_decompose(np.eye(2))
-    assert dec.block(0, 0) == {"id": 1.0, "omega": 0.0, "x": 0.0, "z": 0.0}
+    # coefficients over {1, omega, X, Z}, in that order
+    assert block_decompose(OMEGA2)[0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert block_decompose(np.eye(2))[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_block_decompose_round_trip(rng):
@@ -33,15 +32,15 @@ def test_block_decompose_round_trip(rng):
         for _ in range(5):
             m = rng.uniform(-3, 3, (2 * n, 2 * n))
             dec = block_decompose(m)
-            assert dec.coefficients.shape == (n, n, 4)
-            assert_allclose(dec.reconstruct(), m, atol=1e-14)
+            assert dec.shape == (n, n, 4)
+            assert_allclose(block_sum(dec), m, atol=1e-14)
 
 
 def test_block_decompose_equals_trace_projection_bit_for_bit(rng):
     for n in range(1, 13):
         m = rng.normal(size=(2 * n, 2 * n)) * 10.0 ** rng.uniform(-8, 8, (2 * n, 2 * n))
         for mat in (m, (m + m.T) / 2, (m - m.T) / 2):
-            assert np.array_equal(block_decompose(mat).coefficients, block_trace_projection(mat))
+            assert np.array_equal(block_decompose(mat), block_trace_projection(mat))
 
 
 def test_block_decompose_rejects_odd_dimension():

@@ -19,18 +19,17 @@ from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
     apply,
-    hamiltonian_flow,
     identity_channel,
     reduce_from_joint,
 )
 from rapidgauss.classifier import table_availability
 from rapidgauss.cli import main
 from rapidgauss.interpolation import EIGENBASIS_COND_MAX, Generators, cp_differential_check
-from rapidgauss.phasespace import GaussianState, QuadraticHamiltonian
+from rapidgauss.phasespace import GaussianState
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import first_order_generators
 
-from helpers import fresh_python, row_errors
+from helpers import fresh_python, noiseless_flow, row_errors
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -79,13 +78,11 @@ def test_evolve_decoupled_matches_free_flow(tmp_path):
     assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
     header, data = _read_csv(out)
     assert header[0] == "t"
-    ham = QuadraticHamiltonian(
-        F=np.array(cfg["setup"]["F_S"]), alpha=np.array(cfg["setup"]["alpha_S"])
-    )
+    f, alpha = cfg["setup"]["F_S"], cfg["setup"]["alpha_S"]
     state = GaussianState(mean=np.zeros(2), cov=np.eye(2))
     for row in data:
         t = row[0]
-        expected = apply(hamiltonian_flow(ham, t), state)
+        expected = apply(noiseless_flow(f, t, alpha), state)
         assert_allclose(row[1:3], expected.mean, atol=1e-12)
         assert_allclose(
             row[3:6],

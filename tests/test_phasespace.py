@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss.channels import GaussianChannel, JointSetup, apply, compose, hamiltonian_flow
+from rapidgauss.channels import GaussianChannel, JointSetup, apply, compose
 from rapidgauss.errors import DimensionMismatchError, InvalidSetupError, InvalidStateError
 from rapidgauss.interpolation import Generators
 from rapidgauss.phasespace import (
     GaussianState,
-    QuadraticHamiltonian,
     affine_lift,
     beta_from_nu,
     nu_from_beta,
@@ -18,7 +17,7 @@ from rapidgauss.phasespace import (
 )
 from rapidgauss.sampling import random_symplectic
 
-from helpers import central_difference
+from helpers import central_difference, noiseless_flow
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -118,8 +117,7 @@ def test_nu_monotone_decreasing():
 
 
 def test_hamiltonian_flow_rotation():
-    h = QuadraticHamiltonian(F=2.0 * np.eye(2))
-    flow = hamiltonian_flow(h, 0.4)
+    flow = noiseless_flow(2.0 * np.eye(2), 0.4)
     theta = 0.8
     expected = np.array(
         [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
@@ -130,8 +128,7 @@ def test_hamiltonian_flow_rotation():
 
 def test_hamiltonian_flow_pure_drift():
     alpha = np.array([0.3, -1.2])
-    h = QuadraticHamiltonian(F=np.zeros((2, 2)), alpha=alpha)
-    flow = hamiltonian_flow(h, 2.5)
+    flow = noiseless_flow(np.zeros((2, 2)), 2.5, alpha)
     assert_allclose(flow.T, np.eye(2))
     assert_allclose(flow.d, 2.5 * OMEGA2 @ alpha, atol=1e-15)
 
@@ -139,20 +136,20 @@ def test_hamiltonian_flow_pure_drift():
 def test_hamiltonian_flow_matches_equations_of_motion(rng):
     # d/dt X = Omega (F X + alpha), d/dt cov = (Omega F) cov + cov (Omega F)^T
     f = rng.uniform(-1, 1, (4, 4))
-    h = QuadraticHamiltonian(F=(f + f.T) / 2, alpha=rng.uniform(-1, 1, 4))
+    f, alpha = (f + f.T) / 2, rng.uniform(-1, 1, 4)
     omega = symplectic_form(2)
     state = GaussianState(mean=rng.uniform(-1, 1, 4), cov=2.0 * np.eye(4))
 
     def mean_at(t):
-        return apply(hamiltonian_flow(h, t), state).mean
+        return apply(noiseless_flow(f, t, alpha), state).mean
 
     def cov_at(t):
-        return apply(hamiltonian_flow(h, t), state).cov
+        return apply(noiseless_flow(f, t, alpha), state).cov
 
     t0 = 0.6
-    middle = apply(hamiltonian_flow(h, t0), state)
-    expected_dmean = omega @ (h.F @ middle.mean + h.alpha)
-    gen = omega @ h.F
+    middle = apply(noiseless_flow(f, t0, alpha), state)
+    expected_dmean = omega @ (f @ middle.mean + alpha)
+    gen = omega @ f
     expected_dcov = gen @ middle.cov + middle.cov @ gen.T
     assert_allclose(central_difference(mean_at, t0), expected_dmean, atol=1e-6)
     assert_allclose(central_difference(cov_at, t0), expected_dcov, atol=1e-6)
@@ -161,18 +158,17 @@ def test_hamiltonian_flow_matches_equations_of_motion(rng):
 def test_flow_is_symplectic(rng):
     for _ in range(10):
         f = rng.uniform(-1, 1, (4, 4))
-        h = QuadraticHamiltonian(F=(f + f.T) / 2)
-        flow = hamiltonian_flow(h, rng.uniform(0.1, 2.0))
+        flow = noiseless_flow((f + f.T) / 2, rng.uniform(0.1, 2.0))
         omega = symplectic_form(2)
         assert np.abs(flow.T @ omega @ flow.T.T - omega).max() < 1e-9
 
 
 def test_flow_composition_group_property(rng):
     f = rng.uniform(-1, 1, (4, 4))
-    h = QuadraticHamiltonian(F=(f + f.T) / 2, alpha=rng.uniform(-1, 1, 4))
-    one = hamiltonian_flow(h, 0.7)
-    two = hamiltonian_flow(h, 0.5)
-    both = hamiltonian_flow(h, 1.2)
+    f, alpha = (f + f.T) / 2, rng.uniform(-1, 1, 4)
+    one = noiseless_flow(f, 0.7, alpha)
+    two = noiseless_flow(f, 0.5, alpha)
+    both = noiseless_flow(f, 1.2, alpha)
     composed = compose(two, one)
     assert_allclose(composed.T, both.T, atol=1e-10)
     assert_allclose(composed.d, both.d, atol=1e-10)
@@ -185,7 +181,7 @@ def test_apply_flow_identity_and_rotation():
     assert_allclose(same.mean, state.mean)
     assert_allclose(same.cov, state.cov)
 
-    rot = hamiltonian_flow(QuadraticHamiltonian(F=np.eye(2)), 1.3)
+    rot = noiseless_flow(np.eye(2), 1.3)
     vacuum = GaussianState(mean=np.zeros(2), cov=np.eye(2))
     rotated = apply(rot, vacuum)
     assert_allclose(rotated.cov, np.eye(2), atol=1e-14)
@@ -213,24 +209,11 @@ def test_state_shape_checks():
         )
 
 
-def test_state_json_round_trip(rng):
-    s = random_symplectic(rng, 1, 0.4)
-    state = GaussianState(mean=np.array([0.2, -0.4]), cov=s @ (2.0 * np.eye(2)) @ s.T)
-    again = GaussianState.from_dict(state.to_dict())
-    assert_allclose(again.mean, state.mean)
-    assert_allclose(again.cov, state.cov)
-
-
 # Each record checks its (matrix, vector) pairs in one order: finite, then
 # shapes, then symmetry.  The malformed matrix goes where it must be
-# symmetric: the covariance, F, the noise R or C, and F_S.
+# symmetric: the covariance, the noise R or C, and F_S.
 _RECORDS = {
     "GaussianState": (lambda m, v: GaussianState(mean=v, cov=m), ValueError, InvalidStateError),
-    "QuadraticHamiltonian": (
-        lambda m, v: QuadraticHamiltonian(F=m, alpha=v),
-        InvalidSetupError,
-        InvalidSetupError,
-    ),
     "GaussianChannel": (
         lambda m, v: GaussianChannel(T=np.eye(len(v)), d=v, R=m),
         InvalidSetupError,

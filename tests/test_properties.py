@@ -14,7 +14,6 @@ rotation and on a damped Jordan block.  Weak couplings, down to 1e-6, are
 drawn from a seeded numpy table instead, which no literal can shift.
 """
 
-import json
 from dataclasses import replace
 from itertools import groupby
 
@@ -30,7 +29,6 @@ from rapidgauss.channels import (
     apply_runs,
     channel_power,
     compose,
-    hamiltonian_flow,
     identity_channel,
     is_cptp,
     reduce_from_joint,
@@ -44,7 +42,7 @@ from rapidgauss.interpolation import (
     generators_from_channel,
     propagate,
 )
-from rapidgauss.phasespace import QuadraticHamiltonian, symplectic_form
+from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_joint_setup
 from rapidgauss.thermalization import (
     OscillatorBathSetup,
@@ -53,7 +51,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import apply_loop, apply_sequence, gap_channels, row_errors
+from helpers import apply_loop, apply_sequence, decoupled_setup, gap_channels, row_errors
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 BRANCH_LIMIT = 0.9 * np.pi
@@ -103,10 +101,10 @@ def _collisions(draw):
 def _off_the_cut(setup, dt):
     """(channel, dt) of one collision, dt halved until the largest |arg mu|
     of T is below BRANCH_LIMIT."""
-    channel = reduce_from_joint(setup, dt)
+    channel = reduce_from_joint(replace(setup, dt=dt))
     while np.abs(np.angle(np.linalg.eigvals(channel.T))).max() >= BRANCH_LIMIT:
         dt /= 2
-        channel = reduce_from_joint(setup, dt)
+        channel = reduce_from_joint(replace(setup, dt=dt))
     return channel, dt
 
 
@@ -168,9 +166,6 @@ def test_collisions_are_cptp_with_symmetric_noise(collision):
     report = is_cptp(channel)
     assert report.ok and np.isfinite(report.margin)
     assert np.isfinite(cp_differential_check(gen).margin)
-    for record in (channel, gen):
-        again = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
-        assert all(np.array_equal(getattr(again, k), v) for k, v in record.to_dict().items())
 
 
 @PROPERTY
@@ -271,15 +266,15 @@ def test_contractive_flow_settles_at_the_discrete_fixed_point(bath):
 @st.composite
 def _hamiltonians(draw):
     dim = 2 * draw(st.integers(1, 3))
-    return QuadraticHamiltonian(F=draw(_symmetric(dim, 2.0)), alpha=draw(_entries(dim, 2.0)))
+    return decoupled_setup(draw(_symmetric(dim, 2.0)), draw(_entries(dim, 2.0)))
 
 
 @PROPERTY
 @given(_hamiltonians(), st.floats(0.0, 3.0))
-@example(QuadraticHamiltonian(F=np.diag([1e-300, 2e-300]), alpha=np.array([1e300, -1e300])), 3.0)
-@example(QuadraticHamiltonian(F=np.eye(2), alpha=np.array([1e-300, 1e300])), 3.0)
-def test_hamiltonian_flow_is_a_noiseless_symplectic_channel(hamiltonian, t):
-    flow = hamiltonian_flow(hamiltonian, t)
+@example(decoupled_setup(np.diag([1e-300, 2e-300]), np.array([1e300, -1e300])), 3.0)
+@example(decoupled_setup(np.eye(2), np.array([1e-300, 1e300])), 3.0)
+def test_hamiltonian_flow_is_a_noiseless_symplectic_channel(setup, t):
+    flow = reduce_from_joint(replace(setup, dt=t))
     assert not flow.R.any()
     omega = symplectic_form(flow.n_modes)
     residual = np.abs(flow.T @ omega @ flow.T.T - omega).max()
