@@ -65,9 +65,7 @@ from .phasespace import (
     GaussianState,
     beta_from_nu,
     nu_from_beta,
-    purity,
     symplectic_form,
-    thermal_state,
     validate_state,
 )
 from .thermalization import (

@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 usage or config errors (non-finite config arrays
 included) and output errors (an --out file or stdout that cannot be
 written), 2 numerical precondition failures (for example a step duration
 too large for the principal-branch logarithm, a trajectory that overflows,
-or any numpy or scipy RuntimeWarning, which a command raises as an error),
+or any numpy RuntimeWarning, which a command raises as an error),
 3 invariant violations.
 """
 

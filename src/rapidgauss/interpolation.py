@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import CP_TOL, CpReport, GaussianChannel, _square, identity_channel
 from .errors import BranchCutError, SingularMatrixError
-from .linalg import balancing_exponents, mat_exp, psd_margin
+from .linalg import balancing_exponents, mat_exp, mat_log, psd_margin
 from .phasespace import _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
 
@@ -79,8 +79,8 @@ def _log_ratio(x):
     return np.where(zero, 1.0, x / np.expm1(np.where(zero, 1.0, x)))
 
 
-# cond(V) of T's eigenvectors past which the generators come from the Schur
-# Log of the lift: near a Jordan block the eigenbasis loses ~eps cond(V)^2
+# cond(V) of T's eigenvectors past which the generators come from the
+# mat_log of the lift: near a Jordan block the eigenbasis loses ~eps cond(V)^2
 EIGENBASIS_COND_MAX = 1e2
 
 
@@ -94,8 +94,8 @@ def generators_from_channel(channel, dt):
         C dt = V [(W R W^T) * f(lambda_i + lambda_j)] V^T,
 
     the last being vec C = [Log(T x T) / (T x T - 1)] vec R / dt.  Past
-    EIGENBASIS_COND_MAX they are read off scipy's Schur logarithm of the
-    channel lift (:func:`channel_lift`, :func:`read_generators`), its R and
+    EIGENBASIS_COND_MAX they are read off linalg.mat_log of the channel
+    lift (:func:`channel_lift`, :func:`read_generators`), its R and
     d columns balanced to the size of max(|T|, 1).
 
     Raises BranchCutError when T has an eigenvalue on the closed negative
@@ -122,22 +122,14 @@ def generators_from_channel(channel, dt):
         c = (v @ ((w @ channel.R @ w.T) * _log_ratio(lam[:, None] + lam)) @ v.T).real
         omega = symplectic_form(channel.n_modes)
         return Generators(A=omega @ m / -dt, b=omega @ shift / -dt, C=(c + c.T) / (2 * dt))
-    import scipy.linalg  # only this rare fallback needs scipy
-
     # R and d enter the lift balanced (linalg.balancing_exponents), and the
-    # logarithm's C and b columns leave scaled back.  logm's 1-norm
-    # estimator divides by the moduli of entries, which overflows for
-    # subnormal ones, and logm rejects an intermediate that overflowed with
-    # a ValueError; a logarithm not finite once scaled back is reported below
+    # logarithm's C and b columns leave scaled back; a logarithm not finite
+    # once scaled back is reported below
     exponents = np.repeat((0, *balancing_exponents(t, channel.R, channel.d)), (n, n, 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = np.ldexp(np.column_stack([np.eye(n), channel.R, -channel.d]), -exponents)
         top = np.linalg.solve(t, top)
-        try:
-            log = scipy.linalg.logm(channel_lift(top, t, 1.0))[:n].real
-            log = np.ldexp(log, exponents) / dt
-        except ValueError:
-            log = np.array(np.nan)
+        log = np.ldexp(mat_log(channel_lift(top, t, 1.0))[:n], exponents) / dt
     if not np.isfinite(log).all():
         raise SingularMatrixError("generators_from_channel: the logarithm is not finite")
     return Generators(*read_generators(log))

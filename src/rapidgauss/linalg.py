@@ -1,26 +1,28 @@
 """Dense matrix kernels used throughout the package.
 
-Provides the matrix exponential, taken of the lifts that
-phasespace.affine_lift and interpolation.channel_lift build, the one
+Provides the matrix exponential and principal logarithm, taken of the lifts
+that phasespace.affine_lift and interpolation.channel_lift build, the one
 power-of-two balancing rule that every lift exponential and logarithm
 applies to its shift and noise blocks first (:func:`balancing_exponents`),
 and the margin of the uncertainty bound that states, channels and
 generators all satisfy.  Everything is pure, operates on small dense arrays,
 and is safe to call concurrently.
 
-The exponential (:func:`mat_exp`) is this module's own, in numpy: scaling
-and squaring with a Padé degree and a scaling chosen from exact 1-norms of
-matrix powers (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3):970,
-2009).  The logarithm has no kernel here:
-interpolation.generators_from_channel takes it in the eigenbasis of T, or
-through scipy's Schur logm of the balanced lift for a nearly defective T.
+Both kernels are this module's own, in numpy.  The exponential
+(:func:`mat_exp`) is scaling and squaring with a Padé degree and a scaling
+chosen from exact 1-norms of matrix powers (Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31(3):970, 2009).  The logarithm (:func:`mat_log`) is
+inverse scaling and squaring with one Padé degree (Higham, SIAM J. Matrix
+Anal. Appl. 22(4):1126, 2001); interpolation.generators_from_channel takes
+it of the balanced lift for a nearly defective T, and otherwise takes the
+Log in the eigenbasis of T.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SingularMatrixError
 
 # The Padé degrees m tried before scaling, as (m, theta_m, coefficients,
 # 1/|c_{2m+1}|): the [m/m] approximant is used when the norm estimate eta of
@@ -151,6 +153,59 @@ def mat_exp(m):
     high = (_B13[:, 4:] * scales[1:]) @ powers[1:4].reshape(3, -1)
     v, w = (powers[3] * scales[3]) @ high.reshape(2, n, n) + low.reshape(2, n, n)
     return _pade_quotient((a * 2.0**-s) @ w, v, s)
+
+
+# theta_8 of Higham (2001), Table 2.1: for ||E||_1 <= _THETA8 the [8/8] Padé
+# approximant of log(I + E) is within the unit roundoff of it
+_THETA8 = 0.34
+# That approximant is the 8-node Gauss-Legendre rule for
+# log(I + E) = int_0^1 E (I + t E)^-1 dt.  Its nodes t on [0, 1] and their
+# weights come from the eigenvectors of the Jacobi matrix of the Legendre
+# polynomials (Golub & Welsch, Math. Comp. 23:221, 1969).
+_k = np.arange(1.0, 8.0)
+_x, _v = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k**2 - 1.0), -1))
+_NODES, _WEIGHTS = (1.0 + _x) / 2, _v[0] ** 2
+del _k, _x, _v
+# Most square roots mat_log takes, and most iterations it spends on each
+_ROOTS_MAX = 64
+
+
+def mat_log(m):
+    """Principal logarithm of one square matrix with finite entries and no
+    eigenvalue on the closed negative real axis.
+
+    Inverse scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+    22(4):1126, 2001): s square roots bring E = X^(1/2^s) - I to
+    ||E||_1 <= _THETA8, and log X = 2^s log(I + E), the latter the [8/8]
+    Padé approximant as a Gauss-Legendre sum of solves.  Each root is the
+    product form of the Denman-Beavers iteration (Cheng, Higham, Kenney &
+    Laub, SIAM J. Matrix Anal. Appl. 22(4):1112, 2001), and updates E to
+    E (X^(1/2) + I)^-1, which does not cancel as X^(1/2) - I does.  Raises
+    SingularMatrixError when a root does not settle within _ROOTS_MAX
+    iterations, or E within _ROOTS_MAX roots, as for a real matrix with a
+    negative eigenvalue, and DimensionMismatchError as mat_exp does; a
+    singular X raises numpy's LinAlgError.
+    """
+    x = _as_matrix(m)
+    eye = np.eye(len(x))
+    e = x - eye
+    for roots in range(_ROOTS_MAX + 1):
+        if _norm1(e) <= _THETA8:
+            terms = np.linalg.solve(eye + _NODES[:, None, None] * e, e)
+            return 2.0**roots * (_WEIGHTS @ terms.reshape(len(terms), -1)).reshape(e.shape)
+        # y -> X^(1/2) as p -> I, with y^2 = X p; p - I squares each step, so
+        # one step past ||p - I||_1 <= 1e-8 leaves it below the unit roundoff
+        y = p = x
+        for _ in range(_ROOTS_MAX):
+            settled = _norm1(p - eye) <= 1e-8
+            inv = np.linalg.inv(p)
+            y, p = y @ (eye + inv) / 2, (2.0 * eye + p + inv) / 4
+            if settled:
+                break
+        else:
+            raise SingularMatrixError("mat_log: a square root did not converge")
+        e, x = np.linalg.solve((y + eye).T, e.T).T, y
+    raise SingularMatrixError("mat_log: the square roots did not reach the identity")
 
 
 def balancing_exponents(core, *blocks):

@@ -150,21 +150,6 @@ def _check_uncertainty(cov):
     )
 
 
-def purity(state):
-    """Purity of a Gaussian state, 1/det(cov); 1 for pure states."""
-    check = validate_state(state)
-    if not check.ok:
-        raise InvalidStateError(check.message)
-    return 1.0 / float(np.linalg.det(state.cov))
-
-
-def thermal_state(nu, n_modes=1):
-    """Thermal state with covariance nu * identity and zero mean; nu >= 1."""
-    if nu < 1.0:
-        raise InvalidSetupError(f"thermal parameter must be >= 1, got {nu}")
-    return GaussianState(mean=np.zeros(2 * n_modes), cov=nu * np.eye(2 * n_modes))
-
-
 def nu_from_beta(beta, energy):
     """Thermal covariance scale nu = (e^(beta E) + 1)/(e^(beta E) - 1)."""
     x = beta * energy

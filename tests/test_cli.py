@@ -674,7 +674,7 @@ def test_overflowing_schur_log_is_a_numerical_precondition(tmp_path, capsys, nu_
 @pytest.mark.parametrize("nu", [1e100, 1e200])
 def test_a_free_mode_with_a_hot_ancilla_interpolates_its_strobes(tmp_path, capsys, nu):
     # F_S = diag(1, 0) leaves T near a Jordan block, cond(V_T) = 245, so the
-    # generators come from the Schur Log of the lift, balanced against the
+    # generators come from linalg.mat_log of the lift, balanced against the
     # ancilla's noise
     setup = {
         "kind": "joint",

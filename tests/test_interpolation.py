@@ -1,11 +1,14 @@
+import ast
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rapidgauss
 from rapidgauss.channels import (
     GaussianChannel,
     JointSetup,
@@ -444,8 +447,8 @@ def test_a_nearly_defective_t_meets_its_strobes_through_the_schur_route(eps):
 
 @pytest.mark.parametrize("nu", [1e100, 1e200, 1e300])
 def test_a_damped_jordan_block_with_large_noise_takes_a_balanced_schur_log(nu):
-    # a Jordan block in T goes to the Schur Log of the lift, whose R and d
-    # enter scaled by powers of two to the size of T: logm neither warns
+    # a Jordan block in T goes to linalg.mat_log of the lift, whose R and d
+    # enter scaled by powers of two to the size of T: the Log neither warns
     # nor overflows, and one propagate gives the channel back
     jordan = np.array([[0.5, 0.3], [0.0, 0.5]])
     channel = GaussianChannel(T=jordan, d=nu * np.array([1.0, -0.5]), R=nu * np.eye(2))
@@ -458,9 +461,48 @@ def test_a_damped_jordan_block_with_large_noise_takes_a_balanced_schur_log(nu):
         assert np.abs(g - w).max() <= 1e-14 * nu
 
 
+def test_random_near_jordan_channels_meet_their_strobes(rng):
+    # a block [[lam, a], [delta, lam]] with delta down to 1e-14, in a random
+    # basis of condition at most 4, puts cond(V) of T past
+    # EIGENBASIS_COND_MAX.  mat_log updates E = X^(1/2^s) - I by a solve at
+    # each root rather than forming it, or these strobes lose a digit.
+    reached = 0
+    while reached < 24:
+        n = 2 * int(rng.integers(1, 4))
+        jordan = np.diag(rng.uniform(0.3, 1.5, n))
+        lam = rng.uniform(0.3, 1.5)
+        jordan[:2, :2] = [[lam, rng.uniform(0.2, 2.0)], [10.0 ** rng.uniform(-14, -4), lam]]
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(0.5, 2.0, n)
+        t = basis @ jordan @ np.linalg.inv(basis)
+        if np.linalg.cond(np.linalg.eig(t)[1]) <= EIGENBASIS_COND_MAX:
+            continue
+        reached += 1
+        noise = rng.normal(size=(n, n))
+        channel = GaussianChannel(T=t, d=rng.normal(size=n), R=noise @ noise.T)
+        gen = generators_from_channel(channel, 0.1)
+        for k in (1, 3, 7):
+            got, want = propagate(gen, k * 0.1), channel_power(channel, k)
+            for g, w in ((got.T, want.T), (got.d, want.d), (got.R, want.R)):
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_no_module_of_the_package_imports_scipy():
+    modules = sorted(Path(rapidgauss.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), module.name
+
+
 def test_one_log_and_one_exponential_of_one_lift(rng, monkeypatch):
-    # the generators take one eigendecomposition of the 2N x 2N T and read
-    # no Schur logarithm; each propagate takes one exponential of the lift
+    # the generators take one eigendecomposition of the 2N x 2N T and no
+    # logarithm of the lift; each propagate takes one exponential of it
     import rapidgauss.interpolation as interpolation
 
     calls = []
@@ -471,6 +513,7 @@ def test_one_log_and_one_exponential_of_one_lift(rng, monkeypatch):
     monkeypatch.setattr(interpolation, "mat_exp", counting("mat_exp", interpolation.mat_exp))
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(interpolation, "read_generators", counting("read_generators", None))
+    monkeypatch.setattr(interpolation, "mat_log", counting("mat_log", None))
     setup = random_joint_setup(rng, n_sys=3, n_anc=2, dt=0.3)
     channel = reduce_from_joint(setup)
     calls.clear()
@@ -715,7 +758,8 @@ def test_cli_thermalize_rows_on_an_uneven_grid_match_the_per_row_loop(tmp_path, 
 def test_a_defective_channel_reaches_the_schur_logarithm_by_its_lazy_import(tmp_path):
     # the free mode F_S = diag(1, 0) gives T = [[1, 0], [-dt, 1]], a Jordan
     # block: its eigenvector matrix has cond(V) ~ 9e15, past
-    # EIGENBASIS_COND_MAX
+    # EIGENBASIS_COND_MAX, so the generators come from linalg.mat_log of the
+    # lift, and scipy is never loaded
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -724,12 +768,11 @@ def test_a_defective_channel_reaches_the_schur_logarithm_by_its_lazy_import(tmp_
         "setup = JointSetup(F_S=np.diag([1.0, 0.0]), F_A=np.eye(2), G=np.zeros((2, 2)),\n"
         "                   alpha_S=np.array([0.3, -0.1]), dt=0.1)\n"
         "channel = reduce_from_joint(setup)\n"
-        "before = 'scipy' in sys.modules\n"
         "gen = generators_from_channel(channel, setup.dt)\n"
         "again = propagate(gen, setup.dt)\n"
         "err = max(np.abs(getattr(again, k) - getattr(channel, k)).max() for k in 'TdR')\n"
-        "print(before, 'scipy.linalg' in sys.modules, err)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'), err)\n"
     )
-    before, after, err = fresh_python(code, tmp_path).split()
-    assert (before, after) == ("False", "True")
+    loaded, err = fresh_python(code, tmp_path).split()
+    assert loaded == "[]"
     assert float(err) <= 1e-14

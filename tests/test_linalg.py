@@ -146,9 +146,66 @@ def test_balancing_exponents_bring_each_block_to_the_size_of_the_core():
     assert balancing_exponents(0.25 * core, np.array([0.75])) == (0,)
 
 
-# The principal logarithm has no kernel of its own: generators_from_channel
-# takes it in the eigenbasis of T, or through scipy's Schur logm of the
-# channel lift for a nearly defective T.  The tests below reach it there.
+def test_gauss_legendre_nodes_and_weights_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.abs(linalg._NODES - (1.0 + nodes) / 2).max() <= 2 * EPS
+    assert np.abs(linalg._WEIGHTS - weights / 2).max() <= 2 * EPS
+
+
+def test_mat_log_of_the_identity_is_exactly_zero():
+    for n in (1, 2, 5):
+        got = linalg.mat_log(np.eye(n))
+        assert got.shape == (n, n) and not got.any()
+
+
+def test_mat_log_matches_scipy_on_random_exponentials(rng):
+    for n in range(2, 7):
+        for scale in (0.1, 0.5, 1.0):
+            x = mat_exp(scale * rng.normal(size=(n, n)))
+            oracle = scipy.linalg.logm(x).real
+            got = linalg.mat_log(x)
+            assert np.abs(got - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
+
+
+def test_mat_log_of_rotations_up_to_near_the_cut():
+    for theta in np.array([-0.98, -0.6, 0.1, 0.5, 0.9, 0.98]) * np.pi:
+        rot = _rotation(theta)
+        oracle = scipy.linalg.logm(rot).real
+        assert np.abs(oracle - theta * OMEGA2).max() <= 1e-13
+        assert np.abs(linalg.mat_log(rot) - oracle).max() <= 1e-13 * abs(theta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-6])
+def test_mat_log_of_near_jordan_lifts_matches_scipy(rng, delta):
+    # the lifts generators_from_channel takes past EIGENBASIS_COND_MAX: a free
+    # mode's T = [[1, 0], [-dt, 1]] and Jordan blocks that damp or grow, with
+    # noise and a shift
+    for lam, dt in ((1.0, 0.1), (0.5, 0.3), (1.3, 0.7)):
+        t = np.array([[lam, delta], [-dt, lam]])
+        r = random_symmetric(rng, 2) + 2.0 * np.eye(2)
+        top = np.linalg.solve(t, np.column_stack([np.eye(2), r, rng.normal(size=2)]))
+        lift = channel_lift(top, t, 1.0)
+        oracle = scipy.linalg.logm(lift).real
+        assert np.abs(linalg.mat_log(lift) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_mat_log_raises_when_its_iterations_run_out(monkeypatch):
+    # a real matrix with a negative eigenvalue has no real square root, so
+    # the Denman-Beavers iteration never settles
+    with pytest.raises(SingularMatrixError, match="a square root did not converge"):
+        linalg.mat_log(np.diag([-2.0, 1.0]))
+    # I + N, N nilpotent, has the root I + N/2, which the iteration reaches
+    # in one step, but ||N||_1 = 1e6 takes 22 roots to come within _THETA8
+    shear = np.array([[1.0, 1e6], [0.0, 1.0]])
+    assert np.abs(linalg.mat_log(shear) - (shear - np.eye(2))).max() <= 1e-15 * 1e6
+    monkeypatch.setattr(linalg, "_ROOTS_MAX", 3)
+    with pytest.raises(SingularMatrixError, match="did not reach the identity"):
+        linalg.mat_log(shear)
+
+
+# generators_from_channel takes the principal logarithm in the eigenbasis of
+# T, or as linalg.mat_log of the channel lift for a nearly defective T.  The
+# tests below reach it there.
 
 
 def _log(t):
@@ -181,7 +238,7 @@ def test_mat_log_branch_cut_and_singular():
 
 @pytest.mark.parametrize("nu_a", [1e307, 1.7e308])
 def test_mat_log_of_an_overflowing_schur_fallback_is_not_finite(nu_a):
-    # a damped Jordan block in T takes the Schur fallback; the lift is
+    # a damped Jordan block in T takes the mat_log fallback; the lift is
     # balanced, but with noise this near the float limit C itself,
     # about 19 nu_a, overflows once scaled back
     jordan = np.array([[0.5, 0.3], [0.0, 0.5]])
@@ -334,11 +391,13 @@ def test_batched_psd_margin_equals_the_per_matrix_call_bit_for_bit(rng):
 
 
 def test_stacks_have_no_exponential_and_no_principal_log(rng):
-    # the principal logarithm is taken only inside generators_from_channel
+    # the principal logarithm of a matrix is mat_log, of one matrix only
     assert not hasattr(linalg, "mat_log_principal")
     stack = mat_exp(rng.normal(size=(4, 4)))[None].repeat(3, axis=0)
     with pytest.raises(DimensionMismatchError):
         mat_exp(stack)
+    with pytest.raises(DimensionMismatchError):
+        linalg.mat_log(stack)
     with pytest.raises(DimensionMismatchError):
         mat_exp(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):

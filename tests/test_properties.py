@@ -120,7 +120,7 @@ SUBNORMAL = (
     0.01,
 )
 # a nearly free mode, F_S = diag(1, 1e-14), weakly coupled: the eigenvectors
-# of T have cond(V) ~ 1e7, so the generators take the Schur route
+# of T have cond(V) ~ 1e7, so the generators take the mat_log route
 NEAR_DEFECTIVE = (
     reduce_from_joint(
         JointSetup(
@@ -139,7 +139,7 @@ TINY = (
     0.5,
 )
 # shift and noise of order 1e300 on the same rotation (the eigenbasis route)
-# and on a damped Jordan block (the Schur route, through a balanced lift)
+# and on a damped Jordan block (the mat_log route, through a balanced lift)
 HUGE_NOISE = np.array([[2.0, 0.5], [0.5, 1.0]]) * 1e300
 HUGE = (GaussianChannel(T=ROTATION, d=np.array([1e300, -3e300]), R=HUGE_NOISE), 0.5)
 JORDAN = np.array([[0.5, 0.3], [0.0, 0.5]])
