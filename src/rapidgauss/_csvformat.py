@@ -12,10 +12,11 @@ Its digits come from a table of 4-digit groups, and the %g layout from one
 gather of source-row bytes per value.  So every byte equals
 ``'%.17g' % x``.
 
-:func:`format_table` formats every value so, then formats the values it
-cannot vouch for with '%', all in one call, and splices their text into
-their rows: those outside 0 and |X| <= EXP_MAX (non-finite, subnormal,
-below about 1e-40 or from about 1e41) and those that round near a tie.  A
+:func:`format_table` formats the values in range so, then formats the
+values it cannot vouch for with '%', all in one call, and splices their
+text into their rows: those outside 0 and |X| <= EXP_MAX (non-finite,
+subnormal, below about 1e-40 or from about 1e41), which skip the arrays,
+and those that round near a tie.  A
 table is formatted in one pass, so its size bounds the memory: the
 command-line interface hands over strings of at most its BLOCK_VALUES
 values, and only the byte gather goes GATHER_VALUES values at a time.  The
@@ -180,19 +181,29 @@ def _layout(value, signed_class):
     return out
 
 
+def _exact_rows(values, mag):
+    """The '%.17g' bytes of in-range values of magnitudes mag, one row of
+    FIELD bytes each, drop bytes included, and a mask of those whose
+    significand rounds near a tie."""
+    cls = np.take(BINADE_CLASS, mag.view(np.int64) >> 52)
+    cls = np.where(mag >= np.take(FLOORS, cls + 1), cls + 1, cls)
+    value, near_tie = _significands(mag, cls)
+    return _layout(value, np.where(np.signbit(values), cls + CLASSES, cls)), near_tie
+
+
 def _format_values(values, separators):
     """The '%.17g' bytes of a 1-D float array, each value followed by its
     separator (separators repeat along the array), without drop bytes."""
     mag = np.abs(values)
     # mark the values neither 0 nor of an exponent within EXP_MAX of 0 (NaN
-    # included), and class them as zeros so that the table lookups stay valid
+    # included); only the others go through the arrays
     marked = ~((mag < FLOORS[CLASSES]) & ((mag >= FLOORS[1]) | (mag == 0)))
-    mag[marked] = 0
-    cls = np.take(BINADE_CLASS, mag.view(np.int64) >> 52)
-    cls = np.where(mag >= np.take(FLOORS, cls + 1), cls + 1, cls)
-    value, near_tie = _significands(mag, cls)
-    out = _layout(value, np.where(np.signbit(values), cls + CLASSES, cls))
-    marked |= near_tie
+    if marked.any():
+        inside = ~marked
+        out = np.zeros((len(values), FIELD), np.uint8)
+        out[inside], marked[inside] = _exact_rows(values[inside], mag[inside])
+    else:
+        out, marked = _exact_rows(values, mag)
     if marked.any():
         # their text by '%', in one call, each left-justified in FIELD bytes
         count = np.count_nonzero(marked)

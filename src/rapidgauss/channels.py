@@ -114,8 +114,6 @@ def apply_runs(runs, mean, cov):
     total = sum(counts)
     means = np.empty((total, n))
     covs = np.empty((total, n, n))
-    tc, c = np.empty((n, n)), np.empty((n, n))
-    c_t, add = c.T, np.add
     first = 0
     # overflow is reported below, once, as a non-finite state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -125,16 +123,11 @@ def apply_runs(runs, mean, cov):
                 raise DimensionMismatchError("channel and state dimensions differ")
             end = first + count
             # the run's first one or two rows are single updates
-            single = slice(first, min(first + 2, end))
-            for m, s in zip(means[single], covs[single]):
-                t.dot(mean, m)
-                add(m, d, m)
-                t.dot(cov, tc)
-                tc.dot(t.T, c)
-                add(c, r, c)
-                add(c, c_t, s)
-                s /= 2
-                mean, cov = m, s
+            for row in range(first, min(first + 2, end)):
+                mean = t.dot(mean) + d
+                c = t.dot(cov).dot(t.T) + r
+                cov = (c + c.T) / 2
+                means[row], covs[row] = mean, cov
             if count > 2:
                 mean, cov = _double_run(t, d, r, means[first:end], covs[first:end])
             first = end

@@ -17,6 +17,7 @@ or any numpy RuntimeWarning, which a command raises as an error),
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,7 +38,7 @@ from .errors import (
     NonFiniteStateError,
     SingularMatrixError,
 )
-from .interpolation import gap_runs, generators_from_channel, propagate
+from .interpolation import cp_differential_check, gap_runs, generators_from_channel, propagate
 from .phasespace import GaussianState, validate_state
 from .sampling import random_joint_setup
 from .thermalization import (
@@ -82,22 +83,18 @@ class InvariantViolation(Exception):
     pass
 
 
-def _write_atomic(path, lines):
-    """Write the strings of a generator to path as they are produced, each
-    ended by a newline, through a temporary file that replaces path once all
-    are written; return the generator's value.
-    A failed write raises OSError naming path, not the temporary file."""
+@contextlib.contextmanager
+def _atomic(path):
+    """A text handle on a temporary file beside path, which replaces path
+    when the block ends and is removed when the block raises, so path is
+    either left as it was or holds everything written.  A failed write
+    raises OSError naming path, not the temporary file."""
     directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rapidgauss-")
         with os.fdopen(fd, "w") as handle:
-            try:
-                while True:
-                    handle.write(next(lines) + "\n")
-            except StopIteration as stop:
-                result = stop.value
+            yield handle
         os.replace(tmp, path)
-        return result
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
@@ -259,70 +256,61 @@ def _blocks(runs, rows):
         yield block
 
 
-def _csv_rows(kind, state_width, count, times, mean, cov, trajectories):
-    """count CSV rows, one per time: t, then the state_width state columns
-    of each trajectory, and max_abs_diff between them when there are two.
+def _write_trajectory(path, kind, count, times, mean, cov, trajectories):
+    """Write a trajectory CSV of count rows to path (:func:`_atomic`) and
+    return the final state of the first trajectory, checked against the
+    uncertainty bound: a state that fails it raises InvariantViolation and
+    leaves no file at path.
 
+    The header is t and the state columns, or, for two trajectories, the
+    state columns suffixed _discrete and then _interpolated, and
+    max_abs_diff, the largest difference between the two in each row.
     times(first, stop) gives the times of rows first..stop-1 as an array.
     Each trajectory is an iterable of runs (channel, count), one row per
     application, applied in turn to the start (mean, cov).  The runs are
     read and stepped (:func:`rapidgauss.channels.apply_runs`) a block of
     rows at a time, so they may stream in; a run that crosses a block
-    boundary is split there.  A block's rows are yielded as strings of
-    newline-separated rows of '%.17g' values (:func:`_csvformat.format_table`),
+    boundary is split there.  A block's rows are written as strings of
+    newline-ended rows of '%.17g' values (:func:`_csvformat.format_table`),
     each string as many rows as fit in BLOCK_VALUES formatted values.  A
     block is the rows of 2 * BLOCK_VALUES values, or STEP_ROWS rows when
     fewer than that fit.
-    Returns the last (mean, cov) of the first trajectory.
     """
     # imported on first use, so that its compilation and its tables cost the
     # import of the CLI nothing
     from . import _csvformat
 
-    width = 1 + len(trajectories) * state_width + (len(trajectories) == 2)
-    rows = max(1, BLOCK_VALUES // width)
-    step = max(2 * BLOCK_VALUES // width, STEP_ROWS)
-    trajectories = [_blocks(runs, step) for runs in trajectories]
-    ends = [(mean, cov)] * len(trajectories)
-    for start in range(0, count, step):
-        block = [apply_runs(next(runs), *end) for runs, end in zip(trajectories, ends)]
-        ends = [(means[-1], covs[-1]) for means, covs in block]
-        parts = [times(start, min(start + step, count))[:, None]]
-        parts += [_columns(kind, means, covs) for means, covs in block]
-        if len(block) == 2:
-            (means, covs), (other_means, other_covs) = block
-            diff = np.maximum(
-                np.abs(means - other_means).max(axis=1),
-                np.abs(covs - other_covs).max(axis=(1, 2)),
-            )
-            parts.append(diff[:, None])
-        table = np.hstack(parts)
-        for first in range(0, len(table), rows):
-            yield _csvformat.format_table(table[first : first + rows])
-    return ends[0]
-
-
-def _check_final(mean, cov):
-    state = GaussianState(mean=mean, cov=cov)
-    check = validate_state(state)
-    if not check.ok:
-        raise InvariantViolation(f"evolved state invalid: {check.message}")
-    return state
-
-
-def _trajectory_csv(kind, count, times, mean, cov, trajectories):
-    """The lines of a trajectory CSV, for :func:`_write_atomic`: the header,
-    then the strings of :func:`_csv_rows`.  The header is t and the state
-    columns, or, for two trajectories, the state columns suffixed _discrete
-    and then _interpolated, and max_abs_diff.  Returns the final state of the
-    first trajectory, checked against the uncertainty bound."""
     cols = _state_columns(kind, len(mean) // 2)
-    rows = _csv_rows(kind, len(cols), count, times, mean, cov, trajectories)
     if len(trajectories) == 2:
         cols = [f"{c}_{name}" for name in ("discrete", "interpolated") for c in cols]
         cols.append("max_abs_diff")
-    yield ",".join(["t", *cols])
-    return _check_final(*(yield from rows))
+    header = ["t", *cols]
+    rows = max(1, BLOCK_VALUES // len(header))
+    step = max(2 * BLOCK_VALUES // len(header), STEP_ROWS)
+    trajectories = [_blocks(runs, step) for runs in trajectories]
+    ends = [(mean, cov)] * len(trajectories)
+    with _atomic(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, count, step):
+            block = [apply_runs(next(runs), *end) for runs, end in zip(trajectories, ends)]
+            ends = [(means[-1], covs[-1]) for means, covs in block]
+            parts = [times(start, min(start + step, count))[:, None]]
+            parts += [_columns(kind, means, covs) for means, covs in block]
+            if len(block) == 2:
+                (means, covs), (other_means, other_covs) = block
+                diff = np.maximum(
+                    np.abs(means - other_means).max(axis=1),
+                    np.abs(covs - other_covs).max(axis=(1, 2)),
+                )
+                parts.append(diff[:, None])
+            table = np.hstack(parts)
+            for first in range(0, len(table), rows):
+                handle.write(_csvformat.format_table(table[first : first + rows]) + "\n")
+        final = GaussianState(*ends[0])
+        check = validate_state(final)
+        if not check.ok:
+            raise InvariantViolation(f"evolved state invalid: {check.message}")
+    return final
 
 
 def _count(key, value, low):
@@ -354,11 +342,19 @@ def cmd_evolve(cfg, out_path):
         trajectories.append([start, (channel, steps)])
     if mode != "discrete":
         # the interpolated column comes from the generators alone
-        sub = propagate(generators_from_channel(channel, dt), dt / substeps)
+        gens = generators_from_channel(channel, dt)
+        cp = cp_differential_check(gens)
+        if not cp.ok:
+            print(
+                f"warning: the interpolating generator fails the differential CP test"
+                f" (margin {cp.margin:.3g}); rows between strobes may break the"
+                " uncertainty bound",
+                file=sys.stderr,
+            )
+        sub = propagate(gens, dt / substeps)
         trajectories.append([start, (sub, steps * substeps)])
     count = steps * substeps + 1
-    lines = _trajectory_csv(kind, count, times, state0.mean, state0.cov, trajectories)
-    _write_atomic(out_path, lines)
+    _write_trajectory(out_path, kind, count, times, state0.mean, state0.cov, trajectories)
     return EXIT_OK
 
 
@@ -378,11 +374,10 @@ def cmd_thermalize(cfg, out_path):
     times = np.asarray(indices) * dt
     gaps = gap_runs(first_order_generators(bath), indices, unit=dt)
     # the bath's columns read only the covariance, so the mean starts at zero
-    lines = _trajectory_csv(
-        "oscillator_bath", len(times), lambda first, stop: times[first:stop],
+    final = _write_trajectory(
+        out_path, "oscillator_bath", len(times), lambda first, stop: times[first:stop],
         np.zeros(2), state0.cov, [gaps],
     )
-    final = _write_atomic(out_path, lines)
     payload = dict(
         report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=float(times[-1])
     )

@@ -305,6 +305,8 @@ def test_truncated_cp_check_orders(rng):
         assert res0.ok and res0.margin == pytest.approx(0.0, abs=1e-13)
         assert truncated_cp_check(series, 1, 0.01).ok
         assert truncated_cp_check(series, 2, 0.01).ok
+    with pytest.raises(ValueError, match="series only carries orders up to 2"):
+        truncated_cp_check(series, 3, 0.01)
 
 
 def test_third_order_cp_violation_fixture():

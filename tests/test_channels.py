@@ -140,6 +140,20 @@ def test_channel_power_stops_squaring_at_the_top_bit(n):
     assert not powered.d.any() and not powered.R.any()
 
 
+def test_channel_power_zero_is_the_identity_and_negative_powers_are_rejected():
+    channel = GaussianChannel(T=0.9 * np.eye(2), d=np.array([0.1, 0.0]), R=0.2 * np.eye(2))
+    powered = channel_power(channel, 0)
+    assert np.array_equal(powered.T, np.eye(2))
+    assert not powered.d.any() and not powered.R.any()
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        channel_power(channel, -1)
+
+
+def test_compose_rejects_channels_of_different_sizes():
+    with pytest.raises(DimensionMismatchError, match="channel dimensions differ"):
+        compose(identity_channel(2), identity_channel(1))
+
+
 def test_reduce_decoupled_setup(rng):
     f_s = np.array([[1.2, 0.3], [0.3, 0.8]])
     alpha_s = np.array([0.4, -0.2])
@@ -409,6 +423,15 @@ def test_apply_sequence_checks_dimensions_and_finiteness():
     stretch = GaussianChannel(T=np.diag([np.e**3, np.e**-3]), d=np.zeros(2), R=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="state has non-finite entries"):
         apply_sequence([stretch] * 200, state.mean, state.cov)
+
+
+def test_apply_runs_checks_its_start_and_its_counts():
+    channel = identity_channel(1)
+    with pytest.raises(DimensionMismatchError, match="channel and state dimensions differ"):
+        apply_runs([(channel, 1)], np.zeros(2), np.eye(4))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="run counts must be positive"):
+            apply_runs([(channel, 1), (channel, count)], np.zeros(2), np.eye(2))
 
 
 def test_apply_and_apply_sequence_report_overflow_alike():

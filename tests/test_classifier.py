@@ -6,6 +6,7 @@ from rapidgauss.bombardment import closed_form_series
 from rapidgauss.classifier import (
     CLASSIFY_EPS,
     DYNAMICS_TYPES,
+    DynamicsReport,
     allowed_types,
     block_decompose,
     classify,
@@ -46,6 +47,16 @@ def test_block_decompose_equals_trace_projection_bit_for_bit(rng):
 def test_block_decompose_rejects_odd_dimension():
     with pytest.raises(DimensionMismatchError):
         block_decompose(np.eye(3))
+
+
+def test_a_report_needs_every_type_and_a_series_the_order_asked(rng):
+    flags = dict.fromkeys(DYNAMICS_TYPES, False)
+    del flags[DYNAMICS_TYPES[0]]
+    with pytest.raises(ValueError, match="missing dynamics types"):
+        DynamicsReport(flags)
+    series = closed_form_series(random_joint_setup(rng), 1)
+    with pytest.raises(ValueError, match="series only carries orders up to 1"):
+        table_availability(series, 2)
 
 
 def _gen(a=None, b=None, c=None, n=2):

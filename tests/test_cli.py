@@ -1,8 +1,8 @@
+import contextlib
 import errno
 import json
 import tracemalloc
 import warnings
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from rapidgauss.bombardment import (
 )
 from rapidgauss.channels import (
     CP_TOL,
+    CpReport,
     GaussianChannel,
     JointSetup,
     apply,
@@ -132,6 +133,53 @@ def test_evolve_interpolated_grid(tmp_path):
     assert data[1, 0] == pytest.approx(0.05 / 4)
 
 
+def _ladder_cfg(**extra):
+    """A ladder bath at dt = 1 whose interpolating generator fails the
+    differential CP test by -0.111."""
+    ladder = {"ladder": {"g": {"re": 0.15, "im": -0.35}, "h": {"re": 0.0, "im": 0.3}}}
+    cfg = _bath_cfg(ladder, steps=20, dt=1.0, **extra)
+    cfg["setup"].update(E_S=1.34, E_A=1.62, nu_A=3.84)
+    return cfg
+
+
+@pytest.mark.parametrize("mode", ["interpolated", "both"])
+def test_evolve_warns_of_an_interpolating_generator_that_fails_the_cp_test(
+    tmp_path, monkeypatch, capsys, mode
+):
+    # the rows between strobes may then be unphysical: evolve says so in one
+    # stderr line and writes the same CSV, with exit 0
+    path = _write_config(tmp_path, _ladder_cfg(mode=mode, substeps=4))
+    warned, silent = tmp_path / "warned.csv", tmp_path / "silent.csv"
+    assert main(["evolve", "--config", path, "--out", str(warned)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+    assert "(margin -0.111)" in captured.err
+    check = cli.cp_differential_check
+    monkeypatch.setattr(
+        cli, "cp_differential_check", lambda gen: CpReport(ok=True, margin=check(gen).margin)
+    )
+    assert main(["evolve", "--config", path, "--out", str(silent)]) == 0
+    assert capsys.readouterr().err == ""
+    assert warned.read_bytes() == silent.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the generator passes the CP test with margin +0.28
+        _bath_cfg({"rwa": {"g1": 0.3, "gw": 0.0}}, steps=20, dt=1.5, mode="both"),
+        # no generator is taken in mode discrete
+        _ladder_cfg(mode="discrete"),
+    ],
+    ids=["strobe-both", "ladder-discrete"],
+)
+def test_evolve_is_silent_without_a_failing_interpolating_generator(tmp_path, capsys, cfg):
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "coupling,expect",
     [
@@ -181,7 +229,8 @@ def test_thermalize_checks_its_final_state(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "evolved state invalid" in captured.err
     assert captured.out == ""
-    assert not out.exists()
+    # neither the --out file nor its temporary file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_check_cp_single_setup(tmp_path, capsys):
@@ -513,9 +562,16 @@ def _malformed_configs():
         yield command, "rwa-bool", dict(good, setup=dict(good["setup"], G=rwa))
         ladder = {"ladder": {"g": {"re": "0.1", "im": 0.0}, "h": {"re": 0.0, "im": 0.0}}}
         yield command, "ladder-string", dict(good, setup=dict(good["setup"], G=ladder))
+        yield command, "dt-zero", dict(good, dt=0)
+        yield command, "dt-negative", dict(good, dt=-0.1)
+        yield command, "G-string", dict(good, setup=dict(good["setup"], G="x"))
     for command in ("evolve", "thermalize"):
         yield command, "initial-state-string", dict(good, initial_state="x")
         yield command, "mean-object", dict(good, initial_state={"mean": {}, "cov": [[1, 0], [0, 1]]})
+        two_modes = {"mean": [0.0] * 4, "cov": np.eye(4).tolist()}
+        yield command, "initial-state-two-modes", dict(good, initial_state=two_modes)
+    yield "evolve", "mode-unknown", dict(good, mode="bogus")
+    yield "thermalize", "joint-setup", _free_joint_cfg(steps=5)
     yield "check-cp", "sweep-scale-bool", {"dt": 0.1, "sweep": {"count": 2, "scale": True}}
     joint = _free_joint_cfg(steps=5)
     nan, inf = float("nan"), float("inf")
@@ -535,6 +591,7 @@ def _malformed_configs():
     }
     for command in ("evolve", "check-cp", "classify", "series"):
         yield command, "matrix-object", dict(joint, setup=dict(joint["setup"], F_S={"a": 1}))
+        yield command, "setup-kind-unknown", dict(joint, setup=dict(joint["setup"], kind="bogus"))
         for name, (key, value) in malformed.items():
             yield command, name, dict(joint, setup=dict(joint["setup"], **{key: value}))
     bath_nan = dict(good, setup=dict(good["setup"], G=[[0.1, nan], [0.0, 0.1]]))
@@ -823,13 +880,22 @@ def test_evolve_streams_its_time_grid(tmp_path, monkeypatch, extra):
     # the times and the channels are made block by block, so the memory
     # used before the first rows does not grow with the number of steps
     head = []
-    monkeypatch.setattr(
-        "rapidgauss.cli._write_atomic", lambda path, lines: head.extend(islice(lines, 3))
-    )
+
+    class Enough(Exception):
+        pass
+
+    class Head:
+        def write(self, text):
+            head.append(text)
+            if len(head) == 3:
+                raise Enough
+
+    monkeypatch.setattr(cli, "_atomic", lambda path: contextlib.nullcontext(Head()))
     path = _write_config(tmp_path, _bath_cfg([[0.3, 0.1], [-0.1, 0.2]], **extra))
     tracemalloc.start()
     try:
-        assert main(["evolve", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+        with pytest.raises(Enough):
+            main(["evolve", "--config", path, "--out", str(tmp_path / "t.csv")])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -892,6 +958,23 @@ def test_random_bit_patterns_format_as_percent_17g(monkeypatch, near_ties):
         assert _csvformat.format_table(table) == _percent_g(table)
 
 
+def test_only_values_in_range_go_through_the_arrays(monkeypatch):
+    # a 409-row table of a time column and nine columns near 1e-100: only
+    # the times are formatted from arrays, and every byte is still '%.17g'
+    seen, significands = [], _csvformat._significands
+
+    def recorded(mag, cls):
+        seen.append(mag.copy())
+        return significands(mag, cls)
+
+    monkeypatch.setattr(_csvformat, "_significands", recorded)
+    rng = np.random.default_rng(409)
+    table = rng.uniform(-4, 4, (409, 10)) * 1e-100
+    table[:, 0] = np.arange(409) * 0.37
+    assert _csvformat.format_table(table) == _percent_g(table)
+    assert len(seen) == 1 and np.array_equal(seen[0], table[:, 0])
+
+
 @pytest.mark.parametrize("shape", [(cli.BLOCK_VALUES // 8, 8), (1, cli.BLOCK_VALUES + 3)])
 def test_a_string_of_block_values_formats_as_percent_17g(shape):
     # a table is formatted in one pass, so the largest string, of exactly
@@ -903,7 +986,9 @@ def test_a_string_of_block_values_formats_as_percent_17g(shape):
 
 
 @pytest.mark.parametrize("n_modes,count,blocks", [(1, 2000, [1365, 635]), (45, 3, [3])])
-def test_a_string_of_rows_holds_at_most_block_values(monkeypatch, n_modes, count, blocks):
+def test_a_string_of_rows_holds_at_most_block_values(
+    tmp_path, monkeypatch, n_modes, count, blocks
+):
     # as many rows as fit in BLOCK_VALUES values, or one row when a row is
     # wider: a 45-mode state is 4185 columns.  Rows are stepped in blocks of
     # the rows of 2 * BLOCK_VALUES values, at least STEP_ROWS; each block
@@ -912,12 +997,19 @@ def test_a_string_of_rows_holds_at_most_block_values(monkeypatch, n_modes, count
     monkeypatch.setattr(
         cli, "apply_runs", lambda runs, *start: stepped.append(runs) or apply_runs(runs, *start)
     )
+    texts, format_table = [], _csvformat.format_table
+    monkeypatch.setattr(
+        _csvformat, "format_table", lambda table: texts.append(format_table(table)) or texts[-1]
+    )
     n = 2 * n_modes
-    channel = GaussianChannel(T=0.99 * np.eye(n), d=np.full(n, 0.5), R=0.01 * np.eye(n))
+    # a CPTP channel, so that the final state keeps the uncertainty bound
+    channel = GaussianChannel(T=0.99 * np.eye(n), d=np.full(n, 0.5), R=0.02 * np.eye(n))
     runs = [(identity_channel(n_modes), 1), (channel, count - 1)]
     width = 1 + n + n * (n + 1) // 2
     times = lambda first, stop: np.arange(first, stop) * 0.1
-    texts = cli._csv_rows("joint", width - 1, count, times, np.zeros(n), np.eye(n), [runs])
+    out = tmp_path / "t.csv"
+    cli._write_trajectory(out, "joint", count, times, np.zeros(n), np.eye(n), [runs])
+    assert out.read_text().split("\n", 1)[1] == "".join(text + "\n" for text in texts)
     strings = [text.split("\n") for text in texts]
     assert [sum(c for _, c in block) for block in stepped] == blocks
     assert sum(map(len, strings)) == count

@@ -19,7 +19,7 @@ from rapidgauss.channels import (
     is_cptp,
     reduce_from_joint,
 )
-from rapidgauss.cli import _csv_rows, main
+from rapidgauss.cli import _write_trajectory, main
 from rapidgauss.errors import BranchCutError, SingularMatrixError
 from rapidgauss.interpolation import (
     EIGENBASIS_COND_MAX,
@@ -145,6 +145,15 @@ def test_propagate_zero_time_is_identity(rng):
     assert_allclose(channel.T, np.eye(4))
     assert_allclose(channel.d, np.zeros(4), atol=1e-16)
     assert_allclose(channel.R, np.zeros((4, 4)), atol=1e-16)
+
+
+def test_negative_times_and_steps_are_rejected(rng):
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        propagate(random_generators(rng, 1), -0.1)
+    channel = reduce_from_joint(random_joint_setup(rng, dt=0.1))
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            generators_from_channel(channel, dt)
 
 
 def test_propagate_unitary_matches_hamiltonian_flow(rng):
@@ -731,9 +740,10 @@ def test_cli_evolve_bytes_are_those_of_the_gap_runs_of_the_row_indices(tmp_path,
         if mode == "both":
             trajectories.insert(0, [(identity_channel(1), 1), (channel, steps)])
         times = lambda first, stop: np.arange(first, stop) * dt / sub
-        # four state columns, from the vacuum
-        body = _csv_rows("oscillator_bath", 4, count, times, np.zeros(2), np.eye(2), trajectories)
-        assert out.read_text().split("\n", 1)[1] == "".join(text + "\n" for text in body)
+        # the bath's columns, from the vacuum
+        want = tmp_path / f"{mode}_gap_runs.csv"
+        _write_trajectory(want, "oscillator_bath", count, times, np.zeros(2), np.eye(2), trajectories)
+        assert out.read_bytes() == want.read_bytes()
     capsys.readouterr()
 
 

@@ -49,6 +49,14 @@ def test_mat_exp_of_zero_is_exactly_the_identity():
         assert np.array_equal(mat_exp(np.zeros((n, n))), np.eye(n))
 
 
+def test_mat_exp_of_an_integer_matrix_is_that_of_its_floats():
+    for m in (np.array([[0, 1], [0, 0]]), np.array([[1, 2], [-3, 0]])):
+        got = mat_exp(m)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, mat_exp(m.astype(float)))
+    assert np.array_equal(mat_exp(np.array([[0, 1], [0, 0]])), [[1.0, 1.0], [0.0, 1.0]])
+
+
 def test_mat_exp_rotations_through_many_squarings():
     # theta = 1e3 is scaled by 2^8 and squared back; the error stays at the
     # rounding of the angle, about eps * theta

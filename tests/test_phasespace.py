@@ -59,6 +59,9 @@ def test_symplectic_form_shapes():
         omega = symplectic_form(n)
         assert_allclose(omega @ omega.T, np.eye(2 * n))
         assert_allclose(omega.T, -omega)
+    for n in (0, -1):
+        with pytest.raises(InvalidSetupError, match="n_modes must be at least 1"):
+            symplectic_form(n)
 
 
 def test_validate_state_vacuum_and_below():
@@ -92,6 +95,9 @@ def test_nu_beta_conversions():
         nu_from_beta(-1.0, 1.0)
     with pytest.raises(InvalidSetupError):
         beta_from_nu(0.9, 1.0)
+    for energy in (0.0, -1.0):
+        with pytest.raises(InvalidSetupError, match="energy must be positive"):
+            beta_from_nu(2.0, energy)
 
 
 def test_nu_monotone_decreasing():

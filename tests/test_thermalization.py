@@ -231,6 +231,11 @@ def test_setup_validation():
         simulate_first_order(_bath(np.eye(2)), 2.0, [0.0, 1.0])
     with pytest.raises(InvalidSetupError, match="G has non-finite entries"):
         OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=2.0, G=np.diag([1.0, np.nan]), dt=0.1)
+    with pytest.raises(DimensionMismatchError, match="G must be 2x2"):
+        OscillatorBathSetup(E_S=1.0, E_A=1.0, nu_A=2.0, G=np.eye(4), dt=0.1)
+    for sigma in (np.eye(4), np.eye(2)[None, :, :1]):
+        with pytest.raises(DimensionMismatchError, match="expected a 2x2 covariance"):
+            decompose_cov(sigma)
 
 
 def test_to_joint_setup_round_trip():
