@@ -35,7 +35,6 @@ from .channels import (
 )
 from .classifier import (
     DYNAMICS_TYPES,
-    DynamicsReport,
     allowed_types,
     block_decompose,
     classify,
@@ -63,8 +62,6 @@ from .interpolation import (
 from .linalg import mat_exp, psd_margin
 from .phasespace import (
     GaussianState,
-    beta_from_nu,
-    nu_from_beta,
     symplectic_form,
     validate_state,
 )

@@ -13,8 +13,6 @@ through the free Hamiltonian), non-unitary A effects at odd orders,
 displacement everywhere, and noise at every order past zero.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -97,31 +95,9 @@ def block_decompose(m):
     return 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BASIS)
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
-    """Presence flags for the eleven dynamics types."""
-
-    flags: dict
-
-    def __post_init__(self):
-        missing = set(DYNAMICS_TYPES) - set(self.flags)
-        if missing:
-            raise ValueError(f"missing dynamics types: {sorted(missing)}")
-        object.__setattr__(self, "flags", dict(self.flags))
-
-    def __getitem__(self, name):
-        return self.flags[name]
-
-    @property
-    def present(self):
-        return {name for name in DYNAMICS_TYPES if self.flags[name]}
-
-    def to_dict(self):
-        return {name: bool(self.flags[name]) for name in DYNAMICS_TYPES}
-
-
 def classify(gen):
-    """Flag the dynamics types a set of generators drives.
+    """The dynamics types a set of generators drives, as a frozenset of
+    names from DYNAMICS_TYPES.
 
     Coefficients are compared against CLASSIFY_EPS times the overall
     generator scale, so exact structural zeros (for example the symmetric
@@ -130,7 +106,7 @@ def classify(gen):
     a, b, c = np.asarray(gen.A), np.asarray(gen.b), np.asarray(gen.C)
     scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max(), 0.0)
     if scale == 0.0:
-        return DynamicsReport(flags=dict.fromkeys(DYNAMICS_TYPES, False))
+        return frozenset()
     thr = CLASSIFY_EPS * scale
 
     # per block and basis element: is the coefficient above the threshold?
@@ -155,13 +131,15 @@ def classify(gen):
         multi_mode_noise=noise_o.any(),
         displacement=np.abs(b).max() > thr,
     )
-    return DynamicsReport(flags={name: bool(flag) for name, flag in flags.items()})
+    return frozenset(name for name, flag in flags.items() if flag)
 
 
 def table_availability(series, order):
-    """Classify the order-k coefficients of a generator series.
+    """The dynamics types the order-k coefficients of a generator series
+    drive (:func:`classify`), once a Generators record has checked them
+    finite and of matching shapes.
 
-    For a bombardment-derived series the flags land inside
+    For a bombardment-derived series the set lies inside
     :func:`allowed_types` for that order.
     """
     if order > series.order:

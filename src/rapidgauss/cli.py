@@ -18,6 +18,7 @@ or any numpy RuntimeWarning, which a command raises as an error),
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bombardment import generator_series_from_joint, generator_series_stack, truncated_cp_margins
 from .channels import CP_TOL, JointSetup, apply_runs, identity_channel, reduce_from_joint
-from .classifier import allowed_types, table_availability
+from .classifier import DYNAMICS_TYPES, allowed_types, table_availability
 from .errors import (
     BranchCutError,
     DimensionMismatchError,
@@ -155,13 +156,15 @@ def _coupling_from_config(obj):
         return _array("G", obj)
     if isinstance(obj, dict) and "rwa" in obj:
         params = _object("rwa", obj["rwa"])
-        return rwa_coupling(_number("g1", params["g1"]), _number("gw", params["gw"]))
+        return rwa_coupling(
+            _number("g1", _require(params, "g1")), _number("gw", _require(params, "gw"))
+        )
     if isinstance(obj, dict) and "ladder" in obj:
         params = _object("ladder", obj["ladder"])
 
         def as_complex(key):
-            c = _object(key, params[key])
-            return complex(_number("re", c["re"]), _number("im", c["im"]))
+            c = _object(key, _require(params, key))
+            return complex(_number("re", _require(c, "re")), _number("im", _require(c, "im")))
 
         return ladder_coupling(as_complex("g"), as_complex("h"))
     raise ConfigError("coupling must be a matrix or an {rwa|ladder: ...} object")
@@ -345,10 +348,16 @@ def cmd_evolve(cfg, out_path):
         gens = generators_from_channel(channel, dt)
         cp = cp_differential_check(gens)
         if not cp.ok:
+            # in mode both every row is a strobe (substeps is 1): only the flow
+            # between them is at fault
+            consequence = (
+                "the flow between strobes is not completely positive"
+                if mode == "both"
+                else "rows between strobes may break the uncertainty bound"
+            )
             print(
                 f"warning: the interpolating generator fails the differential CP test"
-                f" (margin {cp.margin:.3g}); rows between strobes may break the"
-                " uncertainty bound",
+                f" (margin {cp.margin:.3g}); {consequence}",
                 file=sys.stderr,
             )
         sub = propagate(gens, dt / substeps)
@@ -378,9 +387,8 @@ def cmd_thermalize(cfg, out_path):
         out_path, "oscillator_bath", len(times), lambda first, stop: times[first:stop],
         np.zeros(2), state0.cov, [gaps],
     )
-    payload = dict(
-        report.to_dict(), final_nu_S=decompose_cov(final.cov).nu, t_final=float(times[-1])
-    )
+    payload = dataclasses.asdict(report)
+    payload.update(final_nu_S=decompose_cov(final.cov).nu, t_final=float(times[-1]))
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -441,19 +449,12 @@ def cmd_check_cp(cfg, order, seed):
 def cmd_classify(cfg, order):
     setup, _ = _joint_from_config(cfg)
     series = generator_series_from_joint(setup, order)
-    report = table_availability(series, order)
+    found = table_availability(series, order)
     allowed = sorted(allowed_types(order))
-    within = report.present <= set(allowed)
-    print(
-        json.dumps(
-            {"order": order, "flags": report.to_dict(), "allowed": allowed},
-            sort_keys=True,
-        )
-    )
-    if not within:
-        raise InvariantViolation(
-            f"order-{order} flags {sorted(report.present)} leave the availability table"
-        )
+    flags = {name: name in found for name in DYNAMICS_TYPES}
+    print(json.dumps({"order": order, "flags": flags, "allowed": allowed}, sort_keys=True))
+    if not found <= set(allowed):
+        raise InvariantViolation(f"order-{order} flags {sorted(found)} leave the availability table")
     return EXIT_OK
 
 
@@ -540,7 +541,6 @@ def main(argv=None):
         InvalidSetupError,
         DimensionMismatchError,
         MalformedSeriesError,
-        KeyError,
         ValueError,
     ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -148,22 +148,3 @@ def _check_uncertainty(cov):
         min_eig=low,
         message=f"uncertainty bound violated: min eig {low:.3e} < {-STATE_TOL * scale:.3e}",
     )
-
-
-def nu_from_beta(beta, energy):
-    """Thermal covariance scale nu = (e^(beta E) + 1)/(e^(beta E) - 1)."""
-    x = beta * energy
-    if not x > 0:
-        raise InvalidSetupError(f"beta*energy must be positive, got {x}")
-    return 1.0 / np.tanh(x / 2.0)
-
-
-def beta_from_nu(nu, energy):
-    """Inverse of :func:`nu_from_beta`; nu = 1 maps to infinite beta."""
-    if energy <= 0:
-        raise InvalidSetupError("energy must be positive")
-    if nu < 1.0:
-        raise InvalidSetupError(f"nu must be >= 1, got {nu}")
-    if nu == 1.0:
-        return np.inf
-    return 2.0 * np.arctanh(1.0 / nu) / energy

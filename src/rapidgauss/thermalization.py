@@ -11,10 +11,12 @@ They have an attractive fixed point exactly when det(G) > 0, reached at
 rate dt*det(G), with limiting temperature scale
 nu_tilde = Tr(G^T G)/(2 det G) * nu_A >= nu_A.  Equality holds only for the
 excitation-exchange couplings G = g1 + gw*omega, the ones a rotating-wave
-approximation keeps.  The equations are the {1, X, Z} components of the
-first-order master equation (:func:`first_order_generators`), which is what
-:func:`simulate_first_order` steps; :func:`analyze` reports their fixed
-point in closed form.
+approximation keeps.  A thermal state's beta E = 2 artanh(1/nu) falls as
+nu grows, so that bound is the passivity of the fixed point,
+beta_S(inf) E_S <= beta_A E_A.  The equations are the {1, X, Z} components
+of the first-order master equation (:func:`first_order_generators`), which
+is what :func:`simulate_first_order` steps; :func:`analyze` reports their
+fixed point in closed form.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from .channels import JointSetup, _square, apply_runs, reduce_from_joint
 from .errors import DimensionMismatchError, InvalidSetupError
 # propagate is imported, not called: bench/test_bench.py expects the binding
 from .interpolation import gap_runs, propagate  # noqa: F401
-from .phasespace import GaussianState, _frozen_arrays, beta_from_nu
+from .phasespace import GaussianState, _frozen_arrays
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -67,9 +69,6 @@ class CovCoefficients:
     s_cross: float
     s_plus: float
 
-    def to_cov(self):
-        return self.nu * np.eye(2) + self.s_cross * _X + self.s_plus * _Z
-
 
 def decompose_cov(sigma):
     """Unique coefficients of a symmetric 2x2 matrix over {1, X, Z}.
@@ -98,45 +97,34 @@ class ThermalReport:
     cooling_saturated: bool
     passivity_ok: bool | None
 
-    def to_dict(self):
-        return {
-            "has_fixed_point": self.has_fixed_point,
-            "nu_infinity": self.nu_infinity,
-            "rate": self.rate,
-            "nu_tilde": self.nu_tilde,
-            "cooling_saturated": self.cooling_saturated,
-            "passivity_ok": self.passivity_ok,
-        }
-
 
 def analyze(setup):
     """Fixed-point report for an oscillator-bath setup.
 
     A fixed point exists iff det(G) > 0; it sits at nu_tilde with approach
-    rate dt*det(G).  Cooling saturates (nu_infinity = nu_A) exactly when
+    rate dt*det(G).  Tr(G^T G) - 2 det(G) = (G_00 - G_11)^2 + (G_01 + G_10)^2
+    is never negative, so a ratio Tr(G^T G)/(2 det G) that rounds below one
+    is taken as one and nu_tilde >= nu_A holds in floating point too.
+    Cooling saturates (nu_infinity = nu_A) exactly when
     Tr(G^T G) = 2 det(G), tested to SATURATION_TOL relative to Tr(G^T G)
-    so that the flag does not depend on the scale of G.  The passivity flag
-    records whether beta_S(inf) E_S <= beta_A E_A, which the bound
-    nu_tilde >= nu_A guarantees whenever the fixed point exists.
+    so that the flag does not depend on the scale of G.  Passivity,
+    beta_S(inf) E_S <= beta_A E_A, holds whenever the fixed point exists,
+    since beta E = 2 artanh(1/nu) falls as nu grows: passivity_ok is True
+    then and None otherwise.
     """
     g = setup.G
     det_g = float(np.linalg.det(g))
     gram_trace = float(np.trace(g.T @ g))
     has_fp = det_g > 0
-    nu_tilde = gram_trace / (2.0 * det_g) * setup.nu_A if has_fp else None
+    nu_tilde = max(gram_trace / (2.0 * det_g), 1.0) * setup.nu_A if has_fp else None
     saturated = abs(gram_trace - 2.0 * det_g) <= SATURATION_TOL * gram_trace
-    passivity = None
-    if has_fp:
-        beta_sys = beta_from_nu(nu_tilde, setup.E_S) * setup.E_S
-        beta_anc = beta_from_nu(setup.nu_A, setup.E_A) * setup.E_A
-        passivity = bool(beta_sys <= beta_anc + 1e-12)
     return ThermalReport(
         has_fixed_point=has_fp,
-        nu_infinity=nu_tilde if has_fp else None,
+        nu_infinity=nu_tilde,
         rate=setup.dt * det_g,
         nu_tilde=nu_tilde,
         cooling_saturated=saturated,
-        passivity_ok=passivity,
+        passivity_ok=True if has_fp else None,
     )
 
 

@@ -344,6 +344,13 @@ def master_rhs(gen, state):
     return dmean, dcov
 
 
+def to_cov(coeffs):
+    """The 2x2 covariance nu*1 + s_cross*X + s_plus*Z of coefficients over
+    {1, X, Z}: the inverse of rapidgauss.thermalization.decompose_cov."""
+    x, z = _BLOCK_BASIS[2], _BLOCK_BASIS[3]
+    return coeffs.nu * np.eye(2) + coeffs.s_cross * x + coeffs.s_plus * z
+
+
 def coefficient_rhs(coeffs, setup):
     """Time derivatives of (nu, s_cross, s_plus) under the first-order flow of
     an oscillator bath: the three coefficient equations over {1, X, Z}."""

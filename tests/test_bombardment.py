@@ -131,7 +131,7 @@ def test_series_availability_through_order_8(rng):
     for _ in range(50):
         series = generator_series_from_joint(random_joint_setup(rng), 8)
         for k in range(9):
-            assert table_availability(series, k).present <= allowed_types(k)
+            assert table_availability(series, k) <= allowed_types(k)
 
 
 def test_series_is_one_log_series_of_one_lift(rng, monkeypatch):

@@ -6,7 +6,6 @@ from rapidgauss.bombardment import closed_form_series
 from rapidgauss.classifier import (
     CLASSIFY_EPS,
     DYNAMICS_TYPES,
-    DynamicsReport,
     allowed_types,
     block_decompose,
     classify,
@@ -50,10 +49,6 @@ def test_block_decompose_rejects_odd_dimension():
 
 
 def test_a_report_needs_every_type_and_a_series_the_order_asked(rng):
-    flags = dict.fromkeys(DYNAMICS_TYPES, False)
-    del flags[DYNAMICS_TYPES[0]]
-    with pytest.raises(ValueError, match="missing dynamics types"):
-        DynamicsReport(flags)
     series = closed_form_series(random_joint_setup(rng), 1)
     with pytest.raises(ValueError, match="series only carries orders up to 1"):
         table_availability(series, 2)
@@ -68,66 +63,66 @@ def _gen(a=None, b=None, c=None, n=2):
 
 
 def test_classify_free_oscillator():
-    report = classify(_gen(a=1.5 * np.eye(2)))
-    assert report.present == {"single_mode_rotation"}
+    found = classify(_gen(a=1.5 * np.eye(2)))
+    assert found == {"single_mode_rotation"}
 
 
 def test_classify_first_order_exchange_generators():
     # A ~ omega with thermal noise: amplification plus thermal noise only
     g = 0.3 * np.eye(2)
-    report = classify(
+    found = classify(
         _gen(a=0.5 * np.linalg.det(g) * OMEGA2, c=2.0 * OMEGA2 @ g @ g.T @ OMEGA2.T)
     )
-    assert report.present == {"amplification_relaxation", "thermal_noise"}
+    assert found == {"amplification_relaxation", "thermal_noise"}
 
 
 def test_classify_displacement_only():
-    report = classify(_gen(b=[0.0, 0.7]))
-    assert report.present == {"displacement"}
+    found = classify(_gen(b=[0.0, 0.7]))
+    assert found == {"displacement"}
 
 
 def test_classify_zero_generators():
-    report = classify(_gen())
-    assert report.present == set()
+    found = classify(_gen())
+    assert found == set()
 
 
 def test_classify_squeezed_noise_and_multimode():
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    report = classify(_gen(c=np.eye(2) + 0.3 * z))
-    assert report.present == {"thermal_noise", "single_mode_squeezed_noise"}
+    found = classify(_gen(c=np.eye(2) + 0.3 * z))
+    assert found == {"thermal_noise", "single_mode_squeezed_noise"}
 
     c = np.zeros((4, 4))
     c[:2, 2:] = 0.2 * np.eye(2)
     c[2:, :2] = 0.2 * np.eye(2)
-    report = classify(_gen(c=c, n=4))
-    assert report.present == {"multi_mode_noise"}
+    found = classify(_gen(c=c, n=4))
+    assert found == {"multi_mode_noise"}
 
     a = np.zeros((4, 4))
     a[:2, 2:] = 0.4 * np.eye(2)
     a[2:, :2] = 0.4 * np.eye(2)  # symmetric off-diagonal: beam-splitter mixing
-    report = classify(_gen(a=a, n=4))
-    assert report.present == {"multi_mode_rotation"}
+    found = classify(_gen(a=a, n=4))
+    assert found == {"multi_mode_rotation"}
 
     a[2:, :2] = -0.4 * np.eye(2)  # antisymmetric: counter-rotation
-    report = classify(_gen(a=a, n=4))
-    assert report.present == {"multi_mode_counter_rotation"}
+    found = classify(_gen(a=a, n=4))
+    assert found == {"multi_mode_counter_rotation"}
 
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = np.zeros((4, 4))
     a[:2, 2:] = 0.4 * x
     a[2:, :2] = 0.4 * x
-    report = classify(_gen(a=a, n=4))
-    assert report.present == {"multi_mode_squeezing"}
+    found = classify(_gen(a=a, n=4))
+    assert found == {"multi_mode_squeezing"}
     a[2:, :2] = -0.4 * x
-    report = classify(_gen(a=a, n=4))
-    assert report.present == {"multi_mode_counter_squeezing"}
+    found = classify(_gen(a=a, n=4))
+    assert found == {"multi_mode_counter_squeezing"}
 
 
 def test_threshold_is_relative():
     a = 1e6 * np.eye(2) + 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    report = classify(_gen(a=a))
+    found = classify(_gen(a=a))
     # the omega admixture sits below CLASSIFY_EPS * scale and must not raise a flag
-    assert report.present == {"single_mode_rotation"}
+    assert found == {"single_mode_rotation"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -148,16 +143,17 @@ def test_classify_matches_block_loop_at_the_threshold(n):
                     noise = np.zeros((dim, dim))
                     noise[r, c] = noise[c, r] = size * factor
                     for gen in (_gen(a=a, b=b, n=dim), _gen(c=noise, b=b, n=dim)):
-                        flags = classify(gen).to_dict()
+                        found = classify(gen)
+                        flags = {name: name in found for name in DYNAMICS_TYPES}
                         assert flags == classify_flags_loop(gen.A, gen.b, gen.C, eps=eps)
-                        seen.add(frozenset(name for name in flags if flags[name]))
+                        seen.add(found)
     # the planted entries both raise and miss flags
     assert frozenset({"displacement"}) in seen and len(seen) > 2
     a = np.zeros((dim, dim))
     a[0, 0] = 2 * eps * (1 + 1e-6)
-    assert classify(_gen(a=a, b=b, n=dim))["single_mode_rotation"]
+    assert "single_mode_rotation" in classify(_gen(a=a, b=b, n=dim))
     a[0, 0] = 2 * eps * (1 - 1e-6)
-    assert not classify(_gen(a=a, b=b, n=dim))["single_mode_rotation"]
+    assert "single_mode_rotation" not in classify(_gen(a=a, b=b, n=dim))
 
 
 def test_table_availability_zeroth_order_free_only():
@@ -166,9 +162,9 @@ def test_table_availability_zeroth_order_free_only():
         E_S=1.0, E_A=1.0, nu_A=2.0, G=np.array([[0.2, 0.0], [0.0, 0.1]]), dt=0.05
     )
     series = closed_form_series(to_joint_setup(bath), 2)
-    report = table_availability(series, 0)
-    assert report.present == {"single_mode_rotation"}
-    assert not report["displacement"]
+    found = table_availability(series, 0)
+    assert found == {"single_mode_rotation"}
+    assert "displacement" not in found
 
 
 def test_table_availability_respects_parity(rng):
@@ -176,9 +172,8 @@ def test_table_availability_respects_parity(rng):
         setup = random_joint_setup(rng)
         series = closed_form_series(setup, 2)
         for order in range(3):
-            report = table_availability(series, order)
-            assert report.present <= allowed_types(order)
-        assert not table_availability(series, 2)["amplification_relaxation"]
+            assert table_availability(series, order) <= allowed_types(order)
+        assert "amplification_relaxation" not in table_availability(series, 2)
 
 
 def test_allowed_types_structure():
@@ -193,6 +188,8 @@ def test_allowed_types_structure():
 
 def test_report_json_keys(rng):
     series = closed_form_series(random_joint_setup(rng), 1)
-    obj = table_availability(series, 1).to_dict()
+    found = table_availability(series, 1)
+    assert isinstance(found, frozenset) and found <= set(DYNAMICS_TYPES)
+    obj = {name: name in found for name in DYNAMICS_TYPES}
     assert set(obj) == set(DYNAMICS_TYPES)
     assert all(isinstance(v, bool) for v in obj.values())

@@ -23,7 +23,7 @@ from rapidgauss.channels import (
     identity_channel,
     reduce_from_joint,
 )
-from rapidgauss.classifier import table_availability
+from rapidgauss.classifier import DYNAMICS_TYPES, table_availability
 from rapidgauss.cli import main
 from rapidgauss.interpolation import EIGENBASIS_COND_MAX, Generators, cp_differential_check
 from rapidgauss.phasespace import GaussianState
@@ -155,6 +155,12 @@ def test_evolve_warns_of_an_interpolating_generator_that_fails_the_cp_test(
     assert captured.out == ""
     assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
     assert "(margin -0.111)" in captured.err
+    # in mode both every row is a strobe: only the flow between them is at fault
+    assert captured.err.endswith(
+        "the flow between strobes is not completely positive\n"
+        if mode == "both"
+        else "rows between strobes may break the uncertainty bound\n"
+    )
     check = cli.cp_differential_check
     monkeypatch.setattr(
         cli, "cp_differential_check", lambda gen: CpReport(ok=True, margin=check(gen).margin)
@@ -202,6 +208,20 @@ def test_thermalize_reports(tmp_path, capsys, coupling, expect):
     header, data = _read_csv(out)
     assert header == ["t", "nu_S", "s_cross", "s_plus", "purity"]
     assert data.shape[0] >= 2
+
+
+def test_thermalize_of_a_vacuum_bath_with_an_exchange_coupling(tmp_path, capsys):
+    # Tr(G^T G) / (2 det G) rounds one ulp below 1 for this coupling
+    cfg = _bath_cfg(
+        {"rwa": {"g1": -0.4767757315013672, "gw": -0.4030177131717534}},
+        steps=10, dt=0.1, nu_A=1.0,
+    )
+    out = tmp_path / "traj.csv"
+    assert main(["thermalize", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passivity_ok"] is True
+    assert report["nu_tilde"] == report["nu_infinity"] == 1.0
+    assert len(out.read_text().splitlines()) == 12
 
 
 def test_thermalize_ladder_coupling(tmp_path, capsys):
@@ -380,7 +400,8 @@ def test_low_orders_match_the_closed_forms(tmp_path, capsys, cfg):
         assert cp == [truncated_cp_check(closed, k, setup.dt).ok for k in range(order + 1)]
         assert main(["classify", *args]) == 0
         flags = json.loads(capsys.readouterr().out)["flags"]
-        assert flags == table_availability(closed, order).to_dict()
+        found = table_availability(closed, order)
+        assert flags == {name: name in found for name in DYNAMICS_TYPES}
     assert cp == [True, True, cfg["setup"]["kind"] == "oscillator_bath"]
 
 
@@ -542,6 +563,13 @@ def test_fractional_or_boolean_counts_are_rejected(tmp_path, capsys, command, ex
     assert not out.exists()
 
 
+# couplings that lack one key, by the key they lack
+_MISSING_COUPLING_KEYS = {
+    "rwa-missing-g1": {"rwa": {"gw": 0.0}},
+    "ladder-missing-im": {"ladder": {"g": {"re": 0.1}, "h": {"re": 0.0, "im": 0.0}}},
+}
+
+
 def _malformed_configs():
     good = _bath_cfg({"rwa": {"g1": 0.1, "gw": 0.0}}, steps=5, dt=0.01)
     for command in ("evolve", "thermalize", "check-cp", "classify", "series"):
@@ -562,6 +590,8 @@ def _malformed_configs():
         yield command, "rwa-bool", dict(good, setup=dict(good["setup"], G=rwa))
         ladder = {"ladder": {"g": {"re": "0.1", "im": 0.0}, "h": {"re": 0.0, "im": 0.0}}}
         yield command, "ladder-string", dict(good, setup=dict(good["setup"], G=ladder))
+        for name, coupling in _MISSING_COUPLING_KEYS.items():
+            yield command, name, dict(good, setup=dict(good["setup"], G=coupling))
         yield command, "dt-zero", dict(good, dt=0)
         yield command, "dt-negative", dict(good, dt=-0.1)
         yield command, "G-string", dict(good, setup=dict(good["setup"], G="x"))
@@ -619,6 +649,25 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, cf
     assert captured.out == ""
     assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(_MISSING_COUPLING_KEYS))
+def test_a_missing_coupling_key_is_named(tmp_path, capsys, name):
+    cfg = _bath_cfg(_MISSING_COUPLING_KEYS[name], steps=5, dt=0.01)
+    assert main(["series", "--config", _write_config(tmp_path, cfg)]) == 1
+    key = name.rsplit("-", 1)[1]
+    assert capsys.readouterr().err == (
+        f"configuration error: config is missing required key '{key}'\n"
+    )
+
+
+def test_an_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
+    def lookup_fails(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "generator_series_from_joint", lookup_fails)
+    with pytest.raises(KeyError, match="internal"):
+        main(["series", "--config", _write_config(tmp_path, _free_joint_cfg())])
 
 
 @pytest.mark.parametrize("command", ["evolve", "thermalize"])

@@ -8,8 +8,6 @@ from rapidgauss.interpolation import Generators
 from rapidgauss.phasespace import (
     GaussianState,
     affine_lift,
-    beta_from_nu,
-    nu_from_beta,
     symplectic_form,
     validate_state,
 )
@@ -82,28 +80,6 @@ def test_validate_state_thermal_sweep(nu):
     check = validate_state(state)
     assert check.ok
     assert check.min_eig == pytest.approx(nu - 1.0, rel=1e-12, abs=1e-12)
-
-
-def test_nu_beta_conversions():
-    assert nu_from_beta(50.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert nu_from_beta(np.log(3.0), 1.0) == pytest.approx(2.0, rel=1e-14)
-    for be in np.linspace(0.1, 10.0, 25):
-        nu = nu_from_beta(be, 1.0)
-        assert beta_from_nu(nu, 1.0) == pytest.approx(be, rel=1e-12, abs=1e-12)
-    assert beta_from_nu(1.0, 2.0) == np.inf
-    with pytest.raises(InvalidSetupError):
-        nu_from_beta(-1.0, 1.0)
-    with pytest.raises(InvalidSetupError):
-        beta_from_nu(0.9, 1.0)
-    for energy in (0.0, -1.0):
-        with pytest.raises(InvalidSetupError, match="energy must be positive"):
-            beta_from_nu(2.0, energy)
-
-
-def test_nu_monotone_decreasing():
-    grid = np.linspace(0.05, 12.0, 60)
-    values = [nu_from_beta(be, 1.0) for be in grid]
-    assert np.all(np.diff(values) < 0)
 
 
 def test_hamiltonian_flow_rotation():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from rapidgauss.thermalization import (
     to_joint_setup,
 )
 
-from helpers import apply_sequence, coefficient_rhs, fresh_python, master_rhs
+from helpers import apply_sequence, coefficient_rhs, fresh_python, master_rhs, to_cov
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -38,7 +40,7 @@ def test_decompose_cov_cases(rng):
     for _ in range(20):
         m = rng.uniform(-2, 2, (2, 2))
         sigma = (m + m.T) / 2
-        back = decompose_cov(sigma).to_cov()
+        back = to_cov(decompose_cov(sigma))
         assert np.abs(back - sigma).max() < 1e-14
 
 
@@ -66,13 +68,13 @@ def test_coefficient_rhs_matches_master_equation(rng):
     for _ in range(10):
         bath = _bath(rng.uniform(-0.5, 0.5, (2, 2)), nu_A=float(rng.uniform(1, 3)))
         gens = first_order_generators(bath)
-        sigma = decompose_cov(np.eye(2) * 2.0).to_cov()
+        sigma = to_cov(decompose_cov(np.eye(2) * 2.0))
         c0 = CovCoefficients(
             nu=float(rng.uniform(1.5, 3.0)),
             s_cross=float(rng.uniform(-0.3, 0.3)),
             s_plus=float(rng.uniform(-0.3, 0.3)),
         )
-        state = GaussianState(mean=np.zeros(2), cov=c0.to_cov())
+        state = GaussianState(mean=np.zeros(2), cov=to_cov(c0))
         _, dcov = master_rhs(gens, state)
         expected = decompose_cov(dcov)
         got = coefficient_rhs(c0, bath)
@@ -135,6 +137,21 @@ def test_rwa_coupling_form(rng):
             assert report.cooling_saturated
 
 
+@pytest.mark.parametrize("nu_A", [1.0, 1.0 + 1e-14])
+def test_analyze_keeps_nu_tilde_at_or_above_a_cold_bath(rng, nu_A):
+    # Tr(G^T G) >= 2 det G exactly, yet for an exchange coupling their float
+    # ratio can round below one; nu_tilde must still not fall below nu_A
+    couplings = [rwa_coupling(*rng.uniform(-1, 1, 2)) for _ in range(200)]
+    for _ in range(200):
+        g, h = (complex(*rng.normal(size=2)) for _ in range(2))
+        if abs(h) < abs(g):
+            couplings.append(ladder_coupling(g, h))
+    for coupling in couplings:
+        report = analyze(_bath(coupling, nu_A=nu_A))
+        assert report.nu_tilde >= nu_A
+        assert report.passivity_ok is True
+
+
 def test_ladder_coupling_identities(rng):
     for _ in range(30):
         g = complex(rng.normal(), rng.normal())
@@ -183,7 +200,7 @@ def test_squeeze_coefficients_decay_while_rotating():
     bath = _bath(rwa_coupling(0.3, 0.0), nu_A=2.0, dt=0.05, E_S=1.3)
     rate = analyze(bath).rate
     z0 = complex(0.2, -0.1)
-    start = CovCoefficients(nu=2.0, s_cross=z0.real, s_plus=z0.imag).to_cov()
+    start = to_cov(CovCoefficients(nu=2.0, s_cross=z0.real, s_plus=z0.imag))
     times = np.linspace(0.0, 8.0, 9)
     rows = simulate_first_order(bath, start, times)
     for t, coeffs, _ in rows:
@@ -249,7 +266,7 @@ def test_to_joint_setup_round_trip():
 
 def test_report_json():
     report = analyze(_bath(rwa_coupling(0.1, 0.0)))
-    obj = report.to_dict()
+    obj = dataclasses.asdict(report)
     assert obj["has_fixed_point"] is True
     assert obj["nu_infinity"] == pytest.approx(3.0)
 
