@@ -46,7 +46,6 @@ from .errors import (
     InvalidAncillaStateError,
     InvalidSetupError,
     InvalidStateError,
-    MalformedSeriesError,
     NonFiniteStateError,
     RapidGaussError,
     SingularMatrixError,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CP_TOL, CpReport, channel_taylor_stack
-from .errors import MalformedSeriesError
+from .errors import DimensionMismatchError, InvalidSetupError
 from .interpolation import Generators, channel_lift, cp_margins, read_generators
 from .phasespace import symplectic_form
 
@@ -42,7 +42,7 @@ class GeneratorSeries:
     def __post_init__(self):
         stacks = [np.asarray(getattr(self, name), dtype=float).view() for name in "AbC"]
         if not len(stacks[0]) or len({len(stack) for stack in stacks}) > 1:
-            raise MalformedSeriesError("A, b, C must have one entry per order")
+            raise DimensionMismatchError("A, b, C must have one entry per order")
         for name, stack in zip("AbC", stacks):
             stack.setflags(write=False)
             object.__setattr__(self, name, stack)
@@ -54,7 +54,7 @@ class GeneratorSeries:
     def truncate(self, order, dt):
         """Partial sum sum_k coeff_k dt^k up to the given order, as Generators."""
         if order > self.order:
-            raise ValueError(f"series only carries orders up to {self.order}")
+            raise InvalidSetupError(f"series only carries orders up to {self.order}")
         coeffs = self.A[: order + 1], self.b[: order + 1, :, None], self.C[: order + 1]
         a, b, c = (_partial_sums(x, dt)[-1] for x in coeffs)
         return Generators(A=a, b=b[:, 0], C=(c + c.T) / 2)
@@ -144,7 +144,7 @@ def generator_series_stack(setups, order):
     Any order >= 0.  Each setup's coefficients are bit for bit those of its
     own stack of one."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InvalidSetupError("order must be nonnegative")
     return _series_of_stacks(*channel_taylor_stack(setups, order + 1), order)
 
 
@@ -165,7 +165,7 @@ def closed_form_series(setup, order=2):
     account for the ancilla evolving freely during one step.
     """
     if not 0 <= order <= 2:
-        raise ValueError("closed forms cover orders 0 through 2")
+        raise InvalidSetupError("closed forms cover orders 0 through 2")
     f_s, f_a, g = setup.F_S, setup.F_A, setup.G
     alpha_s, alpha_a = setup.alpha_S, setup.alpha_A
     x_a, sigma_a = setup.X_A0, setup.sigma_A0
@@ -224,7 +224,7 @@ def truncated_cp_check(series, order, dt):
     at step duration dt: the order-`order` entry of
     :func:`truncated_cp_margins`, as a CpReport."""
     if order > series.order:
-        raise ValueError(f"series only carries orders up to {series.order}")
+        raise InvalidSetupError(f"series only carries orders up to {series.order}")
     margin = float(truncated_cp_margins(series.A[: order + 1], series.C[: order + 1], dt)[order])
     return CpReport(ok=margin >= -CP_TOL, margin=margin)
 

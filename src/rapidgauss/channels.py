@@ -97,7 +97,7 @@ def apply_runs(runs, mean, cov):
     finiteness once over the result; no state is built or validated per
     step.
 
-    Raises ValueError on a count below 1, DimensionMismatchError when a
+    Raises InvalidSetupError on a count below 1, DimensionMismatchError when a
     channel does not fit the start and NonFiniteStateError("state has
     non-finite entries") when the moments, or the powers of a channel,
     overflow.
@@ -110,7 +110,7 @@ def apply_runs(runs, mean, cov):
         raise DimensionMismatchError("channel and state dimensions differ")
     counts = [count for _, count in runs]
     if counts and min(counts) < 1:
-        raise ValueError("run counts must be positive")
+        raise InvalidSetupError("run counts must be positive")
     total = sum(counts)
     means = np.empty((total, n))
     covs = np.empty((total, n, n))
@@ -200,7 +200,7 @@ def channel_power(channel, n):
     The result starts from its first factor, not the identity, and the
     channel is squared only while bits of n remain: n = 2^k is k squarings."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidSetupError("n must be nonnegative")
     if n == 0:
         return identity_channel(channel.n_modes)
     result = None
@@ -314,7 +314,7 @@ def channel_taylor_stack(setups, order):
     they must share their mode counts.
     """
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InvalidSetupError("order must be nonnegative")
     lift = _joint_lifts(setups)
     ds, dim = 2 * setups[0].n_sys, lift.shape[-1] - 1
     rows = np.empty((len(setups), order + 1, ds, dim + 1))

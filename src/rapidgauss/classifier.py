@@ -15,32 +15,9 @@ displacement everywhere, and noise at every order past zero.
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidSetupError
 from .interpolation import Generators
-
-# basis[k] is the k-th 2x2 basis matrix; every entry is 0 or +-1
-_BASIS = np.array(
-    [
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [-1.0, 0.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ]
-)
-
-DYNAMICS_TYPES = (
-    "single_mode_rotation",
-    "single_mode_squeezing",
-    "displacement",
-    "single_mode_squeezed_noise",
-    "amplification_relaxation",
-    "thermal_noise",
-    "multi_mode_rotation",
-    "multi_mode_squeezing",
-    "multi_mode_counter_rotation",
-    "multi_mode_noise",
-    "multi_mode_counter_squeezing",
-)
+from .phasespace import _BLOCK_BASIS
 
 # a block coefficient counts when it exceeds this fraction of the largest
 # generator entry, so exact structural zeros never raise a flag
@@ -60,6 +37,8 @@ TABLE_AVAILABILITY = {
     "multi_mode_noise": (False, False, True, True),
     "multi_mode_counter_squeezing": (False, False, True, False),
 }
+
+DYNAMICS_TYPES = tuple(TABLE_AVAILABILITY)
 
 
 def allowed_types(order):
@@ -92,7 +71,7 @@ def block_decompose(m):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
         raise DimensionMismatchError("expected a square matrix of even dimension")
     nb = m.shape[0] // 2
-    return 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BASIS)
+    return 0.5 * np.einsum("iajb,kab->ijk", m.reshape(nb, 2, nb, 2), _BLOCK_BASIS)
 
 
 def classify(gen):
@@ -143,7 +122,7 @@ def table_availability(series, order):
     :func:`allowed_types` for that order.
     """
     if order > series.order:
-        raise ValueError(f"series only carries orders up to {series.order}")
+        raise InvalidSetupError(f"series only carries orders up to {series.order}")
     c = series.C[order]
     gen = Generators(A=series.A[order], b=series.b[order], C=(c + c.T) / 2)
     return classify(gen)

@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 usage or config errors (non-finite config arrays
 included) and output errors (an --out file or stdout that cannot be
 written), 2 numerical precondition failures (for example a step duration
 too large for the principal-branch logarithm, a trajectory that overflows,
-or any numpy RuntimeWarning, which a command raises as an error),
-3 invariant violations.
+a thermalization fixed point too large to represent, or any numpy
+RuntimeWarning, which a command raises as an error), 3 invariant
+violations.
 """
 
 import argparse
@@ -32,10 +33,8 @@ from .channels import CP_TOL, JointSetup, apply_runs, identity_channel, reduce_f
 from .classifier import DYNAMICS_TYPES, allowed_types, table_availability
 from .errors import (
     BranchCutError,
-    DimensionMismatchError,
     InvalidSetupError,
     InvalidStateError,
-    MalformedSeriesError,
     NonFiniteStateError,
     SingularMatrixError,
 )
@@ -76,14 +75,6 @@ STEP_ROWS = 128
 SWEEP_CHUNK = 64
 
 
-class ConfigError(Exception):
-    pass
-
-
-class InvariantViolation(Exception):
-    pass
-
-
 @contextlib.contextmanager
 def _atomic(path):
     """A text handle on a temporary file beside path, which replaces path
@@ -108,31 +99,31 @@ def _load_config(path):
         with open(path) as handle:
             cfg = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InvalidSetupError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise InvalidSetupError(f"config is not valid JSON: {exc}") from exc
     return _object("config", cfg)
 
 
 def _require(cfg, key):
     if key not in cfg:
-        raise ConfigError(f"config is missing required key '{key}'")
+        raise InvalidSetupError(f"config is missing required key '{key}'")
     return cfg[key]
 
 
 def _object(key, value):
     """A config value that must be a JSON object."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, got {value!r}")
+        raise InvalidSetupError(f"{key} must be an object, got {value!r}")
     return value
 
 
 def _number(key, value):
     """A finite real number from the config: a JSON number, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise InvalidSetupError(f"{key} must be a number, got {value!r}")
     if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{key} must be finite, got {value!r}")
+        raise InvalidSetupError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -141,13 +132,13 @@ def _array(key, value):
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an array of numbers, got {value!r}") from None
+        raise InvalidSetupError(f"{key} must be an array of numbers, got {value!r}") from None
 
 
 def _dt(cfg):
     dt = _number("dt", _require(cfg, "dt"))
     if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt!r}")
+        raise InvalidSetupError(f"dt must be positive, got {dt!r}")
     return dt
 
 
@@ -167,7 +158,7 @@ def _coupling_from_config(obj):
             return complex(_number("re", _require(c, "re")), _number("im", _require(c, "im")))
 
         return ladder_coupling(as_complex("g"), as_complex("h"))
-    raise ConfigError("coupling must be a matrix or an {rwa|ladder: ...} object")
+    raise InvalidSetupError("coupling must be a matrix or an {rwa|ladder: ...} object")
 
 
 def _bath_from_config(setup_cfg, dt):
@@ -187,7 +178,7 @@ def _joint_from_config(cfg):
     if kind == "oscillator_bath":
         return to_joint_setup(_bath_from_config(setup_cfg, dt)), kind
     if kind != "joint":
-        raise ConfigError(f"unknown setup kind '{kind}'")
+        raise InvalidSetupError(f"unknown setup kind '{kind}'")
     arr = lambda key: _array(key, _require(setup_cfg, key))
     opt = lambda key: _array(key, setup_cfg[key]) if key in setup_cfg else None
     return (
@@ -213,12 +204,12 @@ def _initial_state(cfg, n_modes):
             cov=_array("cov", _require(state, "cov")),
         )
         if state.n_modes != n_modes:
-            raise ConfigError("initial_state does not match the system size")
+            raise InvalidSetupError("initial_state does not match the system size")
     else:
         state = GaussianState(mean=np.zeros(2 * n_modes), cov=np.eye(2 * n_modes))
     check = validate_state(state)
     if not check.ok:
-        raise InvariantViolation(f"initial state invalid: {check.message}")
+        raise InvalidStateError(f"initial state invalid: {check.message}")
     return state
 
 
@@ -262,7 +253,7 @@ def _blocks(runs, rows):
 def _write_trajectory(path, kind, count, times, mean, cov, trajectories):
     """Write a trajectory CSV of count rows to path (:func:`_atomic`) and
     return the final state of the first trajectory, checked against the
-    uncertainty bound: a state that fails it raises InvariantViolation and
+    uncertainty bound: a state that fails it raises InvalidStateError and
     leaves no file at path.
 
     The header is t and the state columns, or, for two trajectories, the
@@ -312,7 +303,7 @@ def _write_trajectory(path, kind, count, times, mean, cov, trajectories):
         final = GaussianState(*ends[0])
         check = validate_state(final)
         if not check.ok:
-            raise InvariantViolation(f"evolved state invalid: {check.message}")
+            raise InvalidStateError(f"evolved state invalid: {check.message}")
     return final
 
 
@@ -320,9 +311,9 @@ def _count(key, value, low):
     """A count from the config: an integral number (not a bool) >= low."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise InvalidSetupError(f"{key} must be an integer, got {value!r}")
     if value < low:
-        raise ConfigError(f"{key} must be >= {low}")
+        raise InvalidSetupError(f"{key} must be >= {low}")
     return int(value)
 
 
@@ -331,7 +322,7 @@ def cmd_evolve(cfg, out_path):
     steps = _count("steps", _require(cfg, "steps"), 1)
     mode = cfg.get("mode", "discrete")
     if mode not in ("discrete", "interpolated", "both"):
-        raise ConfigError(f"unknown mode '{mode}'")
+        raise InvalidSetupError(f"unknown mode '{mode}'")
     dt = setup.dt
     substeps = _count("substeps", cfg.get("substeps", 10), 1) if mode == "interpolated" else 1
 
@@ -370,7 +361,7 @@ def cmd_evolve(cfg, out_path):
 def cmd_thermalize(cfg, out_path):
     setup_cfg = _object("setup", _require(cfg, "setup"))
     if setup_cfg.get("kind") != "oscillator_bath":
-        raise ConfigError("thermalize requires an oscillator_bath setup")
+        raise InvalidSetupError("thermalize requires an oscillator_bath setup")
     dt = _dt(cfg)
     bath = _bath_from_config(setup_cfg, dt)
     steps = _count("steps", _require(cfg, "steps"), 0)
@@ -454,7 +445,7 @@ def cmd_classify(cfg, order):
     flags = {name: name in found for name in DYNAMICS_TYPES}
     print(json.dumps({"order": order, "flags": flags, "allowed": allowed}, sort_keys=True))
     if not found <= set(allowed):
-        raise InvariantViolation(f"order-{order} flags {sorted(found)} leave the availability table")
+        raise InvalidStateError(f"order-{order} flags {sorted(found)} leave the availability table")
     return EXIT_OK
 
 
@@ -533,20 +524,14 @@ def main(argv=None):
     except RuntimeWarning as exc:
         print(f"numerical precondition failed: non-finite entries: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InvariantViolation, InvalidStateError) as exc:
+    except InvalidStateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        ConfigError,
-        InvalidSetupError,
-        DimensionMismatchError,
-        MalformedSeriesError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        # reads fail as ConfigError: this is a write, of --out or of stdout
+        # reads fail as InvalidSetupError: this is a write, of --out or of stdout
         target = exc.filename or "stdout"
         print(f"output error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE

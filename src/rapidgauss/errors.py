@@ -23,13 +23,14 @@ class BranchCutError(RapidGaussError):
 
 
 class NonFiniteStateError(RapidGaussError, ValueError):
-    """Propagated moments overflowed the float range: the state has
-    non-finite entries.
+    """A result overflowed the float range: propagated moments with
+    non-finite entries, or a fixed point too large to represent.
     """
 
 
 class InvalidStateError(RapidGaussError):
-    """A covariance matrix violates the uncertainty bound."""
+    """A state below the uncertainty bound, or a result outside the table
+    its theory allows."""
 
 
 class InvalidAncillaStateError(InvalidStateError):
@@ -37,9 +38,5 @@ class InvalidAncillaStateError(InvalidStateError):
 
 
 class InvalidSetupError(RapidGaussError, ValueError):
-    """Scalar or matrix parameters of a setup are out of their domain."""
-
-
-class MalformedSeriesError(RapidGaussError, ValueError):
-    """A generator series does not hold one coefficient of A, b and C per
-    order."""
+    """An argument, setup parameter or configuration value is out of its
+    domain."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CP_TOL, CpReport, GaussianChannel, _square, identity_channel
-from .errors import BranchCutError, SingularMatrixError
+from .errors import BranchCutError, InvalidSetupError, SingularMatrixError
 from .linalg import balancing_exponents, mat_exp, mat_log, psd_margin
 from .phasespace import _PhaseSpaceRecord, _frozen_arrays, symplectic_form
 
@@ -103,7 +103,7 @@ def generators_from_channel(channel, dt):
     for T singular to working precision or a logarithm that is not finite.
     """
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InvalidSetupError("dt must be positive")
     t, n = channel.T, channel.T.shape[0]
     mu, v = np.linalg.eig(t)
     mags = np.abs(mu)
@@ -156,7 +156,7 @@ def propagate(gen, t):
     squarings of the step's arrays, bit for bit those of channel_power.
     """
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise InvalidSetupError("t must be nonnegative")
     n = gen.A.shape[0]
     omega = symplectic_form(gen.n_modes)
     m = omega @ gen.A
@@ -190,7 +190,7 @@ def gap_runs(gen, marks, unit=1.0):
     at a time, and a run is yielded once the gap after it differs or the
     marks end.
 
-    Raises ValueError on reaching a mark that decreases.
+    Raises InvalidSetupError on reaching a mark that decreases.
     """
     cache = {}
     previous, run_gap, count = 0, None, 0
@@ -200,7 +200,7 @@ def gap_runs(gen, marks, unit=1.0):
             if count:
                 yield cache[run_gap], count
                 if gap < 0:
-                    raise ValueError("times must be nondecreasing")
+                    raise InvalidSetupError("times must be nondecreasing")
             if gap not in cache:
                 cache[gap] = propagate(gen, gap * unit) if gap else identity_channel(gen.n_modes)
             run_gap, count = gap, 0

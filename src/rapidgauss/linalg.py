@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, InvalidSetupError, SingularMatrixError
 
 # The Padé degrees m tried before scaling, as (m, theta_m, coefficients,
 # 1/|c_{2m+1}|): the [m/m] approximant is used when the norm estimate eta of
@@ -61,7 +61,7 @@ def _as_square(m, name="matrix"):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise InvalidSetupError(f"{name} has non-finite entries")
     return a
 
 
@@ -229,7 +229,7 @@ def psd_margin(noise, twist):
     float; two stacks (..., n, n) of the same shape give an array (...) of
     the margins of their pairs from one batched eigen-solve, each bit for
     bit the margin of its own pair.  Raises DimensionMismatchError for
-    non-square or unequal shapes and ValueError for non-finite entries.
+    non-square or unequal shapes and InvalidSetupError for non-finite entries.
     """
     s, k = _as_square(noise, "noise"), _as_square(twist, "twist")
     if s.shape != k.shape:

@@ -41,6 +41,18 @@ def symplectic_form(n_modes):
     return out
 
 
+# the orthogonal basis {1, omega, X, Z} of 2x2 blocks, in that order; every
+# entry is 0 or +-1
+_BLOCK_BASIS = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ]
+)
+
+
 def affine_lift(f, alpha):
     """The lift [[Omega F, Omega alpha], [0, 0]] that generates the flow of
     the Hamiltonian (F, alpha) on (X, 1) (Van Loan, IEEE TAC 23(3):395,
@@ -67,13 +79,11 @@ def _check_symmetric(m, what, exc, scale):
         raise exc(f"{what} must be symmetric")
 
 
-def _frozen_arrays(
-    obj, vector, matrices, asymmetric=InvalidSetupError, nonfinite=InvalidSetupError
-):
+def _frozen_arrays(obj, vector, matrices, asymmetric=InvalidSetupError):
     """Freeze the fields of obj, a frozen dataclass, that hold a phase-space
     vector and the matrices acting on it as read-only float arrays, and check
-    them in one order: all finite (else `nonfinite`); the first matrix 2N x 2N
-    with N >= 1, the others and the vector matching it (else
+    them in one order: all finite (else InvalidSetupError); the first matrix
+    2N x 2N with N >= 1, the others and the vector matching it (else
     DimensionMismatchError); each matrix that `matrices` maps to True
     symmetric (else `asymmetric`).  A vector field holding None becomes zeros;
     vector=None checks the matrices alone.  Messages name the field."""
@@ -89,7 +99,7 @@ def _frozen_arrays(
         checked.append((vector, v, abs(v).max(initial=0.0)))
     for name, _, scale in checked:
         if not math.isfinite(scale):
-            raise nonfinite(f"{name} has non-finite entries")
+            raise InvalidSetupError(f"{name} has non-finite entries")
     n = len(m) if m.ndim else 0
     if m.shape != (n, n) or n == 0 or n % 2:
         raise DimensionMismatchError(f"{first} must be 2N x 2N with N >= 1, got shape {m.shape}")
@@ -119,9 +129,7 @@ class GaussianState(_PhaseSpaceRecord):
     cov: np.ndarray
 
     def __post_init__(self):
-        _frozen_arrays(
-            self, "mean", {"cov": True}, asymmetric=InvalidStateError, nonfinite=ValueError
-        )
+        _frozen_arrays(self, "mean", {"cov": True}, asymmetric=InvalidStateError)
 
 
 @dataclass(frozen=True)

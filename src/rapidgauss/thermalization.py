@@ -25,14 +25,12 @@ import numpy as np
 
 from .bombardment import closed_form_series
 from .channels import JointSetup, _square, apply_runs, reduce_from_joint
-from .errors import DimensionMismatchError, InvalidSetupError
+from .errors import DimensionMismatchError, InvalidSetupError, NonFiniteStateError
 # propagate is imported, not called: bench/test_bench.py expects the binding
 from .interpolation import gap_runs, propagate  # noqa: F401
-from .phasespace import GaussianState, _frozen_arrays
+from .phasespace import _BLOCK_BASIS, GaussianState, _frozen_arrays
 
-_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_, _OMEGA, _X, _Z = _BLOCK_BASIS
 
 # Relative tolerance of Tr(G^T G) = 2 det(G), the saturation condition.
 SATURATION_TOL = 1e-12
@@ -104,7 +102,9 @@ def analyze(setup):
     A fixed point exists iff det(G) > 0; it sits at nu_tilde with approach
     rate dt*det(G).  Tr(G^T G) - 2 det(G) = (G_00 - G_11)^2 + (G_01 + G_10)^2
     is never negative, so a ratio Tr(G^T G)/(2 det G) that rounds below one
-    is taken as one and nu_tilde >= nu_A holds in floating point too.
+    is taken as one and nu_tilde >= nu_A holds in floating point too.  A
+    det(G) so small beside Tr(G^T G) that nu_tilde overflows raises
+    NonFiniteStateError: the fixed point exists but no float holds it.
     Cooling saturates (nu_infinity = nu_A) exactly when
     Tr(G^T G) = 2 det(G), tested to SATURATION_TOL relative to Tr(G^T G)
     so that the flag does not depend on the scale of G.  Passivity,
@@ -117,6 +117,8 @@ def analyze(setup):
     gram_trace = float(np.trace(g.T @ g))
     has_fp = det_g > 0
     nu_tilde = max(gram_trace / (2.0 * det_g), 1.0) * setup.nu_A if has_fp else None
+    if has_fp and not nu_tilde < np.inf:
+        raise NonFiniteStateError(f"the fixed point nu_tilde overflows: det G = {det_g!r}")
     saturated = abs(gram_trace - 2.0 * det_g) <= SATURATION_TOL * gram_trace
     return ThermalReport(
         has_fixed_point=has_fp,

@@ -19,7 +19,7 @@ from rapidgauss.bombardment import (
 )
 from rapidgauss.channels import JointSetup, reduce_from_joint
 from rapidgauss.classifier import allowed_types, table_availability
-from rapidgauss.errors import MalformedSeriesError
+from rapidgauss.errors import DimensionMismatchError
 from rapidgauss.interpolation import cp_differential_check, generators_from_channel
 from rapidgauss.phasespace import symplectic_form
 from rapidgauss.sampling import random_joint_setup
@@ -452,7 +452,7 @@ def test_series_stacks_are_read_only(rng):
     for stack in (series.A, series.b, series.C):
         with pytest.raises(ValueError):
             stack[0] = 0.0
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(DimensionMismatchError):
         GeneratorSeries(A=series.A, b=series.b[:2], C=series.C)
 
 

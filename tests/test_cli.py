@@ -1,14 +1,16 @@
+import ast
 import contextlib
 import errno
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rapidgauss import _csvformat, cli
+from rapidgauss import _csvformat, cli, errors
 from rapidgauss.bombardment import (
     closed_form_series,
     generator_series_from_joint,
@@ -224,6 +226,18 @@ def test_thermalize_of_a_vacuum_bath_with_an_exchange_coupling(tmp_path, capsys)
     assert len(out.read_text().splitlines()) == 12
 
 
+def test_thermalize_of_a_fixed_point_past_the_float_range_exits_2(tmp_path, capsys):
+    # det G = 1e-310 puts nu_tilde past the float range: no report, no CSV
+    cfg = _bath_cfg([[1.0, 0.0], [0.0, 1e-310]], steps=5, dt=0.1, nu_A=2.0)
+    out = tmp_path / "traj.csv"
+    assert main(["thermalize", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical precondition failed: ")
+    assert captured.err.count("\n") == 1 and "det G" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_thermalize_ladder_coupling(tmp_path, capsys):
     cfg = _bath_cfg(
         {"ladder": {"g": {"re": 1.0, "im": 0.0}, "h": {"re": 0.5, "im": 0.0}}},
@@ -412,6 +426,35 @@ def test_evolve_deterministic_output(tmp_path):
     assert main(["evolve", "--config", path, "--out", str(out1)]) == 0
     assert main(["evolve", "--config", path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_every_raise_in_the_package_names_one_of_its_errors():
+    # main maps the families of rapidgauss.errors to exit codes, so no other
+    # class may be raised; numpy's RuntimeWarning comes from the warnings
+    # filter in main, not from a raise statement.  The exceptions: _atomic
+    # re-raises a failed write as OSError naming --out, the parser's error
+    # hook exits through SystemExit as argparse does, and _check_symmetric
+    # raises the error class _frozen_arrays hands it as `asymmetric`
+    own = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    exempt = {("_atomic", "OSError"), ("error", "SystemExit"), ("_check_symmetric", "exc")}
+    modules = sorted(Path(errors.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    raised = set()
+    for module in modules:
+        tree = ast.parse(module.read_text(), str(module))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert isinstance(exc, ast.Name), (module.name, function.name)
+                    if (function.name, exc.id) not in exempt:
+                        assert exc.id in own, (module.name, function.name, exc.id)
+                    raised.add(exc.id)
+                elif isinstance(node, ast.keyword) and node.arg == "asymmetric":
+                    assert node.value.id in own, (module.name, function.name)
+    assert {"InvalidSetupError", "InvalidStateError", "NonFiniteStateError"} <= raised
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):

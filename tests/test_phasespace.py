@@ -179,7 +179,11 @@ def test_state_shape_checks():
 # shapes, then symmetry.  The malformed matrix goes where it must be
 # symmetric: the covariance, the noise R or C, and F_S.
 _RECORDS = {
-    "GaussianState": (lambda m, v: GaussianState(mean=v, cov=m), ValueError, InvalidStateError),
+    "GaussianState": (
+        lambda m, v: GaussianState(mean=v, cov=m),
+        InvalidSetupError,
+        InvalidStateError,
+    ),
     "GaussianChannel": (
         lambda m, v: GaussianChannel(T=np.eye(len(v)), d=v, R=m),
         InvalidSetupError,

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rapidgauss.channels import reduce_from_joint
-from rapidgauss.errors import DimensionMismatchError, InvalidSetupError
+from rapidgauss.errors import DimensionMismatchError, InvalidSetupError, NonFiniteStateError
 from rapidgauss.phasespace import GaussianState
 import rapidgauss.thermalization as thermalization
 from rapidgauss.thermalization import (
@@ -150,6 +150,13 @@ def test_analyze_keeps_nu_tilde_at_or_above_a_cold_bath(rng, nu_A):
         report = analyze(_bath(coupling, nu_A=nu_A))
         assert report.nu_tilde >= nu_A
         assert report.passivity_ok is True
+
+
+def test_analyze_of_a_fixed_point_past_the_float_range_raises():
+    # Tr(G^T G) / (2 det G) = (1 + 1e-310) / 2e-310 overflows
+    bath = _bath(np.diag([1.0, 1e-310]), nu_A=2.0, dt=0.1)
+    with pytest.raises(NonFiniteStateError, match="det G = 1e-310"):
+        analyze(bath)
 
 
 def test_ladder_coupling_identities(rng):
